@@ -28,6 +28,7 @@ from repro.hardware.gpp import GPPSpec
 from repro.hardware.softcore import RHO_VEX_4ISSUE
 from repro.hardware.taxonomy import PEClass
 from repro.sim.simulator import DReAMSim
+from repro.sim.tracing import InMemorySink, Tracer
 
 
 def gpp_task(task_id, t=3.0):
@@ -45,7 +46,8 @@ def node_churn_demo() -> None:
     alpha.add_gpp(GPPSpec(cpu_model="XeonA", mips=1_000))
     rms = ResourceManagementSystem()
     rms.register_node(alpha)
-    sim = DReAMSim(rms)
+    sink = InMemorySink()
+    sim = DReAMSim(rms, tracer=Tracer(sink))
     sim.submit_workload([(0.0, gpp_task(0, t=10.0)), (0.0, gpp_task(1, t=10.0))])
 
     beta = Node(node_id=1, name="Beta")
@@ -56,9 +58,9 @@ def node_churn_demo() -> None:
     report = sim.run()
     print(f"  completed {report.completed}/2, re-queued {sim.requeues} task(s)")
     print(f"  makespan {report.makespan_s:.1f} s (restart on Beta at t=6, 2x faster CPU)")
-    trace = [(t, e) for t, e, _ in sim.metrics.trace if e in ("requeue", "node-join", "node-leave")]
-    for t, event in trace:
-        print(f"    t={t:5.2f}  {event}")
+    for event in sink.events:
+        if event.kind in ("requeue", "node-join", "node-leave"):
+            print(f"    t={event.time:5.2f}  {event.kind}")
 
 
 def softcore_fallback_demo() -> None:

@@ -935,38 +935,30 @@ def scale_spec(*, tasks: int):
     return baseline_spec(tasks=tasks).with_(engine="calendar")
 
 
-def run_scale(tasks: int, *, hostprof=None):
+def run_scale(tasks: int):
     """One end-to-end scale run through the streaming hot path."""
     from repro.sim.experiment import run_scale_experiment
 
-    return run_scale_experiment(scale_spec(tasks=tasks), hostprof=hostprof).report
+    return run_scale_experiment(scale_spec(tasks=tasks)).report
+
+
+def _scale_metrics(tasks: int) -> dict[str, float]:
+    report = run_scale(tasks)
+    metrics = report_metrics(report)
+    metrics["tasks"] = report.completed + report.discarded + report.pending
+    return metrics
 
 
 @register("sim-scale-1e5", "scale", quick_eligible=False,
           description="100k-task end-to-end run through the scale path")
 def _case_scale_1e5(quick: bool) -> dict[str, float]:
-    # Profiled on purpose: the committed BENCH_*.json snapshots carry
-    # the matchmaking/dispatch host-time share as the tracked baseline
-    # for ROADMAP item 1's "vectorize dispatch" follow-up.  The
-    # profile leaves simulated metrics untouched, and the harness pops
-    # the reserved key before its determinism check.
-    from repro.sim.hostprof import HostPhaseProfiler
-
-    prof = HostPhaseProfiler()
-    report = run_scale(10_000 if quick else 100_000, hostprof=prof)
-    metrics = report_metrics(report)
-    metrics["tasks"] = report.completed + report.discarded + report.pending
-    metrics["_host_phases"] = prof.phase_seconds()
-    return metrics
+    return _scale_metrics(10_000 if quick else 100_000)
 
 
 @register("sim-scale-1e6", "scale", quick_eligible=False,
           description="1e6-task end-to-end run through the scale path")
 def _case_scale_1e6(quick: bool) -> dict[str, float]:
-    report = run_scale(50_000 if quick else 1_000_000)
-    metrics = report_metrics(report)
-    metrics["tasks"] = report.completed + report.discarded + report.pending
-    return metrics
+    return _scale_metrics(50_000 if quick else 1_000_000)
 
 
 @register("parallel-runner", "harness", quick_eligible=False,

@@ -49,17 +49,8 @@ class BenchCase:
     description: str = ""
     quick_eligible: bool = True
 
-    def run_once(
-        self, *, quick: bool = False
-    ) -> tuple[float, dict[str, float], dict[str, float]]:
-        """(wall seconds, metrics, host phases) for one invocation.
-
-        A kernel may smuggle a host-phase profile (wall seconds per
-        simulator phase, see :mod:`repro.sim.hostprof`) out under the
-        reserved ``"_host_phases"`` metrics key; the harness pops it
-        here so host timings -- which vary run to run like wall-clock
-        does -- never reach the metric-determinism assertion.
-        """
+    def run_once(self, *, quick: bool = False) -> tuple[float, dict[str, float]]:
+        """(wall seconds, metrics) for one invocation."""
         start = time.perf_counter()
         metrics = self.fn(quick)
         elapsed = time.perf_counter() - start
@@ -68,12 +59,7 @@ class BenchCase:
                 f"bench case {self.name!r} must return a metrics dict, "
                 f"got {type(metrics).__name__}"
             )
-        host_phases = metrics.pop("_host_phases", None) or {}
-        return (
-            elapsed,
-            {k: float(v) for k, v in metrics.items()},
-            {k: float(v) for k, v in host_phases.items()},
-        )
+        return elapsed, {k: float(v) for k, v in metrics.items()}
 
 
 #: The global case registry (name -> case), populated by
@@ -145,9 +131,6 @@ class BenchResult:
     quick: bool
     wall_times_s: list[float]
     metrics: dict[str, float] = field(default_factory=dict)
-    #: Median host wall seconds per simulator phase, when the kernel
-    #: ran under the host-phase profiler (empty otherwise).
-    host_phases: dict[str, float] = field(default_factory=dict)
 
     @property
     def median_s(self) -> float:
@@ -180,10 +163,6 @@ class BenchResult:
                 "all": list(self.wall_times_s),
             },
             "metrics": dict(sorted(self.metrics.items())),
-            # Host timings vary like wall-clock, so they live beside
-            # "wall_s", not inside the exact-match "metrics" dict;
-            # repro diff ignores keys it does not know.
-            "host_phases": dict(sorted(self.host_phases.items())),
         }
 
 
@@ -220,12 +199,9 @@ def run_case(
         case.run_once(quick=quick)
     walls: list[float] = []
     metrics: dict[str, float] | None = None
-    phase_samples: dict[str, list[float]] = {}
     for _ in range(repeat):
-        elapsed, observed, host_phases = case.run_once(quick=quick)
+        elapsed, observed = case.run_once(quick=quick)
         walls.append(elapsed)
-        for phase, seconds in host_phases.items():
-            phase_samples.setdefault(phase, []).append(seconds)
         if metrics is None:
             metrics = observed
         elif observed != metrics:
@@ -236,10 +212,6 @@ def run_case(
     return BenchResult(
         name=case.name, group=case.group, repeat=repeat, warmup=warmup,
         quick=quick, wall_times_s=walls, metrics=metrics or {},
-        host_phases={
-            phase: statistics.median(samples)
-            for phase, samples in phase_samples.items()
-        },
     )
 
 

@@ -357,19 +357,11 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     if args.trace:
         tracer = Tracer(TraceInvariantChecker(), JsonlSink(args.trace))
     telemetry = TelemetryRegistry() if args.telemetry else None
-    hostprof = None
-    if args.profile_host:
-        from repro.sim.hostprof import HostPhaseProfiler
-
-        hostprof = HostPhaseProfiler()
     result = run_experiment(
-        spec, audit_energy=args.energy, tracer=tracer, telemetry=telemetry,
-        hostprof=hostprof,
+        spec, audit_energy=args.energy, tracer=tracer, telemetry=telemetry
     )
     print(f"strategy: {args.strategy}   seed: {args.seed}")
     print("\n".join(result.report.summary_lines()))
-    if hostprof is not None:
-        print(hostprof.table())
     if tracer is not None:
         tracer.close()
         checker = tracer.checker
@@ -1143,10 +1135,6 @@ def build_parser() -> argparse.ArgumentParser:
                         "(default, strict) or a repeatable objective "
                         "[name=]kind:target[:window][:tenant] -- "
                         "observation-only, event order is unchanged")
-    p.add_argument("--profile-host", action="store_true",
-                   help="profile host wall time per simulator phase "
-                        "(engine/matchmaking/dispatch/...) and print the "
-                        "phase table; simulated results are unaffected")
     _add_resilience_flags(p)
     _add_admission_flags(p)
     _add_failover_flags(p)

@@ -52,7 +52,6 @@ from repro.sim.resilience import (
 from repro.sim.trace import (
     export_report_json,
     export_task_records,
-    export_trace,
     load_report_json,
     load_task_records,
 )
@@ -117,7 +116,6 @@ __all__ = [
     "SpeculationSpec",
     "export_report_json",
     "export_task_records",
-    "export_trace",
     "load_report_json",
     "load_task_records",
     "DReAMSim",

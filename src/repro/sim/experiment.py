@@ -27,7 +27,7 @@ from repro.sim.admission import AdmissionSpec
 from repro.sim.energy import EnergyAuditor, EnergyReport
 from repro.sim.failover import FailoverSpec
 from repro.sim.faults import FaultInjector, FaultSpec, RetryPolicy
-from repro.sim.metrics import SimulationReport
+from repro.sim.metrics import BulkMetricsCollector, SimulationReport
 from repro.sim.resilience import ResilienceSpec
 from repro.sim.simulator import DReAMSim
 from repro.sim.slo import SLOSpec
@@ -234,30 +234,16 @@ def _spec_workload(spec: ExperimentSpec) -> WorkloadSpec:
     )
 
 
-def run_experiment(
+def _build(
     spec: ExperimentSpec,
     *,
     arrivals: ArrivalProcess | None = None,
-    audit_energy: bool = False,
     tracer: Tracer | None = None,
     telemetry: TelemetryRegistry | None = None,
     metrics=None,
-    hostprof=None,
-) -> ExperimentResult:
-    """Build, run, and report one experiment.
-
-    ``arrivals`` overrides the Poisson process (e.g. with
-    :class:`~repro.sim.workload.TraceArrivals` for trace-driven runs).
-    ``tracer`` receives the structured event stream (and, when it
-    carries a :class:`~repro.sim.tracing.TraceInvariantChecker`,
-    validates the run online).  ``telemetry`` receives sim-time series
-    (:class:`~repro.sim.telemetry.TelemetryRegistry`); after the run
-    its ``meta`` carries the spec's headline knobs for the dashboard.
-    ``metrics`` swaps in a custom collector (e.g.
-    :class:`~repro.sim.metrics.BulkMetricsCollector`).  ``hostprof``
-    attaches a :class:`~repro.sim.hostprof.HostPhaseProfiler`, whose
-    phase table lands on the report (``host_phase_s``).
-    """
+) -> tuple[DReAMSim, SyntheticWorkload]:
+    """The simulator and workload *spec* describes: grid, configuration
+    pool, arrival stream, fault injector.  Both run paths build here."""
     rms = build_grid(spec)
     pool = ConfigurationPool(
         spec.configurations,
@@ -291,7 +277,33 @@ def run_experiment(
         telemetry=telemetry,
         engine=spec.engine,
         metrics=metrics,
-        hostprof=hostprof,
+    )
+    return sim, workload
+
+
+def run_experiment(
+    spec: ExperimentSpec,
+    *,
+    arrivals: ArrivalProcess | None = None,
+    audit_energy: bool = False,
+    tracer: Tracer | None = None,
+    telemetry: TelemetryRegistry | None = None,
+    metrics=None,
+) -> ExperimentResult:
+    """Build, run, and report one experiment.
+
+    ``arrivals`` overrides the Poisson process (e.g. with
+    :class:`~repro.sim.workload.TraceArrivals` for trace-driven runs).
+    ``tracer`` receives the structured event stream (and, when it
+    carries a :class:`~repro.sim.tracing.TraceInvariantChecker`,
+    validates the run online).  ``telemetry`` receives sim-time series
+    (:class:`~repro.sim.telemetry.TelemetryRegistry`); after the run
+    its ``meta`` carries the spec's headline knobs for the dashboard.
+    ``metrics`` swaps in a custom collector (e.g.
+    :class:`~repro.sim.metrics.BulkMetricsCollector`).
+    """
+    sim, workload = _build(
+        spec, arrivals=arrivals, tracer=tracer, telemetry=telemetry, metrics=metrics
     )
     sim.submit_workload(workload.generate())
     report = sim.run()
@@ -304,7 +316,7 @@ def run_experiment(
             tasks=spec.tasks,
             seed=spec.seed,
             arrival_rate_per_s=spec.arrival_rate_per_s,
-            nodes=len(rms.nodes),
+            nodes=len(sim.rms.nodes),
             faults=spec.faults is not None,
             resilience=(
                 spec.resilience.describe() if spec.resilience is not None else {}
@@ -319,13 +331,11 @@ def run_experiment(
             horizon_s=report.horizon_s,
             summary=report.summary_lines(),
         )
-    energy = EnergyAuditor(rms).audit(sim) if audit_energy else None
+    energy = EnergyAuditor(sim.rms).audit(sim) if audit_energy else None
     return ExperimentResult(spec=spec, report=report, energy=energy)
 
 
-def run_scale_experiment(
-    spec: ExperimentSpec, *, hostprof=None
-) -> ExperimentResult:
+def run_scale_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run one experiment through the million-task hot path.
 
     Same grid and seed handling as :func:`run_experiment`, but every
@@ -347,41 +357,7 @@ def run_scale_experiment(
     auditor need per-task records and are deliberately unsupported
     here -- use :func:`run_experiment` for those.
     """
-    from repro.sim.metrics import BulkMetricsCollector
-
-    rms = build_grid(spec)
-    pool = ConfigurationPool(
-        spec.configurations,
-        area_range=spec.area_range,
-        speedup_range=spec.speedup_range,
-        seed=spec.seed,
-    )
-    pool.populate_repository(
-        rms.virtualization.repository,
-        [rpe.device for node in rms.nodes for rpe in node.rpes],
-    )
-    workload = SyntheticWorkload(
-        _spec_workload(spec),
-        pool,
-        _spec_arrivals(spec),
-        seed=spec.seed,
-    )
-    injector = (
-        FaultInjector(spec.faults, seed=spec.seed) if spec.faults is not None else None
-    )
-    sim = DReAMSim(
-        rms,
-        discard_after_s=spec.discard_after_s,
-        faults=injector,
-        retry=spec.retry,
-        resilience=spec.resilience,
-        admission=spec.admission,
-        failover=spec.failover,
-        slo=spec.slo,
-        engine=spec.engine,
-        metrics=BulkMetricsCollector(capacity=spec.tasks),
-        hostprof=hostprof,
-    )
+    sim, workload = _build(spec, metrics=BulkMetricsCollector(capacity=spec.tasks))
     sim.submit_workload_columns(workload.generate_columns())
     report = sim.run()
     return ExperimentResult(spec=spec, report=report, energy=None)

@@ -232,12 +232,6 @@ class SimulationReport:
     slo_breach_seconds: dict[str, float] = field(default_factory=dict)
     #: Names of objectives that blew their error budget.
     slo_violated: list[str] = field(default_factory=list)
-    # --- host-phase profile (empty unless the run was profiled with
-    # sim/hostprof.py; defaults keep stored reports loadable) ---
-    #: Exclusive host wall seconds per simulator phase (engine pop/push,
-    #: matchmaking, dispatch, faults, telemetry, metrics, other).
-    host_phase_s: dict[str, float] = field(default_factory=dict)
-    host_phase_calls: dict[str, int] = field(default_factory=dict)
 
     def summary_lines(self) -> list[str]:
         """Human-readable report (printed by benches and examples)."""
@@ -334,15 +328,6 @@ class SimulationReport:
                     f"  {name:<32s} attainment {attainment:8.2%}  "
                     f"budget left {budget:7.2%}  {verdict}"
                 )
-        if self.host_phase_s:
-            total = sum(self.host_phase_s.values())
-            parts = ", ".join(
-                f"{phase} {seconds / total:.1%}" if total > 0 else phase
-                for phase, seconds in self.host_phase_s.items()
-            )
-            lines.append(
-                f"host phases          {total:.3f} s wall  ({parts})"
-            )
         return lines
 
 
@@ -423,7 +408,6 @@ class MetricsCollector:
     def __init__(self) -> None:
         self.tasks: dict[object, TaskMetrics] = {}
         self.resources: dict[str, ResourceUsage] = {}
-        self.trace: list[tuple[float, str, object]] = []
         #: Node ids ever part of the grid (denominator of availability).
         self.known_nodes: set[int] = set()
         #: node_id -> time it went down (open downtime window).
@@ -486,7 +470,6 @@ class MetricsCollector:
             raise ValueError(f"duplicate task key {key!r}")
         tm = TaskMetrics(key=key, arrival=time, function=function, tenant=tenant)
         self.tasks[key] = tm
-        self.trace.append((time, "arrival", key))
         return tm
 
     def record_dispatch(
@@ -513,11 +496,9 @@ class MetricsCollector:
         tm.synthesis_time = synthesis_time
         tm.reconfig_time = reconfig_time
         tm.reused_configuration = reused
-        self.trace.append((time, "dispatch", key))
 
     def record_start(self, key: object, time: float) -> None:
         self.tasks[key].start = time
-        self.trace.append((time, "start", key))
 
     def record_finish(self, key: object, time: float, resource_label: str) -> None:
         tm = self.tasks[key]
@@ -526,11 +507,9 @@ class MetricsCollector:
         if tm.start is not None:
             usage.busy_s += time - tm.start
         usage.tasks_executed += 1
-        self.trace.append((time, "finish", key))
 
     def record_discard(self, key: object, time: float) -> None:
         self.tasks[key].discarded = True
-        self.trace.append((time, "discard", key))
 
     # ------------------------------------------------------------------
     # Fault-injection recording
@@ -552,25 +531,21 @@ class MetricsCollector:
         tm.wasted_time_s += wasted_time_s
         tm.wasted_slice_seconds += wasted_slice_seconds
         self.fault_events += 1
-        self.trace.append((time, "fault", key))
 
     def record_retry(self, key: object, time: float) -> None:
         self.tasks[key].retries += 1
         self.retry_events += 1
-        self.trace.append((time, "retry", key))
 
     def record_fallback(self, key: object, time: float) -> None:
         tm = self.tasks[key]
         tm.retries += 1
         tm.fell_back_to_gpp = True
         self.fallback_events += 1
-        self.trace.append((time, "fallback", key))
 
     def record_failed(self, key: object, time: float, *, reason: str) -> None:
         tm = self.tasks[key]
         tm.failed = True
         tm.failure_reason = reason
-        self.trace.append((time, "task-failed", key))
 
     # ------------------------------------------------------------------
     # Adaptive-resilience recording
@@ -584,7 +559,6 @@ class MetricsCollector:
             if tm.deadline_missed is None:
                 tm.deadline_missed = "soft"
             self.deadline_soft_misses += 1
-        self.trace.append((time, "timeout", key))
 
     def record_wasted(
         self, key: object, time: float, *, wasted_time_s: float,
@@ -601,7 +575,6 @@ class MetricsCollector:
         tm.checkpoint_overhead_s += overhead_s
         self.checkpoint_events += 1
         self.checkpoint_overhead_s += overhead_s
-        self.trace.append((time, "checkpoint", key))
 
     def record_checkpoint_restore(self, key: object, saved_s: float) -> None:
         """A fault/timeout destroyed a placement but *saved_s* seconds
@@ -612,12 +585,10 @@ class MetricsCollector:
     def record_migration(self, key: object, time: float) -> None:
         self.tasks[key].migrations += 1
         self.migration_events += 1
-        self.trace.append((time, "migrate", key))
 
     def record_speculation(self, key: object, time: float) -> None:
         self.tasks[key].speculated = True
         self.speculative_launches += 1
-        self.trace.append((time, "speculate", key))
 
     def record_speculation_result(
         self,
@@ -660,7 +631,6 @@ class MetricsCollector:
             wasted_slice_seconds=wasted_slice_seconds,
         )
         self.orphan_events += 1
-        self.trace.append((time, "orphan-recovered", key))
 
     def record_failover_stats(
         self,
@@ -704,18 +674,15 @@ class MetricsCollector:
         tm.shed = True
         tm.shed_reason = reason
         self.shed_events += 1
-        self.trace.append((time, "shed", key))
 
     def record_defer(self, key: object, time: float) -> None:
         self.tasks[key].defers += 1
         self.defer_events += 1
-        self.trace.append((time, "defer", key))
 
     def record_degrade(self, key: object, time: float) -> None:
         tm = self.tasks[key]
         tm.degraded_to_gpp = True
         self.brownout_degraded += 1
-        self.trace.append((time, "degrade", key))
 
     def record_admission_stats(
         self,
@@ -978,12 +945,10 @@ class BulkMetricsCollector(MetricsCollector):
     """Array-backed :class:`MetricsCollector` for million-task runs.
 
     The standard collector allocates one :class:`TaskMetrics` dataclass
-    per task and appends one trace tuple per record call -- hundreds of
-    bytes and several dict operations per event, which dominates memory
-    at 1e6 tasks.  This collector stores the per-task timeline in
-    preallocated numpy columns (8-80 bytes per task) and skips the
-    per-event trace (``self.trace`` stays available for the rare
-    node-level events the simulator appends directly).
+    per task -- hundreds of bytes and several dict operations per
+    task, which dominates memory at 1e6 tasks.  This collector stores
+    the per-task timeline in preallocated numpy columns (8-80 bytes per
+    task).
 
     ``report()`` replicates the base-class arithmetic *exactly* -- same
     value multisets, same accumulation order (insertion order == column
@@ -1190,24 +1155,6 @@ class BulkMetricsCollector(MetricsCollector):
 
     def record_degrade(self, key: object, time: float) -> None:
         self.brownout_degraded += 1
-
-    def record_orphan(
-        self,
-        key: object,
-        time: float,
-        *,
-        wasted_time_s: float = 0.0,
-        wasted_slice_seconds: float = 0.0,
-    ) -> None:
-        # Same accumulation as the base class, minus the per-event
-        # trace tuple (bulk collectors skip the per-task trace).
-        self.record_wasted(
-            key,
-            time,
-            wasted_time_s=wasted_time_s,
-            wasted_slice_seconds=wasted_slice_seconds,
-        )
-        self.orphan_events += 1
 
     # -- reporting ------------------------------------------------------
     def report(self, horizon_s: float) -> SimulationReport:

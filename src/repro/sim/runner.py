@@ -59,11 +59,13 @@ from repro.sim.metrics import SimulationReport
 #:    on ExperimentSpec; shed/brownout fields on SimulationReport).
 #: 7: control-plane fault tolerance (failover spec on ExperimentSpec;
 #:    detection/failover/orphan fields on SimulationReport).
-#: 8: causal run analysis / host-phase profiler (host_phase_s and
-#:    host_phase_calls fields on SimulationReport).
+#: 8: causal run analysis / host-phase profiler (per-phase host
+#:    seconds and call counts on SimulationReport).
 #: 9: online SLO monitoring (slo spec on ExperimentSpec; per-tenant
 #:    and SLO attainment fields on SimulationReport).
-_CACHE_FORMAT = 9
+#: 10: the host-phase profiler's two report fields removed from
+#:     SimulationReport.
+_CACHE_FORMAT = 10
 
 
 def default_jobs() -> int:

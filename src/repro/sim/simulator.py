@@ -159,17 +159,11 @@ class DReAMSim:
         telemetry: TelemetryRegistry | None = None,
         engine: str = "heap",
         metrics: MetricsCollector | None = None,
-        hostprof=None,
     ):
         if discard_after_s is not None and discard_after_s <= 0:
             raise ValueError("discard_after_s must be positive")
         self.engine = make_engine(engine)
         self.rms = rms
-        #: Host-phase profiler (None = the exact unprofiled paths:
-        #: every scope below is a single attribute check, and the
-        #: profiler never reads or writes simulated state, so enabling
-        #: it leaves traces byte-identical).
-        self.hostprof = hostprof
         self.jss = jss or JobSubmissionSystem(virtualization=rms.virtualization)
         self.metrics = metrics if metrics is not None else MetricsCollector()
         self.tracer = tracer
@@ -335,32 +329,25 @@ class DReAMSim:
         dataclasses) -- this runs once per dispatch round."""
         if self.telemetry is None:
             return
-        prof = self.hostprof
-        if prof is not None:
-            prof.enter("telemetry")
-        try:
-            self._t_queue_gauge.set(len(self.pending))
-            self._t_active_gauge.set(len(self.active))
-            for node in self.rms.nodes:
-                parts = 0.0
-                count = 0
-                for g in node.gpps:
-                    parts += 0.0 if g.state.can_accept_work else 1.0
-                    count += 1
-                for g in node.gpus:
-                    parts += 0.0 if g.state.can_accept_work else 1.0
-                    count += 1
-                for r in node.rpes:
-                    total = r.fabric.total_slices
-                    if total:
-                        parts += 1.0 - r.fabric.available_slices / total
-                    count += 1
-                self._t_util_gauge(node.node_id).set(
-                    parts / count if count else 0.0
-                )
-        finally:
-            if prof is not None:
-                prof.leave()
+        self._t_queue_gauge.set(len(self.pending))
+        self._t_active_gauge.set(len(self.active))
+        for node in self.rms.nodes:
+            parts = 0.0
+            count = 0
+            for g in node.gpps:
+                parts += 0.0 if g.state.can_accept_work else 1.0
+                count += 1
+            for g in node.gpus:
+                parts += 0.0 if g.state.can_accept_work else 1.0
+                count += 1
+            for r in node.rpes:
+                total = r.fabric.total_slices
+                if total:
+                    parts += 1.0 - r.fabric.available_slices / total
+                count += 1
+            self._t_util_gauge(node.node_id).set(
+                parts / count if count else 0.0
+            )
 
     def _telemetry_count(self, name: str, help: str, amount: float = 1.0,
                          **labels) -> None:
@@ -600,7 +587,6 @@ class DReAMSim:
                 self.health.register_node(node.node_id)
             if self.monitor is not None:
                 self.monitor.watch(node.node_id, self.engine.now)
-            self.metrics.trace.append((self.engine.now, "node-join", node.node_id))
             self._emit(
                 "node-join",
                 node=node.node_id,
@@ -636,12 +622,10 @@ class DReAMSim:
                 del self.active[entry.key]
                 self.pending.append(entry)
                 self.requeues += 1
-                self.metrics.trace.append((self.engine.now, "requeue", entry.key))
             self.rms.unregister_node(node_id)
             if self.monitor is not None:
                 self.monitor.forget(node_id)
                 self._suspected_targets.discard(node_id)
-            self.metrics.trace.append((self.engine.now, "node-leave", node_id))
             self._emit("node-leave", node=node_id)
             self._dispatch_pending()
 
@@ -695,7 +679,6 @@ class DReAMSim:
                         rpe.fabric.clear(region)
                 rpe.hosted_softcores.clear()
             self.metrics.record_node_down(node_id, self.engine.now)
-            self.metrics.trace.append((self.engine.now, "node-leave", node_id))
             self._emit("node-leave", node=node_id, crash=True)
             if rejoin_after_s is not None:
                 def rejoin() -> None:
@@ -703,7 +686,6 @@ class DReAMSim:
                         return  # pragma: no cover - defensive
                     self.rms.register_node(node, site=site)
                     self.metrics.record_node_up(node_id, self.engine.now)
-                    self.metrics.trace.append((self.engine.now, "node-join", node_id))
                     self._emit(
                         "node-join",
                         node=node_id,
@@ -1043,7 +1025,6 @@ class DReAMSim:
             if self.health is not None:
                 self.health.register_node(node_id)
             self.metrics.record_node_up(node_id, self.engine.now)
-            self.metrics.trace.append((self.engine.now, "node-join", node_id))
             self._emit(
                 "node-join",
                 node=node_id,
@@ -1094,7 +1075,6 @@ class DReAMSim:
             rpe.hosted_softcores.clear()
         if self.health is not None:
             self.health.record_detected_failure(node_id, now)
-        self.metrics.trace.append((now, "node-leave", node_id))
         self._emit("node-leave", node=node_id, crash=True, detected=True)
         self.monitor.forget(node_id)
         self._dispatch_pending()
@@ -1256,20 +1236,6 @@ class DReAMSim:
         """A fault destroyed *entry*'s placement: release the resources,
         account the wasted work, and route the task into the retry
         policy."""
-        prof = self.hostprof
-        if prof is not None:
-            prof.enter("faults")
-        try:
-            self._fault_inner(
-                entry, reason=reason, clear_configuration=clear_configuration
-            )
-        finally:
-            if prof is not None:
-                prof.leave()
-
-    def _fault_inner(
-        self, entry: _Entry, *, reason: str, clear_configuration: bool
-    ) -> None:
         placement = entry.placement
         assert placement is not None
         replica = self._replicas.get(entry.key)
@@ -1422,7 +1388,6 @@ class DReAMSim:
         entry.is_probe = False
         if transition == "open":
             health = self.health.node(node_id)
-            self.metrics.trace.append((self.engine.now, "quarantine", node_id))
             self._emit(
                 "quarantine",
                 node=node_id,
@@ -1442,7 +1407,6 @@ class DReAMSim:
         )
         entry.is_probe = False
         if transition == "close":
-            self.metrics.trace.append((self.engine.now, "quarantine-close", node_id))
             self._emit("quarantine", node=node_id, phase="close")
 
     # ------------------------------------------------------------------
@@ -2102,20 +2066,13 @@ class DReAMSim:
             if self.admission is not None:
                 self._admission_observe()
             return
-        prof = self.hostprof
-        if prof is not None:
-            prof.enter("dispatch")
-        try:
-            kept: list[_Entry] = []
-            for entry in self.pending:
-                if entry.discarded or entry.dispatched:
-                    continue
-                if not self._try_dispatch(entry):
-                    kept.append(entry)
-            self.pending = kept
-        finally:
-            if prof is not None:
-                prof.leave()
+        kept: list[_Entry] = []
+        for entry in self.pending:
+            if entry.discarded or entry.dispatched:
+                continue
+            if not self._try_dispatch(entry):
+                kept.append(entry)
+        self.pending = kept
         self._telemetry_sample()
         if self.admission is not None:
             self._admission_observe()
@@ -2160,9 +2117,6 @@ class DReAMSim:
             suspects = {t for t in self._suspected_targets if t != "rms"}
             if suspects:
                 exclude = exclude | suspects
-        prof = self.hostprof
-        if prof is not None:
-            prof.enter("matchmaking")
         try:
             placement = self.rms.plan_placement(
                 entry.task,
@@ -2181,9 +2135,6 @@ class DReAMSim:
         except SchedulingError as exc:
             entry.failure_reason = str(exc)
             return False
-        finally:
-            if prof is not None:
-                prof.leave()
         if placement is None:
             return False
         if not math.isfinite(placement.total_time_s):
@@ -2429,44 +2380,8 @@ class DReAMSim:
     # ------------------------------------------------------------------
     # Running
     # ------------------------------------------------------------------
-    def _run_profiled(self, until: float | None, max_events: int | None) -> None:
-        """Drive the engine one event at a time under ``engine`` scopes.
-
-        Fires exactly the events ``engine.run`` would, in the same
-        order (``step`` pops the identical next event), so profiling
-        never changes simulated behavior.  ``step`` runs the handler
-        too, so the ``engine`` scope holds pop/push plus handler glue;
-        handlers that enter their own scopes (matchmaking, dispatch,
-        faults, telemetry) reclaim that time from it -- scopes nest,
-        and the profiler charges exclusive self-time.
-        """
-        prof = self.hostprof
-        engine = self.engine
-        fired = 0
-        while True:
-            if max_events is not None and fired >= max_events:
-                break
-            prof.enter("engine")
-            next_time = engine.peek_time()
-            if next_time is None:
-                prof.leave()
-                break
-            if until is not None and next_time > until:
-                prof.leave()
-                break
-            engine.step()
-            prof.leave()
-            fired += 1
-        if until is not None and engine.now < until:
-            engine.now = until
-
     def run(self, until: float | None = None, max_events: int | None = None) -> SimulationReport:
-        prof = self.hostprof
-        if prof is None:
-            self.engine.run(until=until, max_events=max_events)
-        else:
-            prof.start()
-            self._run_profiled(until, max_events)
+        self.engine.run(until=until, max_events=max_events)
         if self.health is not None:
             self.metrics.record_quarantine_stats(
                 episodes=self.health.total_quarantine_episodes(),
@@ -2498,14 +2413,4 @@ class DReAMSim:
             self.metrics.record_slo_stats(self.slo.results(self.engine.now))
             if self.telemetry is not None:
                 self.slo.publish(self.telemetry, self.engine.now)
-        if prof is None:
-            return self.metrics.report(self.engine.now)
-        prof.enter("metrics")
-        try:
-            report = self.metrics.report(self.engine.now)
-        finally:
-            prof.leave()
-            prof.stop()
-        report.host_phase_s = prof.phase_seconds()
-        report.host_phase_calls = prof.call_counts()
-        return report
+        return self.metrics.report(self.engine.now)

@@ -1,19 +1,20 @@
 """Run-record export: CSV/JSON artifacts from finished simulations.
 
 DReAMSim runs are the paper's experimental vehicle; exporting their
-per-task records and event traces lets results be post-processed
-outside the library (spreadsheets, plotting, regression baselines).
-Formats are deliberately boring: flat CSV for per-task tables and the
-chronological trace, JSON for aggregate reports.  Exports round-trip
-(:func:`load_task_records`) so stored baselines can be compared against
-fresh runs in tests.
+per-task records lets results be post-processed outside the library
+(spreadsheets, plotting, regression baselines).  Formats are
+deliberately boring: flat CSV for per-task tables, JSON for aggregate
+reports.  Exports round-trip (:func:`load_task_records`,
+:func:`load_report_json`) so stored baselines can be compared against
+fresh runs in tests.  The event trace is the typed JSONL stream of
+:mod:`repro.sim.tracing`.
 """
 
 from __future__ import annotations
 
 import csv
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from repro.sim.metrics import MetricsCollector, SimulationReport
@@ -74,23 +75,24 @@ def load_task_records(path: str | Path) -> list[dict]:
         ]
 
 
-def export_trace(collector: MetricsCollector, path: str | Path) -> int:
-    """Write the chronological event trace (time, event, key)."""
-    path = Path(path)
-    with path.open("w", newline="", encoding="ascii") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["time", "event", "key"])
-        for time, event, key in collector.trace:
-            writer.writerow([time, event, repr(key)])
-    return len(collector.trace)
-
-
 def export_report_json(report: SimulationReport, path: str | Path) -> None:
     """Serialize an aggregate report as JSON."""
     Path(path).write_text(json.dumps(asdict(report), indent=2), encoding="ascii")
 
 
 def load_report_json(path: str | Path) -> SimulationReport:
-    """Rehydrate an exported aggregate report."""
+    """Rehydrate an exported aggregate report.
+
+    Raises :class:`ValueError` naming the fields a dump carries that
+    :class:`SimulationReport` no longer has (a dump written by an older
+    release, for example).
+    """
     data = json.loads(Path(path).read_text(encoding="ascii"))
+    if not isinstance(data, dict):
+        raise ValueError(f"{path}: not a report JSON object")
+    unexpected = sorted(data.keys() - {f.name for f in fields(SimulationReport)})
+    if unexpected:
+        raise ValueError(
+            f"{path}: unexpected report field(s): {', '.join(unexpected)}"
+        )
     return SimulationReport(**data)

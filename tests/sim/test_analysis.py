@@ -1,5 +1,4 @@
-"""Causal run analysis: ledger conservation, exemplars, critical path,
-and the host-phase profiler's zero-cost-when-disabled contract."""
+"""Causal run analysis: ledger conservation, exemplars, critical path."""
 
 import json
 
@@ -12,7 +11,6 @@ from repro.sim.analysis import (
     analyze_events,
     analyze_trace,
 )
-from repro.sim.hostprof import HostPhaseProfiler
 from repro.sim.tracing import (
     InMemorySink,
     TraceEvent,
@@ -195,79 +193,6 @@ class TestCriticalPath:
     def test_synthetic_workloads_have_no_critical_path(self):
         analysis = analyze_trace(golden_path("hybrid-cost"))
         assert analysis.critical_path is None
-
-
-class TestHostProfiler:
-    def test_disabled_reports_no_host_phases(self):
-        from repro.sim.experiment import run_experiment
-
-        report = run_experiment(GOLDEN["fcfs"][0]).report
-        assert report.host_phase_s == {}
-        assert report.host_phase_calls == {}
-
-    def test_enabled_profile_lands_on_the_report(self):
-        from repro.sim.experiment import run_experiment
-
-        prof = HostPhaseProfiler()
-        report = run_experiment(GOLDEN["chaos"][0], hostprof=prof).report
-        assert report.host_phase_s
-        for phase in ("engine", "matchmaking", "dispatch", "faults",
-                      "metrics"):
-            assert report.host_phase_s.get(phase, 0.0) > 0.0, phase
-            assert report.host_phase_calls.get(phase, 0) > 0, phase
-        assert sum(report.host_phase_s.values()) == pytest.approx(
-            prof.total_seconds()
-        )
-        assert "host phases" in "\n".join(report.summary_lines())
-
-    @pytest.mark.parametrize("name", sorted(GOLDEN))
-    @pytest.mark.parametrize("engine", ["heap", "calendar"])
-    def test_profiled_run_reproduces_golden_byte_identically(self, name, engine):
-        """The profiler only reads the host clock: a profiled rerun of
-        every golden scenario must replay the committed trace byte for
-        byte, on both engines (the profiled drive loop steps the
-        calendar engine event by event)."""
-        from repro.sim.experiment import run_experiment
-
-        spec, filename = GOLDEN[name]
-        golden = (DATA_DIR / filename).read_text(encoding="ascii").splitlines()
-        sink = InMemorySink()
-        run_experiment(
-            spec.with_(engine=engine),
-            tracer=Tracer(TraceInvariantChecker(), sink),
-            hostprof=HostPhaseProfiler(),
-        )
-        fresh = [e.to_json() for e in canonical_events(list(sink.events))]
-        assert fresh == golden, (
-            f"{name}/{engine}: the host-phase profiler changed the trace; "
-            "it must be observation-only"
-        )
-
-    def test_scope_nesting_charges_self_time(self):
-        prof = HostPhaseProfiler()
-        prof.start()
-        prof.enter("dispatch")
-        prof.enter("matchmaking")
-        prof.leave()
-        prof.leave()
-        prof.stop()
-        seconds = prof.phase_seconds()
-        assert set(seconds) >= {"dispatch", "matchmaking", "other"}
-        assert prof.call_counts()["dispatch"] == 1
-        assert prof.call_counts()["matchmaking"] == 1
-        assert prof.total_seconds() == pytest.approx(sum(seconds.values()))
-        assert "Host-phase profile" in prof.table()
-
-    def test_scale_bench_case_reports_host_share(self):
-        from repro.bench.cases import run_scale
-
-        prof = HostPhaseProfiler()
-        report = run_scale(400, hostprof=prof)
-        assert report.completed > 0
-        share = prof.phase_share()
-        assert share.get("matchmaking", 0.0) > 0.0
-        assert share.get("dispatch", 0.0) > 0.0
-        assert sum(share.values()) == pytest.approx(1.0)
 
 
 class TestAnalyzeCli:

@@ -1,14 +1,23 @@
 """Unit tests for the declarative experiment API."""
 
+import dataclasses
+import json
+import zlib
+
 import pytest
 
+from repro.sim.admission import AdmissionSpec, QueueBoundSpec
 from repro.sim.experiment import (
     ExperimentSpec,
     NodeSpec,
     build_grid,
     run_experiment,
+    run_scale_experiment,
     sweep,
 )
+from repro.sim.faults import FAULT_PRESETS
+from repro.sim.resilience import RESILIENCE_PRESETS
+from repro.sim.slo import SLOObjective, SLOSpec
 from repro.sim.workload import TraceArrivals
 
 
@@ -96,6 +105,44 @@ class TestRunExperiment:
             result.report.completed + result.report.discarded + result.report.pending
             == 30
         )
+
+
+class TestRunScaleExperiment:
+    #: CRC-32 of every report field, sorted by name, for SCALE_SPEC.
+    #: Recorded before run_experiment and run_scale_experiment shared one
+    #: construction path; a change here means the scale path simulates
+    #: something else.
+    PINNED_CRC = "fd635550"
+
+    SCALE_SPEC = ExperimentSpec(
+        tasks=2_000,
+        nodes=(
+            NodeSpec(gpps=1, gpp_mips=2_000, rpe_models=("XC5VLX330",),
+                     regions_per_rpe=3),
+            NodeSpec(gpps=1, gpp_mips=1_500, rpe_models=("XC5VLX155",),
+                     regions_per_rpe=2),
+        ),
+        arrival_rate_per_s=2.0,
+        gpp_fraction=0.4,
+        area_range=(2_000, 12_000),
+        flash_crowd=(200.0, 100.0, 3.0),
+        faults=dataclasses.replace(FAULT_PRESETS["chaos"], horizon_s=1_000.0),
+        resilience=RESILIENCE_PRESETS["defensive"],
+        admission=AdmissionSpec(queue=QueueBoundSpec(max_pending=64)),
+        slo=SLOSpec(objectives=(
+            SLOObjective("latency", 2.0, percentile=95.0, window_s=50.0),
+        )),
+        engine="calendar",
+        seed=2012,
+    )
+
+    def test_seeded_report_is_pinned(self):
+        report = run_scale_experiment(self.SCALE_SPEC).report
+        # The spec reaches every layer the build path wires up.
+        assert report.fault_events > 0 and report.quarantines > 0
+        assert report.shed > 0 and report.slo_objectives == 1
+        text = json.dumps(dataclasses.asdict(report), sort_keys=True)
+        assert f"{zlib.crc32(text.encode()):08x}" == self.PINNED_CRC
 
 
 class TestSweep:

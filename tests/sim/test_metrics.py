@@ -92,12 +92,6 @@ class TestCollector:
         assert any("completed" in line for line in lines)
         assert any("reuse" in line for line in lines)
 
-    def test_trace_is_chronological_per_task(self):
-        collector = MetricsCollector()
-        record_one(collector, "a", arrival=0.0, dispatch=1.0, start=1.5, finish=3.0)
-        kinds = [kind for _, kind, key in collector.trace if key == "a"]
-        assert kinds == ["arrival", "dispatch", "start", "finish"]
-
 
 class TestBulkCollector:
     """Differential lock: :class:`BulkMetricsCollector` must produce a

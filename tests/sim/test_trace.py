@@ -1,5 +1,8 @@
 """Unit tests for run-record export/import."""
 
+import dataclasses
+import json
+
 import pytest
 
 from repro.core.execreq import Artifacts, ExecReq
@@ -12,7 +15,6 @@ from repro.sim.simulator import DReAMSim
 from repro.sim.trace import (
     export_report_json,
     export_task_records,
-    export_trace,
     load_report_json,
     load_task_records,
 )
@@ -70,19 +72,6 @@ class TestTaskRecords:
         assert record["node_id"] is None
 
 
-class TestTrace:
-    def test_trace_rows(self, finished_sim, tmp_path):
-        sim, _ = finished_sim
-        path = tmp_path / "trace.csv"
-        count = export_trace(sim.metrics, path)
-        text = path.read_text()
-        assert count == len(sim.metrics.trace)
-        # 4 tasks x (arrival, dispatch, start, finish).
-        assert count == 16
-        assert text.startswith("time,event,key")
-        assert "dispatch" in text
-
-
 class TestReportJson:
     def test_roundtrip(self, finished_sim, tmp_path):
         _, report = finished_sim
@@ -90,3 +79,21 @@ class TestReportJson:
         export_report_json(report, path)
         loaded = load_report_json(path)
         assert loaded == report
+
+    def test_unknown_fields_raise_value_error(self, finished_sim, tmp_path):
+        # A dump from an older release carries fields the report has
+        # since dropped; loading it names them instead of a TypeError.
+        _, report = finished_sim
+        path = tmp_path / "old-report.json"
+        data = dataclasses.asdict(report)
+        data["host_phase_s"] = {"engine": 0.5}
+        data["host_phase_calls"] = {"engine": 3}
+        path.write_text(json.dumps(data), encoding="ascii")
+        with pytest.raises(ValueError, match="host_phase_calls, host_phase_s"):
+            load_report_json(path)
+
+    def test_non_object_raises_value_error(self, tmp_path):
+        path = tmp_path / "list.json"
+        path.write_text("[1, 2]", encoding="ascii")
+        with pytest.raises(ValueError, match="not a report JSON object"):
+            load_report_json(path)
