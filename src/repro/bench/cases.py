@@ -931,7 +931,7 @@ def _case_engine_calendar(quick: bool) -> dict[str, float]:
 
 def scale_spec(*, tasks: int):
     """The million-task scale scenario: the canonical two-node grid,
-    calendar engine, columnar workload, bulk metrics."""
+    calendar engine, columnar workload."""
     return baseline_spec(tasks=tasks).with_(engine="calendar")
 
 

@@ -32,6 +32,7 @@ Commands map to the paper's artifacts and the library's experiments:
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -1388,6 +1389,12 @@ def main(argv: list[str] | None = None) -> int:
     # deep inside the run; fail at the parser instead.
     if getattr(args, "seed", None) is not None and args.seed < 0:
         parser.error("--seed must be non-negative")
+    # Likewise the experiment spec and the arrival process.
+    if getattr(args, "tasks", None) is not None and args.tasks < 0:
+        parser.error("--tasks must be non-negative")
+    rate = getattr(args, "rate", None)
+    if rate is not None and not (math.isfinite(rate) and rate > 0):
+        parser.error(f"--rate must be finite and positive, got {rate:g}")
     if getattr(args, "tenants", None) is not None and args.tenants < 1:
         parser.error("--tenants must be >= 1")
     if hasattr(args, "breaker"):

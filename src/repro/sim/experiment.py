@@ -27,7 +27,7 @@ from repro.sim.admission import AdmissionSpec
 from repro.sim.energy import EnergyAuditor, EnergyReport
 from repro.sim.failover import FailoverSpec
 from repro.sim.faults import FaultInjector, FaultSpec, RetryPolicy
-from repro.sim.metrics import BulkMetricsCollector, SimulationReport
+from repro.sim.metrics import SimulationReport
 from repro.sim.resilience import ResilienceSpec
 from repro.sim.simulator import DReAMSim
 from repro.sim.slo import SLOSpec
@@ -240,7 +240,6 @@ def _build(
     arrivals: ArrivalProcess | None = None,
     tracer: Tracer | None = None,
     telemetry: TelemetryRegistry | None = None,
-    metrics=None,
 ) -> tuple[DReAMSim, SyntheticWorkload]:
     """The simulator and workload *spec* describes: grid, configuration
     pool, arrival stream, fault injector.  Both run paths build here."""
@@ -276,7 +275,6 @@ def _build(
         slo=spec.slo,
         telemetry=telemetry,
         engine=spec.engine,
-        metrics=metrics,
     )
     return sim, workload
 
@@ -288,7 +286,6 @@ def run_experiment(
     audit_energy: bool = False,
     tracer: Tracer | None = None,
     telemetry: TelemetryRegistry | None = None,
-    metrics=None,
 ) -> ExperimentResult:
     """Build, run, and report one experiment.
 
@@ -299,12 +296,8 @@ def run_experiment(
     validates the run online).  ``telemetry`` receives sim-time series
     (:class:`~repro.sim.telemetry.TelemetryRegistry`); after the run
     its ``meta`` carries the spec's headline knobs for the dashboard.
-    ``metrics`` swaps in a custom collector (e.g.
-    :class:`~repro.sim.metrics.BulkMetricsCollector`).
     """
-    sim, workload = _build(
-        spec, arrivals=arrivals, tracer=tracer, telemetry=telemetry, metrics=metrics
-    )
+    sim, workload = _build(spec, arrivals=arrivals, tracer=tracer, telemetry=telemetry)
     sim.submit_workload(workload.generate())
     report = sim.run()
     if telemetry is not None:
@@ -338,26 +331,24 @@ def run_experiment(
 def run_scale_experiment(spec: ExperimentSpec) -> ExperimentResult:
     """Run one experiment through the million-task hot path.
 
-    Same grid and seed handling as :func:`run_experiment`, but every
-    per-task allocation is stripped out of the steady state:
+    Same grid, seed handling and metrics collector as
+    :func:`run_experiment`; the only difference is how the workload is
+    submitted.  It is drawn as numpy columns
+    (:meth:`~repro.sim.workload.SyntheticWorkload.generate_columns`),
+    bulk-scheduled (``engine.schedule_batch``) with one shared callback
+    -- no per-task closure, handle, or JSS job -- and each
+    :class:`~repro.core.task.Task` is materialized lazily at its arrival
+    instant.
 
-    * the workload is drawn as numpy columns
-      (:meth:`~repro.sim.workload.SyntheticWorkload.generate_columns`)
-      and each :class:`~repro.core.task.Task` is materialized lazily at
-      its arrival instant;
-    * arrivals are bulk-scheduled (``engine.schedule_batch``) with one
-      shared callback -- no per-task closure, handle, or JSS job;
-    * metrics accumulate into numpy columns
-      (:class:`~repro.sim.metrics.BulkMetricsCollector`).
-
-    The column draw order differs from ``generate()``'s per-task order,
+    The one behavioural difference is the draw order: columns consume
+    the seed stream differently from ``generate()``'s per-task order,
     so a scale run is a *different* (equally valid) seeded workload
-    than ``run_experiment`` with the same spec; scale runs are only
-    compared against scale runs.  Tracers, telemetry, and the energy
-    auditor need per-task records and are deliberately unsupported
-    here -- use :func:`run_experiment` for those.
+    than ``run_experiment`` with the same spec, and scale runs are only
+    compared against scale runs.  This entry point takes no tracer,
+    telemetry or energy-audit options; use :func:`run_experiment` for
+    those.
     """
-    sim, workload = _build(spec, metrics=BulkMetricsCollector(capacity=spec.tasks))
+    sim, workload = _build(spec)
     sim.submit_workload_columns(workload.generate_columns())
     report = sim.run()
     return ExperimentResult(spec=spec, report=report, energy=None)

@@ -9,6 +9,8 @@ given scheduling strategy.
 
 from __future__ import annotations
 
+import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -376,9 +378,7 @@ def _tenant_row(
     waits: np.ndarray,
     turnarounds: np.ndarray,
 ) -> dict[str, float]:
-    """One tenant's aggregate row, shared by both collectors so the
-    arithmetic (numpy mean/percentile over identical value multisets)
-    cannot drift apart."""
+    """One tenant's aggregate row of :meth:`MetricsCollector.report`."""
     return {
         "completed": completed,
         "shed": shed,
@@ -402,12 +402,100 @@ def _tenant_row(
     }
 
 
+#: One numpy column per :class:`TaskMetrics` field: name -> (dtype, the
+#: value of a fresh row).  NaN means "event not seen"; -1 marks a missing
+#: node/resource or, in the interned string columns (``_INTERNED``), an
+#: empty string.  ``deadline_missed`` is 0 = met, 1 = soft, 2 = hard.
+#: The rare ``failure_reason``/``shed_reason`` strings live in sparse
+#: ``row -> str`` dicts instead.
+_COLUMNS: dict[str, tuple[type, object]] = {
+    "function": (np.int32, -1),
+    "tenant": (np.int16, -1),
+    "pe_kind": (np.int16, -1),
+    "node_id": (np.int32, -1),
+    "resource_index": (np.int32, -1),
+    "slices": (np.int32, 0),
+    "arrival": (np.float64, np.nan),
+    "dispatch": (np.float64, np.nan),
+    "start": (np.float64, np.nan),
+    "finish": (np.float64, np.nan),
+    "transfer_time": (np.float64, 0.0),
+    "synthesis_time": (np.float64, 0.0),
+    "reconfig_time": (np.float64, 0.0),
+    "reused_configuration": (np.bool_, False),
+    "discarded": (np.bool_, False),
+    "failed": (np.bool_, False),
+    "faults": (np.int32, 0),
+    "retries": (np.int32, 0),
+    "fell_back_to_gpp": (np.bool_, False),
+    "first_fault": (np.float64, np.nan),
+    "wasted_time_s": (np.float64, 0.0),
+    "wasted_slice_seconds": (np.float64, 0.0),
+    "deadline_missed": (np.int8, 0),
+    "checkpoints": (np.int32, 0),
+    "checkpoint_overhead_s": (np.float64, 0.0),
+    "wasted_work_saved_s": (np.float64, 0.0),
+    "migrations": (np.int32, 0),
+    "speculated": (np.bool_, False),
+    "speculative_win": (np.bool_, False),
+    "shed": (np.bool_, False),
+    "defers": (np.int32, 0),
+    "degraded_to_gpp": (np.bool_, False),
+}
+
+#: String columns stored as small-int codes, in order of first sight.
+_INTERNED = ("function", "tenant", "pe_kind")
+
+_INITIAL_ROWS = 1024
+
+
+class _TaskView(Mapping):
+    """Read-only ``key -> TaskMetrics`` view of the collector's columns.
+
+    Keys iterate in arrival order; each lookup builds a fresh
+    :class:`TaskMetrics` snapshot, so mutating one changes nothing.
+    """
+
+    __slots__ = ("_c",)
+
+    def __init__(self, collector: "MetricsCollector"):
+        self._c = collector
+
+    def __getitem__(self, key: object) -> TaskMetrics:
+        return self._c._snapshot(key, self._c._index[key])
+
+    def __contains__(self, key: object) -> bool:
+        return key in self._c._index
+
+    def __iter__(self):
+        return iter(self._c._index)
+
+    def __len__(self) -> int:
+        return len(self._c._index)
+
+
 class MetricsCollector:
-    """Accumulates task and resource records during a run."""
+    """Accumulates task and resource records during a run.
+
+    Per-task state lives in numpy columns (``_COLUMNS``), one row per
+    task in arrival order, grown by doubling: ~0.3 KB per task with the
+    key index, where a dataclass per task costs ~2 KB.  The simulator
+    only writes the columns; :attr:`tasks` reads them back as
+    :class:`TaskMetrics` snapshots after the run.
+    """
 
     def __init__(self) -> None:
-        self.tasks: dict[object, TaskMetrics] = {}
         self.resources: dict[str, ResourceUsage] = {}
+        #: key -> row in the columns (insertion order == arrival order).
+        self._index: dict[object, int] = {}
+        self._col = {
+            name: np.full(_INITIAL_ROWS, fill, dtype=dtype)
+            for name, (dtype, fill) in _COLUMNS.items()
+        }
+        #: column -> {string: code}; codes count up from 0 by first sight.
+        self._codes: dict[str, dict[str, int]] = {name: {} for name in _INTERNED}
+        self._failure_reasons: dict[int, str] = {}
+        self._shed_reasons: dict[int, str] = {}
         #: Node ids ever part of the grid (denominator of availability).
         self.known_nodes: set[int] = set()
         #: node_id -> time it went down (open downtime window).
@@ -461,16 +549,64 @@ class MetricsCollector:
         self.slo_results: list = []
 
     # ------------------------------------------------------------------
+    # Columns
+    # ------------------------------------------------------------------
+    def _grow(self) -> None:
+        n = len(self._index)
+        for name, (dtype, fill) in _COLUMNS.items():
+            column = np.full(2 * n, fill, dtype=dtype)
+            column[:n] = self._col[name]
+            self._col[name] = column
+
+    def _code(self, column: str, value: str) -> int:
+        codes = self._codes[column]
+        code = codes.get(value)
+        if code is None:
+            code = codes[value] = len(codes)
+        return code
+
+    @property
+    def tasks(self) -> Mapping[object, TaskMetrics]:
+        """Per-task records: a read-only mapping, keys in arrival order."""
+        return _TaskView(self)
+
+    def _snapshot(self, key: object, i: int) -> TaskMetrics:
+        row = {name: column[i].item() for name, column in self._col.items()}
+        for name in ("dispatch", "start", "finish", "first_fault"):
+            if math.isnan(row[name]):
+                row[name] = None
+        for name in ("node_id", "resource_index"):
+            if row[name] < 0:
+                row[name] = None
+        for name in _INTERNED:
+            row[name] = list(self._codes[name])[row[name]] if row[name] >= 0 else ""
+        row["deadline_missed"] = (None, "soft", "hard")[row["deadline_missed"]]
+        return TaskMetrics(
+            key=key,
+            failure_reason=self._failure_reasons.get(i),
+            shed_reason=self._shed_reasons.get(i),
+            **row,
+        )
+
+    # ------------------------------------------------------------------
     # Recording (called by the simulator)
     # ------------------------------------------------------------------
     def record_arrival(
         self, key: object, time: float, function: str = "", tenant: str = ""
-    ) -> TaskMetrics:
-        if key in self.tasks:
+    ) -> None:
+        index = self._index
+        if key in index:
             raise ValueError(f"duplicate task key {key!r}")
-        tm = TaskMetrics(key=key, arrival=time, function=function, tenant=tenant)
-        self.tasks[key] = tm
-        return tm
+        i = len(index)
+        if i == len(self._col["arrival"]):
+            self._grow()
+        index[key] = i
+        col = self._col
+        col["arrival"][i] = time
+        if function:
+            col["function"][i] = self._code("function", function)
+        if tenant:
+            col["tenant"][i] = self._code("tenant", tenant)
 
     def record_dispatch(
         self,
@@ -486,30 +622,32 @@ class MetricsCollector:
         resource_index: int | None = None,
         slices: int = 0,
     ) -> None:
-        tm = self.tasks[key]
-        tm.dispatch = time
-        tm.pe_kind = pe_kind
-        tm.node_id = node_id
-        tm.resource_index = resource_index
-        tm.slices = slices
-        tm.transfer_time = transfer_time
-        tm.synthesis_time = synthesis_time
-        tm.reconfig_time = reconfig_time
-        tm.reused_configuration = reused
+        i = self._index[key]
+        col = self._col
+        col["dispatch"][i] = time
+        col["pe_kind"][i] = self._code("pe_kind", pe_kind)
+        col["node_id"][i] = node_id
+        col["resource_index"][i] = -1 if resource_index is None else resource_index
+        col["slices"][i] = slices
+        col["transfer_time"][i] = transfer_time
+        col["synthesis_time"][i] = synthesis_time
+        col["reconfig_time"][i] = reconfig_time
+        col["reused_configuration"][i] = reused
 
     def record_start(self, key: object, time: float) -> None:
-        self.tasks[key].start = time
+        self._col["start"][self._index[key]] = time
 
     def record_finish(self, key: object, time: float, resource_label: str) -> None:
-        tm = self.tasks[key]
-        tm.finish = time
+        i = self._index[key]
+        self._col["finish"][i] = time
         usage = self.resources.setdefault(resource_label, ResourceUsage(resource_label))
-        if tm.start is not None:
-            usage.busy_s += time - tm.start
+        start = self._col["start"][i]
+        if not np.isnan(start):
+            usage.busy_s += time - start
         usage.tasks_executed += 1
 
     def record_discard(self, key: object, time: float) -> None:
-        self.tasks[key].discarded = True
+        self._col["discarded"][self._index[key]] = True
 
     # ------------------------------------------------------------------
     # Fault-injection recording
@@ -523,41 +661,43 @@ class MetricsCollector:
         wasted_time_s: float = 0.0,
         wasted_slice_seconds: float = 0.0,
     ) -> None:
-        tm = self.tasks[key]
-        tm.faults += 1
-        if tm.first_fault is None:
-            tm.first_fault = time
-        tm.failure_reason = reason
-        tm.wasted_time_s += wasted_time_s
-        tm.wasted_slice_seconds += wasted_slice_seconds
+        i = self._index[key]
+        col = self._col
+        col["faults"][i] += 1
+        if np.isnan(col["first_fault"][i]):
+            col["first_fault"][i] = time
+        self._failure_reasons[i] = reason
+        col["wasted_time_s"][i] += wasted_time_s
+        col["wasted_slice_seconds"][i] += wasted_slice_seconds
         self.fault_events += 1
 
     def record_retry(self, key: object, time: float) -> None:
-        self.tasks[key].retries += 1
+        self._col["retries"][self._index[key]] += 1
         self.retry_events += 1
 
     def record_fallback(self, key: object, time: float) -> None:
-        tm = self.tasks[key]
-        tm.retries += 1
-        tm.fell_back_to_gpp = True
+        i = self._index[key]
+        self._col["retries"][i] += 1
+        self._col["fell_back_to_gpp"][i] = True
         self.fallback_events += 1
 
     def record_failed(self, key: object, time: float, *, reason: str) -> None:
-        tm = self.tasks[key]
-        tm.failed = True
-        tm.failure_reason = reason
+        i = self._index[key]
+        self._col["failed"][i] = True
+        self._failure_reasons[i] = reason
 
     # ------------------------------------------------------------------
     # Adaptive-resilience recording
     # ------------------------------------------------------------------
     def record_deadline_miss(self, key: object, time: float, *, hard: bool) -> None:
-        tm = self.tasks[key]
+        i = self._index[key]
+        missed = self._col["deadline_missed"]
         if hard:
-            tm.deadline_missed = "hard"
+            missed[i] = 2
             self.deadline_hard_misses += 1
         else:
-            if tm.deadline_missed is None:
-                tm.deadline_missed = "soft"
+            if missed[i] == 0:
+                missed[i] = 1
             self.deadline_soft_misses += 1
 
     def record_wasted(
@@ -565,29 +705,29 @@ class MetricsCollector:
         wasted_slice_seconds: float,
     ) -> None:
         """Waste from a non-fault teardown (a watchdog cancellation)."""
-        tm = self.tasks[key]
-        tm.wasted_time_s += wasted_time_s
-        tm.wasted_slice_seconds += wasted_slice_seconds
+        i = self._index[key]
+        self._col["wasted_time_s"][i] += wasted_time_s
+        self._col["wasted_slice_seconds"][i] += wasted_slice_seconds
 
     def record_checkpoint(self, key: object, time: float, *, overhead_s: float) -> None:
-        tm = self.tasks[key]
-        tm.checkpoints += 1
-        tm.checkpoint_overhead_s += overhead_s
+        i = self._index[key]
+        self._col["checkpoints"][i] += 1
+        self._col["checkpoint_overhead_s"][i] += overhead_s
         self.checkpoint_events += 1
         self.checkpoint_overhead_s += overhead_s
 
     def record_checkpoint_restore(self, key: object, saved_s: float) -> None:
         """A fault/timeout destroyed a placement but *saved_s* seconds
         of its progress survived in the last checkpoint."""
-        self.tasks[key].wasted_work_saved_s += saved_s
+        self._col["wasted_work_saved_s"][self._index[key]] += saved_s
         self.wasted_work_saved_s += saved_s
 
     def record_migration(self, key: object, time: float) -> None:
-        self.tasks[key].migrations += 1
+        self._col["migrations"][self._index[key]] += 1
         self.migration_events += 1
 
     def record_speculation(self, key: object, time: float) -> None:
-        self.tasks[key].speculated = True
+        self._col["speculated"][self._index[key]] = True
         self.speculative_launches += 1
 
     def record_speculation_result(
@@ -605,11 +745,13 @@ class MetricsCollector:
         win the task's placement attribution moves to the replica's
         node/resource (where it actually completed)."""
         if win:
-            tm = self.tasks[key]
-            tm.speculative_win = True
+            i = self._index[key]
+            self._col["speculative_win"][i] = True
             if node_id is not None:
-                tm.node_id = node_id
-                tm.resource_index = resource_index
+                self._col["node_id"][i] = node_id
+                self._col["resource_index"][i] = (
+                    -1 if resource_index is None else resource_index
+                )
             self.speculative_wins += 1
         self.speculative_wasted_s += max(0.0, wasted_s)
 
@@ -670,18 +812,17 @@ class MetricsCollector:
         """Terminal rejection by admission control or load shedding.
         Deliberately does *not* mark the task discarded: ``discarded``
         keeps counting only age-based queue discards."""
-        tm = self.tasks[key]
-        tm.shed = True
-        tm.shed_reason = reason
+        i = self._index[key]
+        self._col["shed"][i] = True
+        self._shed_reasons[i] = reason
         self.shed_events += 1
 
     def record_defer(self, key: object, time: float) -> None:
-        self.tasks[key].defers += 1
+        self._col["defers"][self._index[key]] += 1
         self.defer_events += 1
 
     def record_degrade(self, key: object, time: float) -> None:
-        tm = self.tasks[key]
-        tm.degraded_to_gpp = True
+        self._col["degraded_to_gpp"][self._index[key]] = True
         self.brownout_degraded += 1
 
     def record_admission_stats(
@@ -711,8 +852,7 @@ class MetricsCollector:
         self.slo_results = list(results)
 
     def _slo_report_kwargs(self) -> dict:
-        """Report fields derived from the pushed SLO results (shared by
-        both collectors so the derivations cannot drift apart)."""
+        """Report fields derived from the pushed SLO results."""
         results = self.slo_results
         return {
             "slo_objectives": len(results),
@@ -746,441 +886,29 @@ class MetricsCollector:
     # Reporting
     # ------------------------------------------------------------------
     def report(self, horizon_s: float) -> SimulationReport:
-        finished = [t for t in self.tasks.values() if t.finish is not None]
-        discarded = [t for t in self.tasks.values() if t.discarded]
-        failed = [t for t in self.tasks.values() if t.failed]
-        shed = [t for t in self.tasks.values() if t.shed]
-        pending = [
-            t
-            for t in self.tasks.values()
-            if t.finish is None and not t.discarded and not t.failed and not t.shed
-        ]
-        waits = np.array([t.wait_time for t in finished if t.wait_time is not None])
-        turnarounds = np.array([t.turnaround for t in finished])
-        reconfigs = [t for t in finished if t.reconfig_time > 0]
-        reuse_hits = sum(1 for t in finished if t.reused_configuration)
-        hw_tasks = sum(1 for t in finished if t.pe_kind == "RPE")
-        utilizations = {
-            label: usage.utilization(horizon_s) for label, usage in self.resources.items()
-        }
-        by_kind: dict[str, int] = {}
-        for t in finished:
-            by_kind[t.pe_kind] = by_kind.get(t.pe_kind, 0) + 1
-        # Recovery aggregates.  Downtime windows still open at the
-        # horizon (a node that never rejoined) are closed against it.
-        downtime = dict(self._downtime)
-        for node_id, since in self._down_since.items():
-            downtime[node_id] = downtime.get(node_id, 0.0) + max(
-                0.0, horizon_s - since
-            )
-        node_seconds = len(self.known_nodes) * horizon_s
-        availability = (
-            max(0.0, 1.0 - sum(downtime.values()) / node_seconds)
-            if node_seconds > 0
-            else 1.0
-        )
-        repairs = np.array(
-            [
-                t.finish - t.first_fault
-                for t in finished
-                if t.first_fault is not None
-            ]
-        )
-        # Per-tenant aggregates, tenants in order of first arrival
-        # (the bulk collector reproduces the same order through its
-        # interning table, so the two reports stay byte-equal).
-        per_tenant: dict[str, dict[str, float]] = {}
-        tenant_names: list[str] = []
-        for t in self.tasks.values():
-            if t.tenant and t.tenant not in per_tenant:
-                per_tenant[t.tenant] = {}
-                tenant_names.append(t.tenant)
-        for name in tenant_names:
-            rows = [t for t in self.tasks.values() if t.tenant == name]
-            fin = [t for t in rows if t.finish is not None]
-            t_waits = np.array(
-                [t.wait_time for t in fin if t.wait_time is not None]
-            )
-            t_turn = np.array([t.turnaround for t in fin])
-            per_tenant[name] = _tenant_row(
-                completed=len(fin),
-                shed=sum(1 for t in rows if t.shed),
-                failed=sum(1 for t in rows if t.failed),
-                waits=t_waits,
-                turnarounds=t_turn,
-            )
-        return SimulationReport(
-            horizon_s=horizon_s,
-            completed=len(finished),
-            discarded=len(discarded),
-            pending=len(pending),
-            mean_wait_s=float(waits.mean()) if waits.size else 0.0,
-            p95_wait_s=float(np.percentile(waits, 95)) if waits.size else 0.0,
-            p50_wait_s=float(np.percentile(waits, 50)) if waits.size else 0.0,
-            p99_wait_s=float(np.percentile(waits, 99)) if waits.size else 0.0,
-            mean_turnaround_s=float(turnarounds.mean()) if turnarounds.size else 0.0,
-            p50_turnaround_s=(
-                float(np.percentile(turnarounds, 50)) if turnarounds.size else 0.0
-            ),
-            p95_turnaround_s=(
-                float(np.percentile(turnarounds, 95)) if turnarounds.size else 0.0
-            ),
-            p99_turnaround_s=(
-                float(np.percentile(turnarounds, 99)) if turnarounds.size else 0.0
-            ),
-            makespan_s=max((t.finish for t in finished), default=0.0),
-            reconfigurations=len(reconfigs),
-            total_reconfig_time_s=sum(t.reconfig_time for t in reconfigs),
-            reuse_hits=reuse_hits,
-            reuse_rate=reuse_hits / hw_tasks if hw_tasks else 0.0,
-            mean_utilization=(
-                float(np.mean(list(utilizations.values()))) if utilizations else 0.0
-            ),
-            per_resource_utilization=utilizations,
-            tasks_by_pe_kind=by_kind,
-            failed=len(failed),
-            fault_events=self.fault_events,
-            retries=self.retry_events,
-            gpp_fallbacks=self.fallback_events,
-            availability=availability,
-            mttr_s=float(repairs.mean()) if repairs.size else 0.0,
-            wasted_work_s=sum(t.wasted_time_s for t in self.tasks.values()),
-            wasted_slice_seconds=sum(
-                t.wasted_slice_seconds for t in self.tasks.values()
-            ),
-            goodput_tasks_per_s=len(finished) / horizon_s if horizon_s > 0 else 0.0,
-            deadline_soft_misses=self.deadline_soft_misses,
-            deadline_hard_misses=self.deadline_hard_misses,
-            deadline_miss_rate=(
-                sum(1 for t in self.tasks.values() if t.deadline_missed is not None)
-                / len(self.tasks)
-                if self.tasks
-                else 0.0
-            ),
-            quarantines=self.quarantines,
-            quarantine_time_s=self.quarantine_time_s,
-            checkpoints=self.checkpoint_events,
-            checkpoint_overhead_s=self.checkpoint_overhead_s,
-            wasted_work_saved_s=self.wasted_work_saved_s,
-            migrations=self.migration_events,
-            speculative_launches=self.speculative_launches,
-            speculative_wins=self.speculative_wins,
-            speculative_win_rate=(
-                self.speculative_wins / self.speculative_launches
-                if self.speculative_launches
-                else 0.0
-            ),
-            speculative_wasted_s=self.speculative_wasted_s,
-            shed=len(shed),
-            admission_deferrals=self.defer_events,
-            placements_gated=self.placements_gated,
-            brownout_degraded=self.brownout_degraded,
-            brownout_transitions=self.brownout_transitions,
-            brownout_max_stage=self.brownout_max_stage,
-            brownout_time_s=self.brownout_time_s,
-            overload_goodput_tasks_per_s=(
-                self.brownout_completions / self.brownout_time_s
-                if self.brownout_time_s > 0
-                else 0.0
-            ),
-            rms_crashes=self.rms_crashes,
-            rms_gray_events=self.rms_gray_events,
-            failovers=self.failovers,
-            control_plane_downtime_s=self.control_plane_downtime_s,
-            detections=self.detections,
-            detection_latency_p50_s=self.detection_latency_p50_s,
-            detection_latency_p95_s=self.detection_latency_p95_s,
-            false_suspicions=self.false_suspicions,
-            leases_expired=self.leases_expired,
-            orphaned_tasks=self.orphan_events,
-            orphans_recovered=self.orphan_events,
-            per_tenant=per_tenant,
-            **self._slo_report_kwargs(),
-        )
-
-
-class _TaskRow:
-    """Flyweight read view of one task's columns (bulk collector).
-
-    Exposes the two fields the simulator reads back mid-run
-    (``arrival`` and ``dispatch``) with the same None-for-missing
-    convention as :class:`TaskMetrics`.
-    """
-
-    __slots__ = ("_c", "_i")
-
-    def __init__(self, collector: "BulkMetricsCollector", index: int):
-        self._c = collector
-        self._i = index
-
-    @property
-    def arrival(self) -> float:
-        return float(self._c._arrival[self._i])
-
-    @property
-    def dispatch(self) -> float | None:
-        v = self._c._dispatch[self._i]
-        return None if np.isnan(v) else float(v)
-
-
-class _TaskRowMap:
-    """Mapping facade over the bulk collector's columns."""
-
-    __slots__ = ("_c",)
-
-    def __init__(self, collector: "BulkMetricsCollector"):
-        self._c = collector
-
-    def __getitem__(self, key: object) -> _TaskRow:
-        return _TaskRow(self._c, self._c._index[key])
-
-    def __contains__(self, key: object) -> bool:
-        return key in self._c._index
-
-    def __len__(self) -> int:
-        return self._c._n
-
-
-class BulkMetricsCollector(MetricsCollector):
-    """Array-backed :class:`MetricsCollector` for million-task runs.
-
-    The standard collector allocates one :class:`TaskMetrics` dataclass
-    per task -- hundreds of bytes and several dict operations per
-    task, which dominates memory at 1e6 tasks.  This collector stores
-    the per-task timeline in preallocated numpy columns (8-80 bytes per
-    task).
-
-    ``report()`` replicates the base-class arithmetic *exactly* -- same
-    value multisets, same accumulation order (insertion order == column
-    order), numpy mean/percentile for latencies and Python left-fold
-    ``sum`` for the waste/reconfig totals -- so for identical record
-    streams the two collectors produce identical reports (locked by a
-    differential test).
-
-    Limitations, by design: per-task drill-down fields that no report
-    aggregate reads (node ids, transfer/synthesis splits, failure
-    reasons, per-task retry counts) are not stored, so the energy
-    auditor and trace tooling need the standard collector.
-    """
-
-    _INITIAL_CAPACITY = 1024
-
-    def __init__(self, capacity: int | None = None) -> None:
-        super().__init__()
-        cap = max(1, int(capacity) if capacity is not None else self._INITIAL_CAPACITY)
-        self._n = 0
-        self._index: dict[object, int] = {}
-        self._arrival = np.empty(cap)
-        self._dispatch = np.full(cap, np.nan)
-        self._start = np.full(cap, np.nan)
-        self._finish = np.full(cap, np.nan)
-        self._reconfig = np.zeros(cap)
-        self._wasted_t = np.zeros(cap)
-        self._wasted_sl = np.zeros(cap)
-        self._first_fault = np.full(cap, np.nan)
-        self._reused = np.zeros(cap, dtype=bool)
-        self._discarded = np.zeros(cap, dtype=bool)
-        self._failed = np.zeros(cap, dtype=bool)
-        self._shed = np.zeros(cap, dtype=bool)
-        #: pe_kind interned to a small int; -1 = never dispatched.
-        self._kind_code = np.full(cap, -1, dtype=np.int16)
-        #: tenant interned to a small int; -1 = untagged (single-tenant).
-        self._tenant_code = np.full(cap, -1, dtype=np.int16)
-        #: 0 = met, 1 = soft miss, 2 = hard miss.
-        self._deadline_code = np.zeros(cap, dtype=np.int8)
-        self._kind_codes: dict[str, int] = {}
-        self._kind_names: list[str] = []
-        self._tenant_codes: dict[str, int] = {}
-        self._tenant_names: list[str] = []
-        self.tasks = _TaskRowMap(self)  # type: ignore[assignment]
-
-    def _grow(self) -> None:
-        cap = len(self._arrival) * 2
-        for name in (
-            "_arrival", "_dispatch", "_start", "_finish", "_reconfig",
-            "_wasted_t", "_wasted_sl", "_first_fault", "_reused",
-            "_discarded", "_failed", "_shed", "_kind_code", "_tenant_code",
-            "_deadline_code",
-        ):
-            old = getattr(self, name)
-            if old.dtype == np.float64 and name in ("_dispatch", "_start", "_finish", "_first_fault"):
-                new = np.full(cap, np.nan)
-            elif old.dtype == np.int16:
-                new = np.full(cap, -1, dtype=np.int16)
-            else:
-                new = np.zeros(cap, dtype=old.dtype)
-            new[: self._n] = old[: self._n]
-            setattr(self, name, new)
-
-    def _kind(self, pe_kind: str) -> int:
-        code = self._kind_codes.get(pe_kind)
-        if code is None:
-            code = len(self._kind_names)
-            self._kind_codes[pe_kind] = code
-            self._kind_names.append(pe_kind)
-        return code
-
-    def _tenant(self, tenant: str) -> int:
-        code = self._tenant_codes.get(tenant)
-        if code is None:
-            code = len(self._tenant_names)
-            self._tenant_codes[tenant] = code
-            self._tenant_names.append(tenant)
-        return code
-
-    # -- recording ------------------------------------------------------
-    def record_arrival(self, key: object, time: float, function: str = "", tenant: str = "") -> None:  # type: ignore[override]
-        if key in self._index:
-            raise ValueError(f"duplicate task key {key!r}")
-        i = self._n
-        if i == len(self._arrival):
-            self._grow()
-        self._index[key] = i
-        self._arrival[i] = time
-        if tenant:
-            self._tenant_code[i] = self._tenant(tenant)
-        self._n = i + 1
-
-    def record_dispatch(
-        self,
-        key: object,
-        time: float,
-        *,
-        pe_kind: str,
-        node_id: int,
-        transfer_time: float,
-        synthesis_time: float,
-        reconfig_time: float,
-        reused: bool,
-        resource_index: int | None = None,
-        slices: int = 0,
-    ) -> None:
-        i = self._index[key]
-        self._dispatch[i] = time
-        self._kind_code[i] = self._kind(pe_kind)
-        self._reconfig[i] = reconfig_time
-        self._reused[i] = reused
-
-    def record_start(self, key: object, time: float) -> None:
-        self._start[self._index[key]] = time
-
-    def record_finish(self, key: object, time: float, resource_label: str) -> None:
-        i = self._index[key]
-        self._finish[i] = time
-        usage = self.resources.setdefault(resource_label, ResourceUsage(resource_label))
-        start = self._start[i]
-        if not np.isnan(start):
-            usage.busy_s += time - start
-        usage.tasks_executed += 1
-
-    def record_discard(self, key: object, time: float) -> None:
-        self._discarded[self._index[key]] = True
-
-    def record_fault(
-        self,
-        key: object,
-        time: float,
-        *,
-        reason: str,
-        wasted_time_s: float = 0.0,
-        wasted_slice_seconds: float = 0.0,
-    ) -> None:
-        i = self._index[key]
-        if np.isnan(self._first_fault[i]):
-            self._first_fault[i] = time
-        self._wasted_t[i] += wasted_time_s
-        self._wasted_sl[i] += wasted_slice_seconds
-        self.fault_events += 1
-
-    def record_retry(self, key: object, time: float) -> None:
-        self.retry_events += 1
-
-    def record_fallback(self, key: object, time: float) -> None:
-        self.fallback_events += 1
-
-    def record_failed(self, key: object, time: float, *, reason: str) -> None:
-        self._failed[self._index[key]] = True
-
-    def record_deadline_miss(self, key: object, time: float, *, hard: bool) -> None:
-        i = self._index[key]
-        if hard:
-            self._deadline_code[i] = 2
-            self.deadline_hard_misses += 1
-        else:
-            if self._deadline_code[i] == 0:
-                self._deadline_code[i] = 1
-            self.deadline_soft_misses += 1
-
-    def record_wasted(
-        self, key: object, time: float, *, wasted_time_s: float,
-        wasted_slice_seconds: float,
-    ) -> None:
-        i = self._index[key]
-        self._wasted_t[i] += wasted_time_s
-        self._wasted_sl[i] += wasted_slice_seconds
-
-    def record_checkpoint(self, key: object, time: float, *, overhead_s: float) -> None:
-        self.checkpoint_events += 1
-        self.checkpoint_overhead_s += overhead_s
-
-    def record_checkpoint_restore(self, key: object, saved_s: float) -> None:
-        self.wasted_work_saved_s += saved_s
-
-    def record_migration(self, key: object, time: float) -> None:
-        self.migration_events += 1
-
-    def record_speculation(self, key: object, time: float) -> None:
-        self.speculative_launches += 1
-
-    def record_speculation_result(
-        self,
-        key: object,
-        time: float,
-        *,
-        win: bool,
-        wasted_s: float,
-        node_id: int | None = None,
-        resource_index: int | None = None,
-    ) -> None:
-        if win:
-            self.speculative_wins += 1
-        self.speculative_wasted_s += max(0.0, wasted_s)
-
-    def record_shed(self, key: object, time: float, *, reason: str) -> None:
-        self._shed[self._index[key]] = True
-        self.shed_events += 1
-
-    def record_defer(self, key: object, time: float) -> None:
-        self.defer_events += 1
-
-    def record_degrade(self, key: object, time: float) -> None:
-        self.brownout_degraded += 1
-
-    # -- reporting ------------------------------------------------------
-    def report(self, horizon_s: float) -> SimulationReport:
-        n = self._n
-        arrival = self._arrival[:n]
-        dispatch = self._dispatch[:n]
-        finish = self._finish[:n]
-        discarded = self._discarded[:n]
-        failed = self._failed[:n]
-        shed = self._shed[:n]
+        n = len(self._index)
+        col = {name: column[:n] for name, column in self._col.items()}
+        arrival = col["arrival"]
+        dispatch = col["dispatch"]
+        finish = col["finish"]
+        discarded = col["discarded"]
+        failed = col["failed"]
+        shed = col["shed"]
         finished = ~np.isnan(finish)
         pending = np.isnan(finish) & ~discarded & ~failed & ~shed
-        # Same multisets in the same (insertion) order as the base
-        # collector's list comprehensions.
+        # Every reduction runs over rows in arrival order.
         waits = (dispatch - arrival)[finished & ~np.isnan(dispatch)]
         turnarounds = (finish - arrival)[finished]
-        reconfig_mask = finished & (self._reconfig[:n] > 0)
-        reuse_hits = int((finished & self._reused[:n]).sum())
-        rpe_code = self._kind_codes.get("RPE")
-        kinds = self._kind_code[:n]
+        reconfig_mask = finished & (col["reconfig_time"] > 0)
+        reuse_hits = int((finished & col["reused_configuration"]).sum())
+        kind_names = list(self._codes["pe_kind"])
+        rpe_code = self._codes["pe_kind"].get("RPE")
+        kinds = col["pe_kind"]
         hw_tasks = int((finished & (kinds == rpe_code)).sum()) if rpe_code is not None else 0
         utilizations = {
             label: usage.utilization(horizon_s) for label, usage in self.resources.items()
         }
-        # by-kind counts in order of first finished appearance, exactly
-        # like the base collector's insertion-ordered dict.
+        # by-kind counts in order of first finished appearance.
         by_kind: dict[str, int] = {}
         finished_kinds = kinds[finished]
         if finished_kinds.size:
@@ -1189,7 +917,7 @@ class BulkMetricsCollector(MetricsCollector):
             )
             for pos in np.argsort(firsts):
                 code = int(codes[pos])
-                name = self._kind_names[code] if code >= 0 else ""
+                name = kind_names[code] if code >= 0 else ""
                 by_kind[name] = int(counts[pos])
         downtime = dict(self._downtime)
         for node_id, since in self._down_since.items():
@@ -1202,16 +930,14 @@ class BulkMetricsCollector(MetricsCollector):
             if node_seconds > 0
             else 1.0
         )
-        first_fault = self._first_fault[:n]
+        first_fault = col["first_fault"]
         repairs = (finish - first_fault)[finished & ~np.isnan(first_fault)]
         completed = int(finished.sum())
-        # Per-tenant aggregates.  Interning assigns codes in order of
-        # first arrival, so iterating codes reproduces the base
-        # collector's first-appearance tenant order; masks select the
-        # same value multisets in the same (column == insertion) order.
+        # Per-tenant aggregates, tenants in order of first arrival (the
+        # order interning assigned their codes in).
         per_tenant: dict[str, dict[str, float]] = {}
-        tenant_codes = self._tenant_code[:n]
-        for code, name in enumerate(self._tenant_names):
+        tenant_codes = col["tenant"]
+        for code, name in enumerate(self._codes["tenant"]):
             mask = tenant_codes == code
             fin_mask = mask & finished
             per_tenant[name] = _tenant_row(
@@ -1242,9 +968,9 @@ class BulkMetricsCollector(MetricsCollector):
             ),
             makespan_s=float(finish[finished].max()) if completed else 0.0,
             reconfigurations=int(reconfig_mask.sum()),
-            # Python left-fold sum, like the base collector (numpy's
-            # pairwise summation rounds differently).
-            total_reconfig_time_s=sum(self._reconfig[:n][reconfig_mask].tolist()),
+            # Python left-fold sums: numpy's pairwise summation rounds
+            # differently, and the pinned reports depend on the order.
+            total_reconfig_time_s=sum(col["reconfig_time"][reconfig_mask].tolist()),
             reuse_hits=reuse_hits,
             reuse_rate=reuse_hits / hw_tasks if hw_tasks else 0.0,
             mean_utilization=(
@@ -1258,13 +984,13 @@ class BulkMetricsCollector(MetricsCollector):
             gpp_fallbacks=self.fallback_events,
             availability=availability,
             mttr_s=float(repairs.mean()) if repairs.size else 0.0,
-            wasted_work_s=sum(self._wasted_t[:n].tolist()),
-            wasted_slice_seconds=sum(self._wasted_sl[:n].tolist()),
+            wasted_work_s=sum(col["wasted_time_s"].tolist()),
+            wasted_slice_seconds=sum(col["wasted_slice_seconds"].tolist()),
             goodput_tasks_per_s=completed / horizon_s if horizon_s > 0 else 0.0,
             deadline_soft_misses=self.deadline_soft_misses,
             deadline_hard_misses=self.deadline_hard_misses,
             deadline_miss_rate=(
-                int((self._deadline_code[:n] != 0).sum()) / n if n else 0.0
+                int((col["deadline_missed"] != 0).sum()) / n if n else 0.0
             ),
             quarantines=self.quarantines,
             quarantine_time_s=self.quarantine_time_s,
@@ -1306,3 +1032,8 @@ class BulkMetricsCollector(MetricsCollector):
             per_tenant=per_tenant,
             **self._slo_report_kwargs(),
         )
+
+
+#: Old name of the collector, kept only because the benchmark under
+#: ``perf/`` imports it; nothing else may use it.
+BulkMetricsCollector = MetricsCollector

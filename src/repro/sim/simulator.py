@@ -96,6 +96,12 @@ class _Entry:
     events: list[EventHandle] = field(default_factory=list)
     #: Suppress JSS completion marking (stream chunks mark once).
     silent: bool = False
+    #: Sim time of arrival and of the latest dispatch (never reset, so
+    #: a requeued task keeps its last dispatch time until the next one).
+    arrival: float = 0.0
+    dispatched_at: float | None = None
+    #: Reached execution at least once (on any placement).
+    started: bool = False
     # --- fault-recovery state (untouched in fault-free runs) ---
     #: Placement attempts lost to faults since the last fresh budget.
     attempts: int = 0
@@ -158,14 +164,13 @@ class DReAMSim:
         slo: SLOSpec | None = None,
         telemetry: TelemetryRegistry | None = None,
         engine: str = "heap",
-        metrics: MetricsCollector | None = None,
     ):
         if discard_after_s is not None and discard_after_s <= 0:
             raise ValueError("discard_after_s must be positive")
         self.engine = make_engine(engine)
         self.rms = rms
         self.jss = jss or JobSubmissionSystem(virtualization=rms.virtualization)
-        self.metrics = metrics if metrics is not None else MetricsCollector()
+        self.metrics = MetricsCollector()
         self.tracer = tracer
         self.discard_after_s = discard_after_s
         self.pending: list[_Entry] = []
@@ -917,22 +922,9 @@ class DReAMSim:
         placement = entry.placement
         if placement is None:
             return  # pragma: no cover - defensive
-        replica = self._replicas.get(entry.key)
-        if replica is not None:
-            self._abort_replica(replica, action="abort")
-        tm = self.metrics.tasks[entry.key]
-        dispatched_at = tm.dispatch if tm.dispatch is not None else self.engine.now
-        preserved = self._checkpoint_credit(entry, placement)
-        wasted = max(0.0, self.engine.now - dispatched_at - preserved)
-        slice_seconds = 0.0
-        if placement.region_id is not None:
-            slices, _ = self._region_slices(placement)
-            slice_seconds = wasted * slices
-        for handle in entry.events:
-            handle.cancel()
-        entry.events.clear()
-        self._emit_slice_free(entry)
-        self.rms.abort_placement(placement, clear_configuration=False)
+        preserved, wasted, slice_seconds = self._tear_down(
+            entry, placement, clear_configuration=False
+        )
         self.metrics.record_orphan(
             entry.key,
             self.engine.now,
@@ -1238,27 +1230,9 @@ class DReAMSim:
         policy."""
         placement = entry.placement
         assert placement is not None
-        replica = self._replicas.get(entry.key)
-        if replica is not None:
-            # Speculation targets stragglers, not crashes: a faulted
-            # primary recovers through the retry machinery and its
-            # replica is scrapped (the replica's node is fine, so its
-            # fabric state stays).
-            self._abort_replica(replica, action="abort")
-        tm = self.metrics.tasks[entry.key]
-        dispatched_at = tm.dispatch if tm.dispatch is not None else self.engine.now
-        elapsed = self.engine.now - dispatched_at
-        preserved = self._checkpoint_credit(entry, placement)
-        wasted = max(0.0, elapsed - preserved)
-        slice_seconds = 0.0
-        if placement.region_id is not None:
-            slices, _ = self._region_slices(placement)
-            slice_seconds = wasted * slices
-        for handle in entry.events:
-            handle.cancel()
-        entry.events.clear()
-        self._emit_slice_free(entry)
-        self.rms.abort_placement(placement, clear_configuration=clear_configuration)
+        preserved, wasted, slice_seconds = self._tear_down(
+            entry, placement, clear_configuration=clear_configuration
+        )
         self.metrics.record_fault(
             entry.key,
             self.engine.now,
@@ -1509,23 +1483,9 @@ class DReAMSim:
         (requeue or terminal failure)."""
         placement = entry.placement
         assert placement is not None
-        replica = self._replicas.get(entry.key)
-        if replica is not None:
-            self._abort_replica(replica, action="abort")
-        tm = self.metrics.tasks[entry.key]
-        dispatched_at = tm.dispatch if tm.dispatch is not None else self.engine.now
-        elapsed = self.engine.now - dispatched_at
-        preserved = self._checkpoint_credit(entry, placement)
-        wasted = max(0.0, elapsed - preserved)
-        slice_seconds = 0.0
-        if placement.region_id is not None:
-            slices, _ = self._region_slices(placement)
-            slice_seconds = wasted * slices
-        for handle in entry.events:
-            handle.cancel()
-        entry.events.clear()
-        self._emit_slice_free(entry)
-        self.rms.abort_placement(placement, clear_configuration=False)
+        preserved, wasted, slice_seconds = self._tear_down(
+            entry, placement, clear_configuration=False
+        )
         self.metrics.record_wasted(
             entry.key,
             self.engine.now,
@@ -1540,6 +1500,34 @@ class DReAMSim:
         self.active.pop(entry.key, None)
         self._apply_checkpoint_resume(entry, placement, preserved)
         self._telemetry_sample()
+
+    def _tear_down(
+        self, entry: _Entry, placement: Placement, *, clear_configuration: bool
+    ) -> tuple[float, float, float]:
+        """Release the live *placement* of a primary *entry* (fault,
+        watchdog or orphan): scrap its replica, cancel its pending
+        events and free its resources.  Returns ``(preserved, wasted,
+        slice_seconds)``: the seconds of progress the newest checkpoint
+        kept, the seconds thrown away since dispatch, and that waste
+        weighted by the occupied fabric slices."""
+        replica = self._replicas.get(entry.key)
+        if replica is not None:
+            # Speculation targets stragglers, not crashes: the primary
+            # recovers through its own path and the replica is scrapped
+            # (the replica's node is fine, so its fabric state stays).
+            self._abort_replica(replica, action="abort")
+        preserved = self._checkpoint_credit(entry, placement)
+        wasted = max(0.0, self.engine.now - entry.dispatched_at - preserved)
+        slice_seconds = 0.0
+        if placement.region_id is not None:
+            slices, _ = self._region_slices(placement)
+            slice_seconds = wasted * slices
+        for handle in entry.events:
+            handle.cancel()
+        entry.events.clear()
+        self._emit_slice_free(entry)
+        self.rms.abort_placement(placement, clear_configuration=clear_configuration)
+        return preserved, wasted, slice_seconds
 
     # ------------------------------------------------------------------
     # Adaptive resilience: checkpoint/restart + migration
@@ -1739,8 +1727,6 @@ class DReAMSim:
             self._abort_replica(replica, action="abort")  # pragma: no cover
             return
         primary_placement = entry.placement
-        tm = self.metrics.tasks[entry.key]
-        dispatched_at = tm.dispatch if tm.dispatch is not None else self.engine.now
         for handle in entry.events:
             handle.cancel()
         entry.events.clear()
@@ -1754,7 +1740,7 @@ class DReAMSim:
             entry.key,
             self.engine.now,
             win=True,
-            wasted_s=max(0.0, self.engine.now - dispatched_at),
+            wasted_s=max(0.0, self.engine.now - entry.dispatched_at),
             node_id=replica.placement.candidate.node_id,
             resource_index=replica.placement.candidate.resource_id,
         )
@@ -1765,9 +1751,10 @@ class DReAMSim:
             node=replica.placement.candidate.node_id,
             loser=primary_placement.candidate.node_id,
         )
-        if tm.start is None:
+        if not entry.started:
             # The primary never reached execution (long setup): the
             # task-level lifecycle still needs its start transition.
+            entry.started = True
             self.metrics.record_start(entry.key, self.engine.now)
             self._emit("start", entry.key,
                        node=replica.placement.candidate.node_id)
@@ -1829,6 +1816,7 @@ class DReAMSim:
             job_id=job_id,
             on_complete=on_complete,
             silent=silent,
+            arrival=self.engine.now,
         )
         self.metrics.record_arrival(
             entry.key, self.engine.now, task.function, tenant=task.tenant
@@ -2155,6 +2143,7 @@ class DReAMSim:
         entry.dispatched = True
         entry.placement = placement
         self.active[entry.key] = entry
+        entry.dispatched_at = self.engine.now
         self.metrics.record_dispatch(
             entry.key,
             self.engine.now,
@@ -2174,7 +2163,7 @@ class DReAMSim:
         if self.telemetry is not None:
             self.telemetry.histogram(
                 "task_wait_seconds", "arrival -> dispatch latency"
-            ).observe(self.engine.now - self.metrics.tasks[entry.key].arrival)
+            ).observe(self.engine.now - entry.arrival)
         if self.tracer is not None:
             self._emit(
                 "dispatch",
@@ -2297,6 +2286,7 @@ class DReAMSim:
         placement = entry.placement
         assert placement is not None
         self.rms.begin_execution(placement)
+        entry.started = True
         self.metrics.record_start(entry.key, self.engine.now)
         if self.tracer is not None:
             self._emit("start", entry.key, node=placement.candidate.node_id)
@@ -2344,18 +2334,17 @@ class DReAMSim:
         if self.telemetry is not None:
             self.telemetry.histogram(
                 "task_turnaround_seconds", "arrival -> completion latency"
-            ).observe(self.engine.now - self.metrics.tasks[entry.key].arrival)
+            ).observe(self.engine.now - entry.arrival)
         if self.slo is not None:
-            row = self.metrics.tasks[entry.key]
             self.slo.observe_completion(
                 tenant=entry.task.tenant,
                 priority=entry.task.priority,
                 wait=(
-                    row.dispatch - row.arrival
-                    if row.dispatch is not None
+                    entry.dispatched_at - entry.arrival
+                    if entry.dispatched_at is not None
                     else None
                 ),
-                turnaround=self.engine.now - row.arrival,
+                turnaround=self.engine.now - entry.arrival,
             )
         self._health_success(entry, placement.candidate.node_id)
         if self.admission is not None:

@@ -113,6 +113,28 @@ class TestSimulate:
         assert message in capsys.readouterr().err
 
 
+class TestRunSizeValidation:
+    """Bad ``--tasks``/``--rate`` values die at the parser (exit 2) on
+    every experiment subcommand, not as a traceback from the spec."""
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep", "chaos", "overload", "slo"])
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--tasks", "-5", "--tasks must be non-negative"),
+            ("--rate", "nan", "--rate must be finite and positive"),
+            ("--rate", "-1", "--rate must be finite and positive"),
+            ("--rate", "inf", "--rate must be finite and positive"),
+        ],
+    )
+    def test_rejected_with_exit_2(self, capsys, command, flag, value, message):
+        with pytest.raises(SystemExit) as exc:
+            main([command, flag, value])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+
 class TestChaos:
     def test_recovery_table(self, capsys):
         assert main(["chaos", "--tasks", "20", "--seed", "3",

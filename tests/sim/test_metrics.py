@@ -1,15 +1,22 @@
 """Unit tests for the simulation metrics collector."""
 
+import json
+import zlib
 from dataclasses import asdict
 
 import pytest
 
 from repro.sim.metrics import (
-    BulkMetricsCollector,
     MetricsCollector,
     ResourceUsage,
     TaskMetrics,
 )
+
+
+def report_crc(report) -> str:
+    """CRC-32 over every report field, sorted by name."""
+    text = json.dumps(asdict(report), sort_keys=True)
+    return f"{zlib.crc32(text.encode()):08x}"
 
 
 def record_one(collector, key, *, arrival, dispatch, start, finish, reconfig=0.0, reused=False):
@@ -77,6 +84,9 @@ class TestCollector:
         # busy time: (3.5-1.5) + (5.0-3.0) = 4 over 10 s horizon
         assert report.per_resource_utilization["node0:RPE0"] == pytest.approx(0.4)
         assert report.tasks_by_pe_kind == {"RPE": 2}
+        # Every field, percentiles included, as the per-task-dataclass
+        # collector this one replaced reported it.
+        assert report_crc(report) == "e4cf6ea0"
 
     def test_empty_report(self):
         report = MetricsCollector().report(horizon_s=5.0)
@@ -93,61 +103,141 @@ class TestCollector:
         assert any("reuse" in line for line in lines)
 
 
-class TestBulkCollector:
-    """Differential lock: :class:`BulkMetricsCollector` must produce a
-    report *identical* to the standard collector on the same run --
-    same means, same percentiles, same rounding, same by-kind dict
-    order.  The bulk collector's only licensed difference is storage
-    (numpy columns instead of per-task objects)."""
+    def test_columns_grow_past_initial_allocation(self):
+        collector = MetricsCollector()
+        for i in range(1500):  # past the 1024 rows allocated up front
+            record_one(collector, i, arrival=float(i), dispatch=i + 0.5,
+                       start=i + 0.5, finish=i + 2.0)
+        assert list(collector.tasks) == list(range(1500))
+        assert collector.tasks[1499].finish == 1501.0
+        report = collector.report(3000.0)
+        assert report.completed == 1500
+        assert report.mean_wait_s == 0.5
+        assert report.mean_turnaround_s == 2.0
+        assert report.makespan_s == 1501.0
+        assert report.per_resource_utilization["node0:RPE0"] == pytest.approx(0.75)
 
-    def test_bulk_report_matches_standard_on_synthetic_events(self):
-        std, bulk = MetricsCollector(), BulkMetricsCollector(capacity=2)
-        for coll in (std, bulk):
-            record_one(coll, "a", arrival=0.0, dispatch=1.0, start=1.5, finish=3.5, reconfig=0.5)
-            record_one(coll, "b", arrival=0.2, dispatch=3.0, start=3.0, finish=5.0, reused=True)
-            record_one(coll, "c", arrival=0.4, dispatch=0.4, start=0.6, finish=9.1)
-            coll.record_arrival("d", 4.0)
-            coll.record_discard("d", 9.0)
-            coll.record_arrival("e", 5.0)  # pending forever
-        assert asdict(std.report(10.0)) == asdict(bulk.report(10.0))
-
-    def test_bulk_capacity_grows_past_initial_allocation(self):
-        bulk = BulkMetricsCollector(capacity=4)
-        std = MetricsCollector()
-        for i in range(100):  # 25x the initial capacity
-            record_one(std, i, arrival=float(i), dispatch=i + 0.5, start=i + 0.5, finish=i + 2.0)
-            record_one(bulk, i, arrival=float(i), dispatch=i + 0.5, start=i + 0.5, finish=i + 2.0)
-        assert asdict(std.report(200.0)) == asdict(bulk.report(200.0))
-
-    def test_bulk_duplicate_key_rejected(self):
-        bulk = BulkMetricsCollector()
-        bulk.record_arrival(1, 0.0)
-        with pytest.raises(ValueError):
-            bulk.record_arrival(1, 0.0)
-
-    def test_bulk_task_rows_expose_arrival_and_dispatch(self):
-        """The simulator reads ``metrics.tasks[key].arrival`` /
-        ``.dispatch`` on its hot paths; the row facade must behave
-        like TaskMetrics there, including None before the event."""
-        bulk = BulkMetricsCollector()
-        bulk.record_arrival("t", 1.25)
-        assert "t" in bulk.tasks and "nope" not in bulk.tasks
-        assert len(bulk.tasks) == 1
-        row = bulk.tasks["t"]
+    def test_tasks_mapping_reads_columns(self):
+        collector = MetricsCollector()
+        collector.record_arrival("t", 1.25)
+        assert "t" in collector.tasks and "nope" not in collector.tasks
+        assert len(collector.tasks) == 1
+        row = collector.tasks["t"]
         assert row.arrival == 1.25
-        assert row.dispatch is None
-        bulk.record_dispatch(
+        assert row.dispatch is None and row.node_id is None
+        assert row.function == "" and row.pe_kind == ""
+        collector.record_dispatch(
             "t", 2.5, pe_kind="GPP", node_id=1, transfer_time=0.0,
             synthesis_time=0.0, reconfig_time=0.0, reused=False,
         )
-        assert bulk.tasks["t"].dispatch == 2.5
+        assert collector.tasks["t"].dispatch == 2.5
+        assert collector.tasks["t"].resource_index is None
+        # Snapshots are copies: the mapping is read-only.
+        row.arrival = 9.0
+        assert collector.tasks["t"].arrival == 1.25
+        with pytest.raises(TypeError):
+            collector.tasks["t"] = row
+
+    def test_task_snapshot_matches_record_stream(self):
+        """Every TaskMetrics field survives the columns: a faulted,
+        retried, checkpointed, migrated, speculatively-won task; a
+        deferred then shed one; and one that fell back to GPP and
+        failed.  On the win, node and resource move to the replica."""
+        collector = MetricsCollector()
+        hot, shed, lost = ("job", 1), ("job", 2), ("job", 3)
+        collector.record_arrival(hot, 0.5, "fir", tenant="tenant1")
+        collector.record_dispatch(
+            hot, 1.0, pe_kind="RPE", node_id=0, transfer_time=0.25,
+            synthesis_time=0.0, reconfig_time=0.125, reused=False,
+            resource_index=0, slices=1200,
+        )
+        collector.record_start(hot, 1.5)
+        collector.record_checkpoint(hot, 2.0, overhead_s=0.0625)
+        collector.record_fault(
+            hot, 2.5, reason="SEU corrupted fir on node 0",
+            wasted_time_s=1.0, wasted_slice_seconds=1200.0,
+        )
+        collector.record_checkpoint_restore(hot, 0.5)
+        collector.record_retry(hot, 2.5)
+        collector.record_deadline_miss(hot, 3.0, hard=False)
+        collector.record_dispatch(
+            hot, 3.25, pe_kind="RPE", node_id=1, transfer_time=0.5,
+            synthesis_time=0.0, reconfig_time=0.0, reused=True,
+            resource_index=2, slices=1200,
+        )
+        collector.record_migration(hot, 3.25)
+        collector.record_speculation(hot, 4.0)
+        collector.record_speculation_result(
+            hot, 5.0, win=True, wasted_s=1.75, node_id=3, resource_index=1
+        )
+        collector.record_finish(hot, 5.0, "node3:RPE1")
+        collector.record_arrival(shed, 0.75, "fft", tenant="tenant0")
+        collector.record_defer(shed, 0.75)
+        collector.record_defer(shed, 1.25)
+        collector.record_shed(shed, 1.75, reason="queue full")
+        collector.record_arrival(lost, 1.0)
+        collector.record_degrade(lost, 1.0)
+        collector.record_dispatch(
+            lost, 1.0, pe_kind="GPP", node_id=2, transfer_time=0.0,
+            synthesis_time=0.0, reconfig_time=0.0, reused=False,
+        )
+        collector.record_fault(lost, 2.0, reason="node 2 crashed", wasted_time_s=1.0)
+        collector.record_fallback(lost, 2.0)
+        collector.record_deadline_miss(lost, 3.0, hard=True)
+        collector.record_failed(lost, 3.0, reason="deadline exceeded")
+
+        expected = {
+            hot: TaskMetrics(
+                key=hot, function="fir", tenant="tenant1", pe_kind="RPE",
+                node_id=3, resource_index=1, slices=1200, arrival=0.5,
+                dispatch=3.25, start=1.5, finish=5.0, transfer_time=0.5,
+                reused_configuration=True,
+                failure_reason="SEU corrupted fir on node 0", faults=1,
+                retries=1, first_fault=2.5, wasted_time_s=1.0,
+                wasted_slice_seconds=1200.0, deadline_missed="soft",
+                checkpoints=1, checkpoint_overhead_s=0.0625,
+                wasted_work_saved_s=0.5, migrations=1, speculated=True,
+                speculative_win=True,
+            ),
+            shed: TaskMetrics(
+                key=shed, function="fft", tenant="tenant0", arrival=0.75,
+                shed=True, shed_reason="queue full", defers=2,
+            ),
+            lost: TaskMetrics(
+                key=lost, pe_kind="GPP", node_id=2, arrival=1.0, dispatch=1.0,
+                failed=True, failure_reason="deadline exceeded", faults=1,
+                retries=1, fell_back_to_gpp=True, first_fault=2.0,
+                wasted_time_s=1.0, deadline_missed="hard", degraded_to_gpp=True,
+            ),
+        }
+        assert list(collector.tasks) == [hot, shed, lost]
+        for key, want in expected.items():
+            got = asdict(collector.tasks[key])
+            for name, value in asdict(want).items():
+                assert got[name] == value and type(got[name]) is type(value), (
+                    key, name, got[name], value
+                )
+        # The same stream's report, pinned with the per-task-dataclass
+        # collector this one replaced.
+        assert report_crc(collector.report(6.0)) == "d4556d07"
+
+
+class TestReportPins:
+    """Full-experiment reports, pinned to the CRC of every field sorted
+    by name.  The pins were computed with the per-task-dataclass
+    collector this one replaced, so they lock the column store to its
+    arithmetic: same reductions, same rounding, same dict order.  The
+    chaos and resilience scenarios push faults, retries, fallbacks,
+    deadline misses, checkpoints and migrations through the columns."""
+
+    PINNED_CRC = {
+        "plain": "b0829e11",
+        "chaos": "afb9f0d9",
+        "resilience": "d54fed54",
+    }
 
     @pytest.mark.parametrize("scenario", ["plain", "chaos", "resilience"])
-    def test_bulk_report_matches_standard_on_full_experiments(self, scenario):
-        """End-to-end differential: run the same seeded experiment with
-        both collectors and require byte-equal reports.  The chaos and
-        resilience scenarios push faults, retries, fallbacks, deadline
-        misses, checkpoints, and migrations through the bulk paths."""
+    def test_run_experiment_report_is_pinned(self, scenario):
         from repro.grid.health import HealthPolicy
         from repro.sim.experiment import ExperimentSpec, run_experiment
         from repro.sim.faults import FaultSpec
@@ -179,6 +269,5 @@ class TestBulkCollector:
                     speculation=SpeculationSpec(slowdown_factor=1.5),
                 ),
             )
-        standard = run_experiment(spec).report
-        bulk_result = run_experiment(spec, metrics=BulkMetricsCollector())
-        assert asdict(bulk_result.report) == asdict(standard)
+        report = run_experiment(spec).report
+        assert report_crc(report) == self.PINNED_CRC[scenario]

@@ -53,6 +53,8 @@ def document_module(module) -> list[str]:
             continue
         if getattr(obj, "__module__", None) != module.__name__:
             continue  # re-exports documented at their home
+        if getattr(obj, "__name__", name) != name:
+            continue  # aliases documented under their own name
         if inspect.isclass(obj):
             members.append((f"class `{name}`", first_paragraph(obj.__doc__)))
         elif inspect.isfunction(obj):
