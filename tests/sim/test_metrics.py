@@ -222,6 +222,22 @@ class TestCollector:
         assert report_crc(collector.report(6.0)) == "d4556d07"
 
 
+class TestBulkCollector:
+    """Bulk loads that push the columns past their up-front allocation."""
+
+    def test_bulk_duplicate_key_rejected(self):
+        collector = MetricsCollector()
+        for i in range(1500):  # past the 1024 rows allocated up front
+            collector.record_arrival(i, float(i))
+        # Keys recorded before and after the columns grew stay indexed.
+        for key in (0, 1023, 1024, 1499):
+            with pytest.raises(ValueError):
+                collector.record_arrival(key, 0.0)
+        assert len(collector.tasks) == 1500
+        assert collector.tasks[0].arrival == 0.0
+        assert collector.tasks[1499].arrival == 1499.0
+
+
 class TestReportPins:
     """Full-experiment reports, pinned to the CRC of every field sorted
     by name.  The pins were computed with the per-task-dataclass
