@@ -72,14 +72,13 @@ def task_required_slices(task: Task) -> int:
     return 0
 
 
-def _rpe_dynamic_ok(task: Task, rpe: RPEResource) -> bool:
+def _rpe_dynamic_ok(task: Task, rpe: RPEResource, needed: int) -> bool:
     """Dynamic admissibility of an RPE: resident-config reuse, or enough
-    placeable area for the task's circuit."""
+    placeable area (*needed* slices) for the task's circuit."""
     if rpe.offline:
         return False
     if task.function and rpe.fabric.find_resident(task.function) is not None:
         return True
-    needed = task_required_slices(task)
     if needed == 0:
         # No area information: any available region will do.
         return rpe.fabric.available_slices > 0
@@ -90,6 +89,20 @@ def match_node(
     task: Task, node: Node, *, require_available: bool = False
 ) -> list[Candidate]:
     """All placements of *task* on *node* (one per admissible PE)."""
+    return _match_node(task, node, require_available, _rpe_slices(task))
+
+
+def _rpe_slices(task: Task) -> int:
+    """The fabric area an RPE-class task needs (0 for other classes,
+    which never read it) -- constant per task, so computed once."""
+    if task.exec_req.node_type is PEClass.RPE:
+        return task_required_slices(task)
+    return 0
+
+
+def _match_node(
+    task: Task, node: Node, require_available: bool, needed: int
+) -> list[Candidate]:
     candidates: list[Candidate] = []
     wanted = task.exec_req.node_type
 
@@ -134,10 +147,9 @@ def match_node(
             bitstream = task.exec_req.artifacts.bitstream
             if bitstream is not None and not bitstream.targets(rpe.device):
                 continue
-            needed = task_required_slices(task)
             if needed > rpe.device.slices:
                 continue
-            if require_available and not _rpe_dynamic_ok(task, rpe):
+            if require_available and not _rpe_dynamic_ok(task, rpe, needed):
                 continue
             reuse = bool(task.function) and rpe.fabric.find_resident(task.function) is not None
             candidates.append(
@@ -201,6 +213,7 @@ def find_candidates(
 ) -> list[Candidate]:
     """All placements of *task* across *nodes*, in node order."""
     result: list[Candidate] = []
+    needed = _rpe_slices(task)
     for node in nodes:
-        result.extend(match_node(task, node, require_available=require_available))
+        result.extend(_match_node(task, node, require_available, needed))
     return result

@@ -14,6 +14,7 @@ message, cut-through within a hop), the standard first-order WAN model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import networkx as nx
@@ -30,15 +31,15 @@ class Link:
     latency_s: float
 
     def __post_init__(self) -> None:
-        if self.bandwidth_mbps <= 0:
-            raise ValueError("bandwidth must be positive")
-        if self.latency_s < 0:
-            raise ValueError("latency must be non-negative")
+        if not (math.isfinite(self.bandwidth_mbps) and self.bandwidth_mbps > 0):
+            raise ValueError("bandwidth must be finite and positive")
+        if not (math.isfinite(self.latency_s) and self.latency_s >= 0):
+            raise ValueError("latency must be finite and non-negative")
 
     def transfer_time(self, size_bytes: int) -> float:
         """Seconds to push *size_bytes* across this single link."""
-        if size_bytes < 0:
-            raise ValueError("size must be non-negative")
+        if not (math.isfinite(size_bytes) and size_bytes >= 0):
+            raise ValueError("size must be finite and non-negative")
         return self.latency_s + size_bytes / (self.bandwidth_mbps * 1e6)
 
 
@@ -52,11 +53,21 @@ class Network:
     Sites are added implicitly by :meth:`connect`.  Routing picks the
     minimum-latency path; the effective bandwidth of a path is its
     bottleneck link.
+
+    Each (src, dst) route is computed once and cached as its total
+    latency and bottleneck bandwidth (or as "no route") until the
+    topology changes.  :attr:`graph` is therefore read-only to callers:
+    every mutation must go through :meth:`connect`, :meth:`disconnect`
+    or :meth:`remove_site` (which :meth:`degrade`, :meth:`sever` and
+    :meth:`restore` use), and each of those clears the whole cache.
     """
 
     def __init__(self) -> None:
         self.graph = nx.Graph()
         self.graph.add_node(USER_SITE)
+        #: (src, dst) -> (total latency s, bottleneck MB/s), or None
+        #: when the two known sites are partitioned.
+        self._routes: dict[tuple[int, int], tuple[float, float] | None] = {}
 
     # ------------------------------------------------------------------
     # Construction
@@ -66,11 +77,13 @@ class Network:
         if a == b:
             raise ValueError("cannot connect a site to itself")
         self.graph.add_edge(a, b, link=link)
+        self._routes.clear()
 
     def disconnect(self, a: int, b: int) -> None:
         if not self.graph.has_edge(a, b):
             raise NetworkError(f"no link between {a} and {b}")
         self.graph.remove_edge(a, b)
+        self._routes.clear()
 
     def remove_site(self, site: int) -> None:
         """Drop a site and all its links (node-leave events)."""
@@ -78,6 +91,7 @@ class Network:
             raise ValueError("the user site cannot be removed")
         if site in self.graph:
             self.graph.remove_node(site)
+            self._routes.clear()
 
     @classmethod
     def fully_connected(
@@ -159,15 +173,35 @@ class Network:
 
         Same-site transfers are free (local disk/DMA is not modeled).
         """
-        if size_bytes < 0:
-            raise ValueError("size must be non-negative")
+        if not (math.isfinite(size_bytes) and size_bytes >= 0):
+            raise ValueError("size must be finite and non-negative")
         if src == dst:
             return 0.0
-        route = self.path(src, dst)
-        links = [self.graph.edges[u, v]["link"] for u, v in zip(route, route[1:])]
-        total_latency = sum(l.latency_s for l in links)
-        bottleneck = min(l.bandwidth_mbps for l in links)
+        key = (src, dst)
+        try:
+            route = self._routes[key]
+        except KeyError:
+            route = self._routes[key] = self._route(src, dst)
+        if route is None:
+            raise NetworkError(f"no route {src} -> {dst}")
+        total_latency, bottleneck = route
         return total_latency + size_bytes / (bottleneck * 1e6)
+
+    def _route(self, src: int, dst: int) -> tuple[float, float] | None:
+        """Uncached (total latency, bottleneck bandwidth) of the
+        minimum-latency route; None when the sites are partitioned.
+        Unknown sites raise and are never cached."""
+        if src not in self.graph or dst not in self.graph:
+            raise NetworkError(f"unknown site in route {src} -> {dst}")
+        try:
+            route = self.path(src, dst)
+        except NetworkError:
+            return None
+        links = [self.graph.edges[u, v]["link"] for u, v in zip(route, route[1:])]
+        return (
+            sum(l.latency_s for l in links),
+            min(l.bandwidth_mbps for l in links),
+        )
 
     def __contains__(self, site: int) -> bool:
         return site in self.graph

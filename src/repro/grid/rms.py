@@ -129,6 +129,10 @@ class ResourceManagementSystem:
         #: for the duration of one plan_placement call (set from the
         #: simulator's completion records); drives locality pricing.
         self._data_sites: dict[int, int] | None = None
+        #: Candidate -> its priced Placement, valid for the duration of
+        #: one plan_placement call (grid state cannot change while the
+        #: strategy chooses), so each candidate is priced at most once.
+        self._quotes: dict[Candidate, Placement] | None = None
 
     # ------------------------------------------------------------------
     # Node registry (runtime add/remove, Section IV-A)
@@ -259,7 +263,16 @@ class ResourceManagementSystem:
         return self._price(task, candidate).total_time_s
 
     def _price(self, task: Task, candidate: Candidate) -> Placement:
-        """Build an (uncommitted) placement with all timing fields."""
+        """Build an (uncommitted) placement with all timing fields;
+        inside :meth:`plan_placement` a candidate's quote is reused."""
+        if self._quotes is None:
+            return self._quote(task, candidate)
+        placement = self._quotes.get(candidate)
+        if placement is None:
+            placement = self._quotes[candidate] = self._quote(task, candidate)
+        return placement
+
+    def _quote(self, task: Task, candidate: Candidate) -> Placement:
         placement = Placement(task=task, candidate=candidate)
         placement.exec_time_s = self._exec_time(task, candidate)
         bitstream_bytes = 0
@@ -341,6 +354,7 @@ class ResourceManagementSystem:
             return None
 
         self._data_sites = data_sites
+        self._quotes = {}
         try:
             candidates = filter_excluded(
                 self.find_candidates(task, require_available=True), exclude_nodes
@@ -367,6 +381,7 @@ class ResourceManagementSystem:
                 ) from exc
         finally:
             self._data_sites = None
+            self._quotes = None
 
     # ------------------------------------------------------------------
     # Placement lifecycle (driven by the simulator through time)

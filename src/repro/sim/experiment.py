@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.core.node import Node
-from repro.grid.network import Network
+from repro.grid.network import Link, Network
 from repro.grid.rms import ResourceManagementSystem
 from repro.hardware.catalog import device_by_model
 from repro.hardware.gpp import GPPSpec
@@ -155,6 +155,7 @@ class ExperimentSpec:
             raise ValueError("an experiment needs at least one node")
         if self.arrival_rate_per_s <= 0:
             raise ValueError("arrival rate must be positive")
+        Link(self.bandwidth_mbps, self.latency_s)  # validates the network parameters
         if self.flash_crowd is not None:
             if len(self.flash_crowd) != 3:
                 raise ValueError(

@@ -5,6 +5,7 @@ import pytest
 from repro.core.execreq import Artifacts, Equals, ExecReq, MinValue
 from repro.core.node import Node
 from repro.core.state import PEState
+from repro.core.matching import Candidate
 from repro.core.task import simple_task
 from repro.grid.network import Network
 from repro.grid.rms import ResourceManagementSystem, SchedulingError
@@ -14,6 +15,7 @@ from repro.hardware.fabric import RegionState
 from repro.hardware.gpp import GPPSpec
 from repro.hardware.softcore import RHO_VEX_4ISSUE
 from repro.hardware.taxonomy import PEClass
+from repro.scheduling import EnergyAwareScheduler
 
 
 def build_rms(network=True):
@@ -219,3 +221,93 @@ class TestSchedulerIntegration:
         rms.scheduler = Probe()
         assert rms.plan_placement(gpp_task()) is None
         assert calls == [1]
+
+
+def build_wide_rms(scheduler=None):
+    """Three nodes of two GPPs and one RPE each, on a full mesh."""
+    rms = ResourceManagementSystem(
+        network=Network.fully_connected([0, 1, 2], bandwidth_mbps=100.0, latency_s=0.01),
+        scheduler=scheduler,
+    )
+    for node_id in range(3):
+        node = Node(node_id=node_id, name=f"Node_{node_id}")
+        node.add_gpp(GPPSpec(cpu_model="Xeon", mips=2_000 + 500 * node_id))
+        node.add_gpp(GPPSpec(cpu_model="Atom", mips=1_000))
+        node.add_rpe(device_by_model("XC5VLX155"), regions=2)
+        rms.register_node(node)
+    return rms
+
+
+def two_input_task(task_id=9):
+    """A GPP task with one input from producer task 7, one from the user."""
+    return simple_task(
+        task_id,
+        ExecReq(node_type=PEClass.GPP, artifacts=Artifacts(application_code="x")),
+        1.0,
+        sources=(7, -1),
+        in_bytes=4_000_000,
+        workload_mi=5_000.0,
+    )
+
+
+class TestQuoteMemo:
+    @pytest.mark.parametrize(
+        "scheduler", [None, EnergyAwareScheduler(), EnergyAwareScheduler(deadline_weight=100.0)]
+    )
+    def test_each_candidate_priced_once_per_plan(self, monkeypatch, scheduler):
+        rms = build_wide_rms(scheduler)
+        task = two_input_task()
+        candidates = rms.find_candidates(task)
+        assert len(candidates) == 6
+        calls = []
+        real = Network.transfer_time
+
+        def counting(self, size_bytes, src, dst):
+            calls.append((src, dst))
+            return real(self, size_bytes, src, dst)
+
+        monkeypatch.setattr(Network, "transfer_time", counting)
+        placement = rms.plan_placement(task, data_sites={7: 1})
+        assert placement is not None
+        # Two input streams per candidate, each candidate priced once --
+        # the winner included.
+        assert len(calls) == 2 * len(candidates)
+
+    def test_memo_cleared_after_plan(self):
+        rms = build_wide_rms()
+        assert rms._quotes is None
+        assert rms.plan_placement(gpp_task()) is not None
+        assert rms._quotes is None
+
+    def test_memo_cleared_after_defer(self):
+        class Decline:
+            def choose(self, task, candidates, rms):
+                for candidate in candidates:
+                    rms.estimate_cost_s(task, candidate)
+                return None
+
+        rms = build_wide_rms(Decline())
+        assert rms.plan_placement(gpp_task()) is None
+        assert rms._quotes is None
+
+    def test_memo_cleared_after_scheduling_error(self):
+        class Unpriceable:
+            def choose(self, task, candidates, rms):
+                # An RPE candidate for a task with no hardware artifact.
+                rpe = rms.node(0).rpes[0]
+                return Candidate(0, "Node_0", PEClass.RPE, rpe.resource_id, 0)
+
+        rms = build_wide_rms(Unpriceable())
+        with pytest.raises(SchedulingError, match="unpriceable"):
+            rms.plan_placement(gpp_task())
+        assert rms._quotes is None
+
+    @pytest.mark.parametrize("deadline_weight", [0.0, 100.0])
+    def test_energy_aware_choice_matches_fresh_pricing(self, deadline_weight):
+        scheduler = EnergyAwareScheduler(deadline_weight=deadline_weight)
+        rms = build_wide_rms(scheduler)
+        task = two_input_task()
+        # Outside plan_placement there is no memo: every quote is fresh.
+        unmemoized = scheduler.choose(task, rms.find_candidates(task), rms)
+        placement = rms.plan_placement(task)
+        assert placement.candidate == unmemoized

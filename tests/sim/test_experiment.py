@@ -38,6 +38,19 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             NodeSpec(regions_per_rpe=0)
 
+    @pytest.mark.parametrize(
+        "network",
+        [
+            dict(bandwidth_mbps=float("nan")),
+            dict(bandwidth_mbps=float("inf")),
+            dict(latency_s=float("nan")),
+            dict(latency_s=float("inf")),
+        ],
+    )
+    def test_non_finite_network_rejected(self, network):
+        with pytest.raises(ValueError):
+            ExperimentSpec(tasks=20, **network)
+
     def test_with_creates_modified_copy(self):
         base = ExperimentSpec(tasks=10)
         changed = base.with_(tasks=20, seed=5)
