@@ -133,6 +133,10 @@ class ResourceManagementSystem:
         #: one plan_placement call (grid state cannot change while the
         #: strategy chooses), so each candidate is priced at most once.
         self._quotes: dict[Candidate, Placement] | None = None
+        #: Match keys (:meth:`_match_key`) that found no candidate,
+        #: valid for one dispatch round (:meth:`open_round`) and
+        #: emptied by :meth:`commit`; ``None`` outside a round.
+        self._infeasible: set[tuple] | None = None
 
     # ------------------------------------------------------------------
     # Node registry (runtime add/remove, Section IV-A)
@@ -314,6 +318,50 @@ class ResourceManagementSystem:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
+    def open_round(self) -> bool:
+        """Start a dispatch round: one pass over the pending queue at
+        one simulated instant.  Until :meth:`close_round`, a request
+        whose match key already found no candidate in this round is
+        declined without matchmaking; :meth:`commit` forgets those
+        answers, since a placement is the only grid change a pass can
+        make.  Returns False when a round is already open -- a nested
+        pass shares the outer round, which the outer caller closes."""
+        if self._infeasible is not None:
+            return False
+        self._infeasible = set()
+        return True
+
+    def close_round(self) -> None:
+        """End the dispatch round opened by :meth:`open_round`."""
+        self._infeasible = None
+
+    @staticmethod
+    def _match_key(
+        task: Task, exclude_nodes: set[int] | frozenset[int] | None
+    ) -> tuple:
+        """Everything matchmaking reads from *task*, plus the excluded
+        nodes: equal keys get equal candidate lists from one grid state.
+        Not the ``ExecReq`` itself -- its ``input_data_bytes`` differs
+        per task, and matching never reads it."""
+        req = task.exec_req
+        artifacts = req.artifacts
+        return (
+            req.node_type,
+            req.constraints,
+            artifacts.bitstream,
+            artifacts.hdl_design,
+            artifacts.softcore,
+            task.function,
+            frozenset(exclude_nodes) if exclude_nodes else None,
+        )
+
+    def _count_deferred(self) -> None:
+        if self.telemetry is not None:
+            self.telemetry.counter(
+                "rms_placements_deferred_total",
+                "placement requests the strategy declined",
+            ).inc()
+
     def plan_placement(
         self,
         task: Task,
@@ -338,10 +386,16 @@ class ResourceManagementSystem:
         *before* the strategy sees them.  The simulator always forwards
         its clock here; quarantine is never forgiven by the starvation
         guard, unlike fault exclusions.
+
+        Inside a dispatch round (:meth:`open_round`) a request whose
+        match key already came up empty is declined at once, counted
+        as deferred like any other decline.
         """
         from repro.scheduling.base import filter_excluded, filter_quarantined
 
-        if self.admission is not None and self.admission.gates_placement(self.nodes):
+        if self.admission is not None and self.admission.gates_placement(
+            self._nodes.values()
+        ):
             # Utilization gate: the grid is saturated with in-flight
             # work, so defer rather than matchmake.  Occupancy counts
             # only in-flight placements, so a future completion event
@@ -353,6 +407,16 @@ class ResourceManagementSystem:
                 ).inc()
             return None
 
+        # The key is built only when the memo can use it: a round where
+        # every request succeeds never pays for one.
+        infeasible = self._infeasible
+        key = None
+        if infeasible:
+            key = self._match_key(task, exclude_nodes)
+            if key in infeasible:
+                self._count_deferred()
+                return None
+
         self._data_sites = data_sites
         self._quotes = {}
         try:
@@ -362,11 +426,9 @@ class ResourceManagementSystem:
             candidates = filter_quarantined(candidates, self.health, now)
             choice = self.scheduler.choose(task, candidates, self)
             if choice is None:
-                if self.telemetry is not None:
-                    self.telemetry.counter(
-                        "rms_placements_deferred_total",
-                        "placement requests the strategy declined",
-                    ).inc()
+                if not candidates and infeasible is not None:
+                    infeasible.add(key or self._match_key(task, exclude_nodes))
+                self._count_deferred()
                 return None
             try:
                 if self.telemetry is not None:
@@ -411,6 +473,8 @@ class ResourceManagementSystem:
         """Reserve the chosen resources at dispatch time."""
         if placement._committed:
             raise SchedulingError("placement already committed")
+        if self._infeasible:
+            self._infeasible.clear()
         if placement.bitstream is not None and placement.synthesis_time_s > 0:
             # Freshly synthesized: archive it so later tasks for the same
             # (function, device) skip synthesis entirely.

@@ -66,7 +66,14 @@ class Scheduler(ABC):
         candidates: list[Candidate],
         rms: "ResourceManagementSystem",
     ) -> Candidate | None:
-        """Pick a placement for *task*, or ``None`` to defer it."""
+        """Pick a placement for *task*, or ``None`` to defer it.
+
+        Within one dispatch round (see
+        :meth:`~repro.grid.rms.ResourceManagementSystem.open_round`)
+        this is not called again for a requirement already known to
+        have no candidates, so a strategy must not rely on side effects
+        of being handed an empty list.
+        """
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"

@@ -58,6 +58,11 @@ def _require_finite(name: str, value: float) -> None:
         raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def _require_whole(name: str, value: float) -> None:
+    if not (math.isfinite(value) and value == int(value)):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+
+
 @dataclass(frozen=True)
 class QueueBoundSpec:
     """Bounded pending queue with reject-or-defer backpressure.
@@ -74,6 +79,8 @@ class QueueBoundSpec:
     max_defers: int = 4
 
     def __post_init__(self) -> None:
+        _require_whole("max_pending", self.max_pending)
+        _require_whole("max_defers", self.max_defers)
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
         _require_finite("defer_delay_s", self.defer_delay_s)
@@ -145,6 +152,9 @@ class BrownoutSpec:
     max_stage: int = 3
 
     def __post_init__(self) -> None:
+        _require_whole("enter_pending", self.enter_pending)
+        _require_whole("exit_pending", self.exit_pending)
+        _require_whole("max_stage", self.max_stage)
         if self.enter_pending < 1:
             raise ValueError("enter_pending must be >= 1")
         if self.exit_pending < 0:

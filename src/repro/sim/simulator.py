@@ -2040,6 +2040,11 @@ class DReAMSim:
         immediately reserves resources, so later entries see the
         updated state.
 
+        The pass is one RMS dispatch round (``open_round``): within it,
+        a requirement that found no candidate is not matched again until
+        the next commit, so a long queue of identical blocked tasks costs
+        one scan, not one per task.
+
         The queue is rebuilt in one pass instead of ``list.remove``-ing
         each dispatched entry, which was quadratic in queue depth.
         ``_try_dispatch`` never mutates ``self.pending`` synchronously
@@ -2055,11 +2060,16 @@ class DReAMSim:
                 self._admission_observe()
             return
         kept: list[_Entry] = []
-        for entry in self.pending:
-            if entry.discarded or entry.dispatched:
-                continue
-            if not self._try_dispatch(entry):
-                kept.append(entry)
+        opened = self.rms.open_round()
+        try:
+            for entry in self.pending:
+                if entry.discarded or entry.dispatched:
+                    continue
+                if not self._try_dispatch(entry):
+                    kept.append(entry)
+        finally:
+            if opened:
+                self.rms.close_round()
         self.pending = kept
         self._telemetry_sample()
         if self.admission is not None:

@@ -52,6 +52,7 @@ implementation.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import asdict, dataclass
 from typing import Callable
@@ -128,6 +129,10 @@ class SLOObjective:
                 f"unknown latency metric {self.metric!r} "
                 f"(expected one of {', '.join(LATENCY_METRICS)})"
             )
+        for name in ("target", "window_s", "burn_threshold"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"SLO {name} must be finite, got {value!r}")
         if self.target < 0:
             raise ValueError("SLO target must be non-negative")
         if self.kind == "availability" and not 0.0 < self.target <= 1.0:

@@ -1,18 +1,22 @@
 """Unit tests for the Resource Management System."""
 
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.core.execreq import Artifacts, Equals, ExecReq, MinValue
 from repro.core.node import Node
 from repro.core.state import PEState
 from repro.core.matching import Candidate
 from repro.core.task import simple_task
-from repro.grid.network import Network
+from repro.grid.network import USER_SITE, Network
 from repro.grid.rms import ResourceManagementSystem, SchedulingError
 from repro.hardware.bitstream import Bitstream, HDLDesign
 from repro.hardware.catalog import device_by_model
 from repro.hardware.fabric import RegionState
 from repro.hardware.gpp import GPPSpec
+from repro.hardware.gpu import GPUSpec
 from repro.hardware.softcore import RHO_VEX_4ISSUE
 from repro.hardware.taxonomy import PEClass
 from repro.scheduling import EnergyAwareScheduler
@@ -311,3 +315,282 @@ class TestQuoteMemo:
         unmemoized = scheduler.choose(task, rms.find_candidates(task), rms)
         placement = rms.plan_placement(task)
         assert placement.candidate == unmemoized
+
+
+def absent_model_task(task_id=1):
+    """An RPE task whose bitstream targets a device no wide-grid node
+    has: it never finds a candidate."""
+    return rpe_bitstream_task(task_id, model="XC5VLX330")
+
+
+@pytest.fixture
+def scans(monkeypatch):
+    """Counts ``find_candidates`` calls on every RMS."""
+    calls = []
+    real = ResourceManagementSystem.find_candidates
+
+    def counting(self, task, **kwargs):
+        calls.append(task.task_id)
+        return real(self, task, **kwargs)
+
+    monkeypatch.setattr(ResourceManagementSystem, "find_candidates", counting)
+    return calls
+
+
+class TestRoundMemo:
+    """The dispatch-round infeasibility memo: inside one round, a
+    requirement that found no candidate is not matched again until the
+    next commit."""
+
+    def test_no_memo_outside_a_round(self, scans):
+        rms = build_wide_rms()
+        assert rms.plan_placement(absent_model_task(1)) is None
+        assert rms.plan_placement(absent_model_task(2)) is None
+        assert len(scans) == 2
+        assert rms._infeasible is None
+
+    def test_same_key_is_matched_once_per_round(self, scans):
+        from repro.sim.telemetry import TelemetryRegistry
+
+        rms = build_wide_rms()
+        rms.telemetry = TelemetryRegistry()
+        assert rms.open_round()
+        # Different ids and input sizes, one requirement.
+        first = absent_model_task(1)
+        second = replace(
+            first,
+            task_id=2,
+            exec_req=replace(
+                first.exec_req,
+                artifacts=replace(first.exec_req.artifacts, input_data_bytes=5_000),
+            ),
+        )
+        assert rms.plan_placement(first) is None
+        assert rms.plan_placement(second) is None
+        assert scans == [1]
+        deferred = rms.telemetry.counter("rms_placements_deferred_total")
+        assert deferred.value == 2
+        rms.close_round()
+        assert rms._infeasible is None
+
+    @pytest.mark.parametrize("change", ["function", "constraint", "bitstream", "exclude"])
+    def test_a_different_key_is_matched_again(self, scans, change):
+        rms = build_wide_rms()
+        rms.open_round()
+        base = absent_model_task(1)
+        assert rms.plan_placement(base) is None
+        req = base.exec_req
+        exclude = None
+        if change == "function":
+            other = replace(base, task_id=2, function="fir")
+        elif change == "constraint":
+            other = replace(
+                base, task_id=2, exec_req=req.with_constraints(MinValue("bram_kb", 1))
+            )
+        elif change == "bitstream":
+            other = absent_model_task(2)  # a fresh bitstream id
+            assert other.exec_req.artifacts.bitstream != req.artifacts.bitstream
+        else:
+            other, exclude = replace(base, task_id=2), {1}
+        assert rms.plan_placement(other, exclude_nodes=exclude) is None
+        assert scans == [1, 2]
+
+    def test_commit_clears_the_memo(self, scans):
+        rms = build_wide_rms()
+        rms.open_round()
+        assert rms.plan_placement(absent_model_task(1)) is None
+        assert rms._infeasible
+        placement = rms.plan_placement(gpp_task(5))
+        rms.commit(placement)
+        assert rms._infeasible == set()
+        assert rms.plan_placement(absent_model_task(2)) is None
+        assert scans == [1, 5, 2]
+
+    def test_gated_requests_are_not_memoized(self, scans):
+        from repro.sim.admission import AdmissionController, AdmissionSpec, UtilizationSpec
+
+        rms = build_wide_rms()
+        rms.admission = AdmissionController(
+            AdmissionSpec(utilization=UtilizationSpec(threshold=0.1))
+        )
+        for task_id in range(2):  # 2 of 12 processing elements busy
+            rms.commit(rms.plan_placement(gpp_task(task_id)))
+        rms.open_round()
+        assert rms.plan_placement(absent_model_task(7)) is None
+        assert rms.plan_placement(absent_model_task(8)) is None
+        assert rms.admission.placements_gated == 2
+        assert scans == [0, 1]  # the gate ran ahead of matchmaking
+        assert rms._infeasible == set()
+
+    def test_all_inf_choices_are_not_memoized(self, scans):
+        rms = build_wide_rms()
+        for node_id in range(3):
+            rms.network.sever(USER_SITE, node_id)
+        rms.open_round()
+        task = gpp_task(1, in_bytes=1_000)
+        assert rms.plan_placement(task) is None  # every candidate costs inf
+        assert rms.plan_placement(replace(task, task_id=2)) is None
+        assert scans == [1, 2]
+        assert rms._infeasible == set()
+
+    def test_scheduling_errors_are_not_memoized(self, scans):
+        class Unpriceable:
+            def choose(self, task, candidates, rms):
+                rpe = rms.node(0).rpes[0]
+                return Candidate(0, "Node_0", PEClass.RPE, rpe.resource_id, 0)
+
+        rms = build_wide_rms(Unpriceable())
+        rms.open_round()
+        for task_id in (1, 2):
+            with pytest.raises(SchedulingError, match="unpriceable"):
+                rms.plan_placement(gpp_task(task_id))
+        assert scans == [1, 2]
+        assert rms._infeasible == set()
+
+    def test_a_nested_round_leaves_the_outer_one_open(self):
+        rms = build_wide_rms()
+        assert rms.open_round()
+        assert not rms.open_round()
+        assert rms._infeasible is not None
+        rms.close_round()
+        assert rms._infeasible is None
+
+    def test_round_closes_when_the_pass_raises(self, monkeypatch):
+        from repro.sim.simulator import DReAMSim
+
+        seen = []
+
+        def boom(self, entry):
+            seen.append(self.rms._infeasible)
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(DReAMSim, "_try_dispatch", boom)
+        rms = build_wide_rms()
+        sim = DReAMSim(rms)
+        sim.submit_workload([(0.0, gpp_task())])
+        with pytest.raises(RuntimeError, match="boom"):
+            sim.run()
+        assert seen == [set()]  # the pass ran inside a round ...
+        assert rms._infeasible is None  # ... which the raise still closed
+
+
+MODELS = ("XC5VLX155", "XC5VLX110", "XC5VLX330")
+FUNCTIONS = ("", "fft", "fir")
+
+
+@st.composite
+def grid_states(draw):
+    """A random grid: busy and idle GPPs/GPUs, offline RPEs, and fabric
+    regions that are free, resident-configured, busy or hosting a soft
+    core."""
+    rms = ResourceManagementSystem()
+    fresh_ids = iter(range(1_000, 2_000))
+    for node_id in range(draw(st.integers(1, 3))):
+        node = Node(node_id=node_id, name=f"Node_{node_id}")
+        for _ in range(draw(st.integers(0, 2))):
+            gpp = node.add_gpp(GPPSpec(cpu_model="x", mips=draw(st.sampled_from((800, 2_000)))))
+            if draw(st.booleans()):
+                gpp.assign(next(fresh_ids))
+        if draw(st.booleans()):
+            gpu = node.add_gpu(GPUSpec(model="Tesla-C1060", shader_cores=240))
+            if draw(st.booleans()):
+                gpu.assign(next(fresh_ids))
+        for _ in range(draw(st.integers(0, 3))):
+            model = draw(st.sampled_from(MODELS))
+            rpe = node.add_rpe(device_by_model(model), regions=draw(st.integers(1, 3)))
+            core = RHO_VEX_4ISSUE
+            fits = core.fits_on(rpe.device) and rpe.fabric.can_place(core.required_slices())
+            if fits and draw(st.booleans()):
+                rpe.host_softcore(core)
+            for region in rpe.fabric.regions:
+                if region.configuration is not None or not draw(st.booleans()):
+                    continue
+                function = draw(st.sampled_from(FUNCTIONS[1:]))
+                slices = draw(st.integers(1_000, region.slices))
+                bitstream = Bitstream(next(fresh_ids), model, 1_000, slices, implements=function)
+                rpe.fabric.begin_reconfiguration(region, bitstream)
+                rpe.fabric.finish_reconfiguration(region)
+                if draw(st.booleans()):
+                    rpe.begin_task(region, next(fresh_ids))
+            if draw(st.integers(0, 4)) == 0:
+                rpe.set_offline()
+        rms.register_node(node)
+    return rms
+
+
+@st.composite
+def task_fields(draw):
+    """Every field of a task, each from a small pool, over all PE
+    classes and artifact kinds."""
+    size = st.integers(1_000, 12_000)
+    function = st.sampled_from(FUNCTIONS)
+    return {
+        # Weighted toward the fabric classes, whose matching reads the most.
+        "node_type": draw(st.sampled_from(
+            (PEClass.RPE, PEClass.RPE, PEClass.SOFTCORE, PEClass.SOFTCORE, PEClass.GPP, PEClass.GPU)
+        )),
+        "constraints": tuple(draw(st.lists(
+            st.sampled_from((
+                MinValue("slices", 6_000),
+                MinValue("mips", 1_000),
+                MinValue("shader_cores", 200),
+                Equals("device_model", "XC5VLX155"),
+            )),
+            max_size=2, unique=True,
+        ))),
+        "bitstream": draw(st.none() | st.builds(
+            Bitstream, st.just(9), st.sampled_from(MODELS), st.just(1_000), size,
+            implements=function,
+        )),
+        "hdl_design": draw(st.none() | st.builds(
+            HDLDesign, st.just("core"), st.just("VHDL"), st.just(500), size,
+            implements=function,
+        )),
+        "softcore": draw(st.sampled_from((None, RHO_VEX_4ISSUE))),
+        "function": draw(function),
+        "in_bytes": draw(st.integers(0, 10**6)),
+        "t_estimated": draw(st.floats(0.1, 5.0)),
+        "workload_mi": draw(st.none() | st.floats(0.0, 1e4)),
+        "priority": draw(st.integers(-1, 1)),
+        "tenant": draw(st.sampled_from(("", "tenant0"))),
+    }
+
+
+def task_from(task_id, fields):
+    exec_req = ExecReq(
+        node_type=fields["node_type"],
+        constraints=fields["constraints"],
+        artifacts=Artifacts(
+            application_code="x",
+            input_data_bytes=fields["in_bytes"],
+            bitstream=fields["bitstream"],
+            hdl_design=fields["hdl_design"],
+            softcore=fields["softcore"],
+        ),
+    )
+    task = simple_task(
+        task_id, exec_req, fields["t_estimated"], in_bytes=fields["in_bytes"],
+        function=fields["function"], workload_mi=fields["workload_mi"],
+    )
+    return replace(task, priority=fields["priority"], tenant=fields["tenant"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    grid=grid_states(),
+    first=task_fields(),
+    others=st.lists(task_fields(), min_size=3, max_size=3),
+)
+def test_equal_match_keys_get_equal_candidates(grid, first, others):
+    """Each variant is the first task with one field taken from an
+    independent draw.  Whenever a variant's match key still equals the
+    first task's, matching must return the same candidates: the key
+    covers every task field matching reads."""
+    base = task_from(1, first)
+    key = ResourceManagementSystem._match_key(base, None)
+    expected = grid.find_candidates(base)
+    for other in others:
+        for name in first:
+            variant = task_from(2, {**first, name: other[name]})
+            if ResourceManagementSystem._match_key(variant, None) == key:
+                assert grid.find_candidates(variant) == expected, name

@@ -135,6 +135,27 @@ class TestRunSizeValidation:
         assert message in err and "Traceback" not in err
 
 
+NON_FINITE_OBJECTIVES = ["latency-p95:nan", "latency-p95:2.0:nan", "queue:64:inf"]
+
+
+class TestNonFiniteObjectives:
+    """NaN/inf SLO objectives die at the boundary with exit 2, on both
+    the ``slo`` command and ``simulate --slo``."""
+
+    @pytest.mark.parametrize("objective", NON_FINITE_OBJECTIVES)
+    def test_slo_command_exits_2(self, capsys, objective):
+        assert main(["slo", "-o", objective]) == 2
+        err = capsys.readouterr().err
+        assert "must be finite" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("objective", NON_FINITE_OBJECTIVES)
+    def test_simulate_slo_exits_2(self, capsys, objective):
+        with pytest.raises(SystemExit) as exc:
+            main(["simulate", "--slo", objective])
+        assert exc.value.code == 2
+        assert "must be finite" in capsys.readouterr().err
+
+
 class TestChaos:
     def test_recovery_table(self, capsys):
         assert main(["chaos", "--tasks", "20", "--seed", "3",

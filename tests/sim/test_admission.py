@@ -11,8 +11,10 @@ below the unprotected baseline -- with exact conservation
 (submitted == completed + failed + discarded + shed) on both runs.
 """
 
+import json
 import math
-from dataclasses import replace
+import zlib
+from dataclasses import asdict, replace
 
 import pytest
 
@@ -37,7 +39,7 @@ from repro.sim.admission import (
     UtilizationSpec,
     grid_occupancy,
 )
-from repro.sim.experiment import ExperimentSpec, run_experiment
+from repro.sim.experiment import ExperimentSpec, NodeSpec, run_experiment
 from repro.sim.simulator import DReAMSim
 from repro.sim.telemetry import TelemetryRegistry
 from repro.sim.tracing import (
@@ -131,6 +133,38 @@ class TestSpecs:
             BrownoutSpec(dwell_s=0.0)
         with pytest.raises(ValueError):
             BrownoutSpec(max_stage=4)
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda: QueueBoundSpec(max_pending=math.nan),
+            lambda: QueueBoundSpec(max_pending=math.inf),
+            lambda: QueueBoundSpec(max_pending=2.5),
+            lambda: QueueBoundSpec(max_defers=math.nan),
+            lambda: QueueBoundSpec(max_defers=1.5),
+            lambda: BrownoutSpec(enter_pending=math.nan),
+            lambda: BrownoutSpec(enter_pending=math.inf),
+            lambda: BrownoutSpec(enter_pending=20.5),
+            lambda: BrownoutSpec(exit_pending=math.nan),
+            lambda: BrownoutSpec(exit_pending=4.5),
+            lambda: BrownoutSpec(max_stage=math.nan),
+            lambda: BrownoutSpec(max_stage=2.5),
+        ],
+        ids=[
+            "max_pending-nan", "max_pending-inf", "max_pending-frac",
+            "max_defers-nan", "max_defers-frac",
+            "enter_pending-nan", "enter_pending-inf", "enter_pending-frac",
+            "exit_pending-nan", "exit_pending-frac",
+            "max_stage-nan", "max_stage-frac",
+        ],
+    )
+    def test_counts_must_be_whole_numbers(self, build):
+        with pytest.raises(ValueError, match="whole number"):
+            build()
+
+    def test_whole_floats_are_accepted(self):
+        assert QueueBoundSpec(max_pending=64.0).max_pending == 64
+        assert BrownoutSpec(enter_pending=24.0, exit_pending=8.0).max_stage == 3
 
     def test_enabled_property(self):
         assert not AdmissionSpec().enabled
@@ -464,8 +498,6 @@ class TestZeroCostWhenDisabled:
         armed = self.trace_lines(
             AdmissionSpec(queue=QueueBoundSpec(max_pending=10_000))
         )
-        import json
-
         stripped = [
             line for line in armed
             if json.loads(line)["kind"] != "admit"
@@ -513,3 +545,102 @@ class TestFlashCrowdAcceptance:
             + protected.discarded + protected.shed
         )
         assert total == 250
+
+
+def report_crc(report) -> str:
+    """CRC-32 over every report field, sorted by name."""
+    text = json.dumps(asdict(report), sort_keys=True)
+    return f"{zlib.crc32(text.encode()):08x}"
+
+
+def rms_counters(telemetry) -> dict[str, float]:
+    """Final values of the ``rms_placements_*_total`` counters."""
+    return {
+        series.name: series.value
+        for series in telemetry.series()
+        if series.name.startswith("rms_placements_")
+    }
+
+
+class TestOverloadReportPins:
+    """Seeded overloaded runs, pinned to the CRC of every report field
+    sorted by name.  The golden traces never arm a queue bound, the
+    brownout controller or the utilization gate; these pins do, so the
+    shed, degrade and gated-placement paths cannot drift unnoticed.
+    Hybrid-cost and first-fit agree on this two-node grid, so scenarios
+    (a) and (d) share a pin."""
+
+    NODES = (
+        NodeSpec(gpps=1, gpp_mips=2_000, rpe_models=("XC5VLX330",), regions_per_rpe=3),
+        NodeSpec(gpps=1, gpp_mips=1_500, rpe_models=("XC5VLX155",), regions_per_rpe=2),
+    )
+    QUEUE = QueueBoundSpec(max_pending=64)
+    BROWNOUT = BrownoutSpec(enter_pending=24, exit_pending=8, dwell_s=0.5)
+
+    PINNED_CRC = {
+        "brownout": "5c89070b",
+        "brownout+gate": "24e2ce87",
+        "brownout-random": "3ebe6f73",
+        "brownout-first-fit": "5c89070b",
+    }
+    PINNED_COUNTERS = {
+        "brownout": {
+            "rms_placements_deferred_total": 7359.0,
+            "rms_placements_planned_total": 255.0,
+        },
+        "chaos-defensive": {
+            "rms_placements_deferred_total": 899.0,
+            "rms_placements_planned_total": 200.0,
+        },
+    }
+
+    def spec(self, scenario: str) -> ExperimentSpec:
+        utilization = UtilizationSpec(0.6) if scenario == "brownout+gate" else None
+        strategy = {
+            "brownout-random": "random",
+            "brownout-first-fit": "first-fit",
+        }.get(scenario, "hybrid-cost")
+        return ExperimentSpec(
+            strategy=strategy,
+            tasks=300,
+            nodes=self.NODES,
+            arrival_rate_per_s=2.0,
+            gpp_fraction=0.4,
+            area_range=(2_000, 12_000),
+            seed=5,
+            flash_crowd=(10.0, 400.0, 6.0),
+            low_priority_fraction=0.3,
+            tenants=3,
+            admission=AdmissionSpec(
+                queue=self.QUEUE, brownout=self.BROWNOUT, utilization=utilization
+            ),
+        )
+
+    @pytest.mark.parametrize("scenario", sorted(PINNED_CRC))
+    def test_overload_report_is_pinned(self, scenario):
+        report = run_experiment(self.spec(scenario)).report
+        assert report.brownout_max_stage >= 2
+        assert report.brownout_degraded > 0
+        assert report.shed > 0
+        if scenario == "brownout+gate":
+            assert report.placements_gated > 0
+        assert report_crc(report) == self.PINNED_CRC[scenario]
+
+    def test_overload_rms_counters_are_pinned(self):
+        telemetry = TelemetryRegistry()
+        run_experiment(self.spec("brownout"), telemetry=telemetry)
+        assert rms_counters(telemetry) == self.PINNED_COUNTERS["brownout"]
+
+    def test_chaos_defensive_rms_counters_are_pinned(self):
+        from repro.sim.faults import FAULT_PRESETS
+        from repro.sim.resilience import RESILIENCE_PRESETS
+
+        telemetry = TelemetryRegistry()
+        spec = ExperimentSpec(
+            tasks=200, nodes=self.NODES, gpp_fraction=0.4, seed=1,
+            faults=replace(FAULT_PRESETS["chaos"], horizon_s=100.0),
+            resilience=RESILIENCE_PRESETS["defensive"],
+        )
+        report = run_experiment(spec, telemetry=telemetry).report
+        assert report.quarantines > 0 and report.failed > 0
+        assert rms_counters(telemetry) == self.PINNED_COUNTERS["chaos-defensive"]

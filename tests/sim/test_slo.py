@@ -11,6 +11,7 @@ workload -> trace -> metrics -> report, pinned reports), and the
 """
 
 import json
+import math
 import zlib
 from dataclasses import asdict
 from pathlib import Path
@@ -72,10 +73,20 @@ class TestParseObjective:
         "queue:1:2:3:4",          # too many fields
         "availability:2.0",       # target outside (0, 1]
         "latency-p95:1.0:-3",     # negative window
+        "latency-p95:nan",        # non-finite target
+        "latency-p95:2.0:nan",    # non-finite window
+        "queue:64:inf",
+        "throughput:inf",
     ])
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError):
             parse_objective(bad)
+
+    @pytest.mark.parametrize("field", ["target", "window_s", "burn_threshold"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_objective_fields_must_be_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            SLOObjective("latency", **{"target": 1.0, field: value})
 
 
 class TestParseSlo:
