@@ -65,7 +65,9 @@ from repro.sim.metrics import SimulationReport
 #:    and SLO attainment fields on SimulationReport).
 #: 10: the host-phase profiler's two report fields removed from
 #:     SimulationReport.
-_CACHE_FORMAT = 10
+#: 11: run_experiment draws the columnar workload, so a spec and seed
+#:     describe a different run than before.
+_CACHE_FORMAT = 11
 
 
 def default_jobs() -> int:

@@ -578,19 +578,19 @@ class TestOverloadReportPins:
     BROWNOUT = BrownoutSpec(enter_pending=24, exit_pending=8, dwell_s=0.5)
 
     PINNED_CRC = {
-        "brownout": "5c89070b",
-        "brownout+gate": "24e2ce87",
-        "brownout-random": "3ebe6f73",
-        "brownout-first-fit": "5c89070b",
+        "brownout": "42626c5e",
+        "brownout+gate": "0007dd43",
+        "brownout-random": "1ccc9956",
+        "brownout-first-fit": "42626c5e",
     }
     PINNED_COUNTERS = {
         "brownout": {
-            "rms_placements_deferred_total": 7359.0,
-            "rms_placements_planned_total": 255.0,
+            "rms_placements_deferred_total": 6987.0,
+            "rms_placements_planned_total": 244.0,
         },
         "chaos-defensive": {
-            "rms_placements_deferred_total": 899.0,
-            "rms_placements_planned_total": 200.0,
+            "rms_placements_deferred_total": 849.0,
+            "rms_placements_planned_total": 197.0,
         },
     }
 

@@ -334,7 +334,7 @@ class TestResilienceRoundTrip:
             arrival_rate_per_s=8.0,
             area_range=(2_000, 14_000),
             gpp_fraction=0.2,
-            seed=11,
+            seed=16,
             faults=FaultSpec(
                 crash_rate_per_s=0.25,
                 downtime_range_s=(1.0, 3.0),
