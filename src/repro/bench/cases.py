@@ -937,9 +937,9 @@ def scale_spec(*, tasks: int):
 
 def run_scale(tasks: int):
     """One end-to-end scale run through the streaming hot path."""
-    from repro.sim.experiment import run_scale_experiment
+    from repro.sim.experiment import run_experiment
 
-    return run_scale_experiment(scale_spec(tasks=tasks)).report
+    return run_experiment(scale_spec(tasks=tasks)).report
 
 
 def _scale_metrics(tasks: int) -> dict[str, float]:

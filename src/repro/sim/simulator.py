@@ -397,8 +397,8 @@ class DReAMSim:
     # Submission APIs
     # ------------------------------------------------------------------
     def submit_workload(self, stream: list[tuple[float, Task]]) -> None:
-        """Schedule an independent-task arrival stream (synthetic
-        workloads); each task is tracked as its own JSS job."""
+        """Schedule an explicit independent-task arrival stream; each
+        task is tracked as its own JSS job."""
         for time, task in stream:
             job = self.jss.submit_task(task, submit_time=time)
 
@@ -408,16 +408,17 @@ class DReAMSim:
             self.engine.schedule_at(time, make())
 
     def submit_workload_columns(self, columns) -> None:
-        """Schedule a columnar arrival stream for scale runs.
+        """Schedule a columnar synthetic workload (``run_experiment``'s
+        path at every size).
 
         ``columns`` is a :class:`repro.sim.workload.WorkloadColumns`
         (or anything with ``.times`` and ``.task(i)``).  Arrivals are
         bulk-scheduled through ``engine.schedule_batch`` with a single
         shared bound-method callback -- no per-task closure, handle, or
         JSS job is allocated -- and each :class:`Task` is materialized
-        lazily at its arrival instant.  Both engines fire equal-time
-        events in scheduling order, so the cursor walks the columns in
-        submission order exactly as the per-task path would.
+        lazily at its arrival instant; its trace key is its task id.
+        Both engines fire equal-time events in scheduling order, so the
+        cursor walks the columns in submission order.
         """
         times = columns.times
         n = len(times)

@@ -633,7 +633,7 @@ def evaluate_trace(events, spec: SLOSpec):
     """Replay a recorded trace through an :class:`SLOMonitor`.
 
     Observations are reconstructed from the lifecycle events: latency
-    from ``submit`` -> ``dispatch`` -> ``complete`` per key (tenant and
+    from ``submit`` -> latest ``dispatch`` -> ``complete`` per key (tenant and
     priority from the submit payload), errors from ``shed`` /
     ``task-failed``, and queue depth from the queue-membership
     transitions (``submit``/``admit`` enter, ``dispatch`` leaves,
@@ -687,7 +687,9 @@ def evaluate_trace(events, spec: SLOSpec):
             monitor.observe_queue(depth)
         elif kind == "dispatch":
             leave(key)
-            dispatched_at.setdefault(key, event.time)
+            # The latest dispatch, like the live monitor: a retried
+            # task's wait runs to the dispatch that completed it.
+            dispatched_at[key] = event.time
             monitor.observe_queue(depth)
         elif kind in ("retry", "fallback", "requeue"):
             enter(key)
@@ -697,12 +699,11 @@ def evaluate_trace(events, spec: SLOSpec):
             sub = submits.get(key)
             if sub is not None:
                 t0, tenant, priority = sub
-                first_dispatch = dispatched_at.get(key)
+                dispatch = dispatched_at.get(key)
                 monitor.observe_completion(
                     tenant=tenant,
                     priority=priority,
-                    wait=(None if first_dispatch is None
-                          else first_dispatch - t0),
+                    wait=None if dispatch is None else dispatch - t0,
                     turnaround=event.time - t0,
                 )
             monitor.observe_queue(depth)

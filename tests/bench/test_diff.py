@@ -1,6 +1,7 @@
 """Tests for the run-diff engine: loading, tolerances, refusals."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -247,3 +248,26 @@ class TestRendering:
         assert doc["wall_tolerance"] == DEFAULT_WALL_TOLERANCE
         failing = [r for r in doc["rows"] if r["status"] == "drift"]
         assert failing and failing[0]["key"] == "sim-baseline/makespan_s"
+
+
+class TestCommittedBaseline:
+    """The CI gate diffs a fresh quick suite against
+    ``benchmarks/baseline.json``; a baseline from another cache format
+    or case list makes it refuse on every run."""
+
+    BASELINE = Path(__file__).resolve().parents[2] / "benchmarks" / "baseline.json"
+
+    def test_cache_format_is_current(self):
+        from repro.sim.runner import _CACHE_FORMAT
+
+        doc = json.loads(self.BASELINE.read_text())
+        assert doc["env"]["cache_format"] == _CACHE_FORMAT
+
+    def test_cases_are_the_quick_suite(self):
+        from repro.bench.core import match_cases
+
+        doc = json.loads(self.BASELINE.read_text())
+        assert doc["mode"] == "quick"
+        assert sorted(case["name"] for case in doc["cases"]) == [
+            case.name for case in match_cases(None, quick=True)
+        ]

@@ -12,7 +12,6 @@ from repro.sim.experiment import (
     NodeSpec,
     build_grid,
     run_experiment,
-    run_scale_experiment,
     sweep,
 )
 from repro.sim.faults import FAULT_PRESETS
@@ -50,6 +49,26 @@ class TestSpecValidation:
     def test_non_finite_network_rejected(self, network):
         with pytest.raises(ValueError):
             ExperimentSpec(tasks=20, **network)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("tenants", 2.5),
+            ("discard_after_s", float("nan")),
+            ("discard_after_s", float("inf")),
+            ("tasks", 2.5),
+            ("tasks", float("nan")),
+            ("seed", 1.5),
+            ("speedup_range", (float("nan"), 2.0)),
+            ("area_range", (float("nan"), 5_000)),
+        ],
+        ids=lambda v: repr(v) if not isinstance(v, str) else v,
+    )
+    def test_malformed_values_rejected(self, field, value):
+        """Every field reaches the run, so a bad one must fail here,
+        not as a numpy TypeError or a SimulationError mid-run."""
+        with pytest.raises(ValueError, match=field):
+            ExperimentSpec(tasks=20).with_(**{field: value})
 
     def test_with_creates_modified_copy(self):
         base = ExperimentSpec(tasks=10)
@@ -122,8 +141,8 @@ class TestRunExperiment:
 
 class TestRunScaleExperiment:
     #: CRC-32 of every report field, sorted by name, for SCALE_SPEC.
-    #: Recorded before run_experiment and run_scale_experiment shared one
-    #: construction path; a change here means the scale path simulates
+    #: Recorded on the former scale driver, before run_experiment took
+    #: its columnar path; a change here means the one driver simulates
     #: something else.
     PINNED_CRC = "fd635550"
 
@@ -150,7 +169,7 @@ class TestRunScaleExperiment:
     )
 
     def test_seeded_report_is_pinned(self):
-        report = run_scale_experiment(self.SCALE_SPEC).report
+        report = run_experiment(self.SCALE_SPEC).report
         # The spec reaches every layer the build path wires up.
         assert report.fault_events > 0 and report.quarantines > 0
         assert report.shed > 0 and report.slo_objectives == 1
