@@ -529,6 +529,12 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         area_range=(2_000, 12_000),
         seed=args.seed,
     )
+    for value in values:
+        try:
+            base.with_(**{args.field: value})
+        except ValueError as exc:
+            print(f"repro sweep: error: {exc}", file=sys.stderr)
+            return 2
     runner = ExperimentRunner(
         jobs=args.jobs, cache_dir=args.cache_dir, progress=args.progress
     )

@@ -135,6 +135,17 @@ class TestRunSizeValidation:
         assert message in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "field, values",
+    [("discard_after_s", "1.0,nan"), ("discard_after_s", "inf"),
+     ("seed", "-1"), ("configurations", "0")],
+)
+def test_sweep_rejects_bad_values_with_exit_2(capsys, field, values):
+    assert main(["sweep", "--tasks", "10", "--field", field, "--values", values]) == 2
+    err = capsys.readouterr().err
+    assert "repro sweep: error:" in err and "Traceback" not in err
+
+
 NON_FINITE_OBJECTIVES = ["latency-p95:nan", "latency-p95:2.0:nan", "queue:64:inf"]
 
 
