@@ -326,6 +326,18 @@ def _parse_flash_crowd(parser: argparse.ArgumentParser, text: str):
         )
 
 
+def _check_spec_fields(parser: argparse.ArgumentParser, flags: str, **fields) -> None:
+    """Run ``ExperimentSpec``'s own validation of *fields* (which builds
+    the arrival process and workload spec it would use) and turn a
+    rejection into ``parser.error`` naming *flags*."""
+    from repro.sim.experiment import ExperimentSpec
+
+    try:
+        ExperimentSpec(**fields)
+    except ValueError as exc:
+        parser.error(f"{flags}: {exc}")
+
+
 def _cmd_simulate(args: argparse.Namespace) -> int:
     from repro.sim.experiment import ExperimentSpec, run_experiment
     from repro.sim.faults import FAULT_PRESETS
@@ -1411,6 +1423,17 @@ def main(argv: list[str] | None = None) -> int:
         args.failover = _failover_from_args(parser, args)
     if getattr(args, "flash_crowd", None) is not None:
         args.flash_crowd = _parse_flash_crowd(parser, args.flash_crowd)
+        _check_spec_fields(parser, "--flash-crowd", flash_crowd=args.flash_crowd)
+    if hasattr(args, "surge"):
+        _check_spec_fields(
+            parser,
+            "--surge-start/--surge-duration/--surge",
+            flash_crowd=(args.surge_start, args.surge_duration, args.surge),
+        )
+    if getattr(args, "low_priority", None) is not None:
+        _check_spec_fields(
+            parser, "--low-priority", low_priority_fraction=args.low_priority
+        )
     if getattr(args, "slo", None) is not None:
         from repro.sim.slo import parse_slo
 

@@ -23,6 +23,7 @@ The RMS owns:
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 
 from repro.core.matching import Candidate, find_candidates
@@ -342,11 +343,12 @@ class ResourceManagementSystem:
         """Everything matchmaking reads from *task*, plus the excluded
         nodes: equal keys get equal candidate lists from one grid state.
         Not the ``ExecReq`` itself -- its ``input_data_bytes`` differs
-        per task, and matching never reads it."""
+        per task, and matching never reads it.  The node type enters by
+        value: a str caches its hash, an enum member hashes in Python."""
         req = task.exec_req
         artifacts = req.artifacts
         return (
-            req.node_type,
+            req.node_type.value,
             req.constraints,
             artifacts.bitstream,
             artifacts.hdl_design,
@@ -355,12 +357,27 @@ class ResourceManagementSystem:
             frozenset(exclude_nodes) if exclude_nodes else None,
         )
 
-    def _count_deferred(self) -> None:
+    @property
+    def declined_keys(self) -> AbstractSet[tuple]:
+        """Match keys (:meth:`_match_key`) that already found no
+        candidate in the open round: :meth:`plan_placement` declines a
+        request with one of them without matchmaking.  The admission
+        gate needs no second look: a key enters the memo only past the
+        gate, and the occupancy it reads changes only on a commit,
+        which empties the memo.  A read-only view that stays current
+        for the whole round (:meth:`commit` empties it in place); empty
+        outside a round.  A caller that skips such a request counts it
+        with :meth:`count_deferred`."""
+        infeasible = self._infeasible
+        return infeasible if infeasible is not None else frozenset()
+
+    def count_deferred(self, requests: int = 1) -> None:
+        """Count *requests* declined placement requests at once."""
         if self.telemetry is not None:
             self.telemetry.counter(
                 "rms_placements_deferred_total",
                 "placement requests the strategy declined",
-            ).inc()
+            ).inc(requests)
 
     def plan_placement(
         self,
@@ -414,7 +431,7 @@ class ResourceManagementSystem:
         if infeasible:
             key = self._match_key(task, exclude_nodes)
             if key in infeasible:
-                self._count_deferred()
+                self.count_deferred()
                 return None
 
         self._data_sites = data_sites
@@ -428,7 +445,7 @@ class ResourceManagementSystem:
             if choice is None:
                 if not candidates and infeasible is not None:
                     infeasible.add(key or self._match_key(task, exclude_nodes))
-                self._count_deferred()
+                self.count_deferred()
                 return None
             try:
                 if self.telemetry is not None:

@@ -144,6 +144,18 @@ class _Entry:
     #: heartbeat round while the control plane is up.  A promoted
     #: standby only adopts placements whose lease is still valid.
     lease_expiry: float = 0.0
+    #: :meth:`match_key` cache and the task it was built from.
+    _keyed_task: Task | None = field(default=None, init=False, repr=False)
+    _key: tuple = field(default=(), init=False, repr=False)
+
+    def match_key(self) -> tuple:
+        """The RMS round-memo key of this entry's task without
+        exclusions, rebuilt only after ``task`` is replaced (brownout
+        or fault fallback)."""
+        if self._keyed_task is not self.task:
+            self._keyed_task = self.task
+            self._key = ResourceManagementSystem._match_key(self.task, None)
+        return self._key
 
 
 class DReAMSim:
@@ -2044,7 +2056,9 @@ class DReAMSim:
         The pass is one RMS dispatch round (``open_round``): within it,
         a requirement that found no candidate is not matched again until
         the next commit, so a long queue of identical blocked tasks costs
-        one scan, not one per task.
+        one scan, not one per task.  Such an entry does not even reach
+        ``_try_dispatch``: its cached match key meets the memo in one
+        set lookup, and the pass counts every skipped decline at once.
 
         The queue is rebuilt in one pass instead of ``list.remove``-ing
         each dispatched entry, which was quadratic in queue depth.
@@ -2061,52 +2075,78 @@ class DReAMSim:
                 self._admission_observe()
             return
         kept: list[_Entry] = []
-        opened = self.rms.open_round()
+        rms = self.rms
+        admission = self.admission
+        degrading = admission is not None and admission.stage >= 2
+        # An entry the round memo already declined stays queued for one
+        # set lookup.  Own exclusions or suspected nodes change the key
+        # plan_placement would look up, so those entries take the full
+        # path.  Nothing in a pass changes the suspects or the stage.
+        skippable = not any(t != "rms" for t in self._suspected_targets)
+        skipped = 0
+        opened = rms.open_round()
+        declined = rms.declined_keys
         try:
             for entry in self.pending:
                 if entry.discarded or entry.dispatched:
                     continue
-                if not self._try_dispatch(entry):
+                if degrading:
+                    self._degrade_low_priority(entry)
+                if (
+                    declined
+                    and skippable
+                    and not entry.excluded_nodes
+                    and entry.match_key() in declined
+                ):
+                    skipped += 1
                     kept.append(entry)
+                elif not self._try_dispatch(entry):
+                    kept.append(entry)
+            if skipped:
+                # One step at this instant, as many single declines give.
+                rms.count_deferred(skipped)
         finally:
             if opened:
-                self.rms.close_round()
+                rms.close_round()
         self.pending = kept
         self._telemetry_sample()
-        if self.admission is not None:
+        if admission is not None:
             self._admission_observe()
         if self.slo is not None:
             self.slo.observe_queue(len(self.pending))
 
-    def _try_dispatch(self, entry: _Entry) -> bool:
-        if (
-            self.admission is not None
-            and self.admission.stage >= 2
-            and entry.task.priority < 0
+    def _degrade_low_priority(self, entry: _Entry) -> None:
+        """Brownout stage 2: low-priority work is forced onto the
+        software path before placement -- same graceful-degradation
+        rewrite as the fault-recovery GPP fallback."""
+        task = entry.task
+        if not (
+            task.priority < 0
             and not entry.fell_back
-            and entry.task.exec_req.node_type is not PEClass.GPP
-            and entry.task.effective_workload_mi > 0
+            and task.exec_req.node_type is not PEClass.GPP
+            and task.effective_workload_mi > 0
         ):
-            # Brownout stage 2: low-priority work is forced onto the
-            # software path before placement -- same graceful-degradation
-            # rewrite as the fault-recovery GPP fallback.
-            task = entry.task
-            entry.task = replace(
-                task,
-                exec_req=ExecReq(
-                    node_type=PEClass.GPP,
-                    constraints=(),
-                    artifacts=task.exec_req.artifacts,
-                ),
-            )
-            entry.fell_back = True
-            self.admission.degraded += 1
-            self.metrics.record_degrade(entry.key, self.engine.now)
-            self._telemetry_count(
-                "sim_degrades_total",
-                "low-priority tasks forced to GPP by brownout",
-            )
-            self._emit("degrade", entry.key, stage=self.admission.stage)
+            return
+        admission = self.admission
+        assert admission is not None
+        entry.task = replace(
+            task,
+            exec_req=ExecReq(
+                node_type=PEClass.GPP,
+                constraints=(),
+                artifacts=task.exec_req.artifacts,
+            ),
+        )
+        entry.fell_back = True
+        admission.degraded += 1
+        self.metrics.record_degrade(entry.key, self.engine.now)
+        self._telemetry_count(
+            "sim_degrades_total",
+            "low-priority tasks forced to GPP by brownout",
+        )
+        self._emit("degrade", entry.key, stage=admission.stage)
+
+    def _try_dispatch(self, entry: _Entry) -> bool:
         data_sites = self._data_sites_for(entry)
         exclude = entry.excluded_nodes
         if self._suspected_targets:

@@ -55,7 +55,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import asdict, dataclass
-from typing import Callable
+from operator import itemgetter
+from typing import Callable, Iterable
 
 __all__ = [
     "OBJECTIVE_KINDS",
@@ -297,7 +298,7 @@ def parse_slo(values: list[str] | None) -> SLOSpec | None:
     return SLOSpec(objectives=tuple(parse_objective(v) for v in values))
 
 
-def _percentile(values: list[float], q: float) -> float:
+def _percentile(values: Iterable[float], q: float) -> float:
     """Linear-interpolation percentile (numpy's default method) over a
     small window, without paying array construction per observation."""
     data = sorted(values)
@@ -334,19 +335,29 @@ class SLOResult:
         return dict(vars(self))
 
 
+#: :attr:`_ObjectiveState.window_value` before its first computation and
+#: after every change to the window's samples.
+_STALE = object()
+
+
 class _ObjectiveState:
     """Per-objective sliding-window state inside the monitor."""
 
     __slots__ = (
-        "obj", "samples", "depth", "in_breach", "breach_started",
-        "recent", "breach_seconds", "breach_count", "alert_firing",
-        "alerts_fired", "alerts_resolved", "observations",
+        "obj", "samples", "window_value", "depth", "in_breach",
+        "breach_started", "recent", "breach_seconds", "breach_count",
+        "alert_firing", "alerts_fired", "alerts_resolved", "observations",
     )
 
     def __init__(self, obj: SLOObjective):
         self.obj = obj
         #: latency: (t, value); availability: (t, ok); throughput: t.
         self.samples: deque = deque()
+        #: Latency percentile or availability ratio over ``samples``
+        #: (``None`` when empty), or :data:`_STALE`.  Queue observations
+        #: outnumber sample changes, and each would otherwise re-sort
+        #: the latency window.
+        self.window_value: object = _STALE
         self.depth = 0.0
         self.in_breach = False
         self.breach_started = 0.0
@@ -360,13 +371,18 @@ class _ObjectiveState:
         self.observations = 0
 
     # -- window evaluation ---------------------------------------------
+    def add(self, sample) -> None:
+        self.samples.append(sample)
+        self.window_value = _STALE
+
     def _prune(self, now: float) -> None:
         horizon = now - self.obj.window_s
         samples = self.samples
         if self.obj.kind == "throughput":
             while samples and samples[0] <= horizon:
                 samples.popleft()
-        else:
+        elif samples and samples[0][0] <= horizon:
+            self.window_value = _STALE
             while samples and samples[0][0] <= horizon:
                 samples.popleft()
         recent_horizon = now - self.obj.window_s
@@ -377,20 +393,25 @@ class _ObjectiveState:
         """The windowed value the target is compared against, or
         ``None`` when the window holds nothing to judge."""
         obj = self.obj
-        if obj.kind == "latency":
-            if not self.samples:
-                return None
-            return _percentile([v for _, v in self.samples], obj.percentile)
         if obj.kind == "throughput":
             if now < obj.window_s:
                 return None  # cold start: no full window yet
             return len(self.samples) / obj.window_s
-        if obj.kind == "availability":
-            if not self.samples:
-                return None
-            ok = sum(1 for _, good in self.samples if good)
-            return ok / len(self.samples)
-        return self.depth
+        if obj.kind == "queue-depth":
+            return self.depth
+        value = self.window_value
+        if value is _STALE:
+            value = self.window_value = self._window_value()
+        return value
+
+    def _window_value(self) -> float | None:
+        samples = self.samples
+        if not samples:
+            return None
+        values = map(itemgetter(1), samples)
+        if self.obj.kind == "latency":
+            return _percentile(values, self.obj.percentile)
+        return sum(values) / len(samples)  # True counts 1
 
     def breaching(self, now: float) -> tuple[bool, float | None]:
         value = self.current_value(now)
@@ -418,6 +439,8 @@ class _ObjectiveState:
         return total
 
     def burn_rates(self, now: float) -> tuple[float, float]:
+        if not self.in_breach and not self.recent:
+            return 0.0, 0.0  # no breach second inside either window
         obj = self.obj
         slow_w = obj.window_s
         fast_w = max(slow_w * FAST_WINDOW_FRACTION, 1e-9)
@@ -452,6 +475,10 @@ class SLOMonitor:
             o.kind == "queue-depth" for o in spec.objectives
         )
         self.finalized = False
+        #: Simulated time of the last evaluation, until finalize.  An
+        #: evaluation is idempotent at a fixed time, so a queue sample
+        #: that brings nothing new at that instant skips it.
+        self._settled_at: float | None = None
 
     # -- observation hooks ---------------------------------------------
     def observe_completion(
@@ -467,11 +494,11 @@ class SLOMonitor:
             if obj.kind == "latency":
                 value = turnaround if obj.metric == "turnaround" else wait
                 if value is not None:
-                    state.samples.append((now, value))
+                    state.add((now, value))
             elif obj.kind == "throughput":
-                state.samples.append(now)
+                state.add(now)
             else:  # availability
-                state.samples.append((now, True))
+                state.add((now, True))
         self._evaluate_all(now)
 
     def observe_error(self, *, tenant: str = "", priority: int = 0) -> None:
@@ -482,7 +509,7 @@ class SLOMonitor:
             if obj.kind != "availability" or not obj.matches(tenant, priority):
                 continue
             state.observations += 1
-            state.samples.append((now, False))
+            state.add((now, False))
         self._evaluate_all(now)
 
     def observe_queue(self, depth: int) -> None:
@@ -491,18 +518,22 @@ class SLOMonitor:
         if not self._any_queue:
             return
         now = self.clock()
+        changed = False
         for state in self._states:
             if state.obj.kind != "queue-depth":
                 continue
             if float(depth) != state.depth:
                 state.observations += 1
                 state.depth = float(depth)
-        self._evaluate_all(now)
+                changed = True
+        if changed or now != self._settled_at:
+            self._evaluate_all(now)
 
     # -- evaluation -----------------------------------------------------
     def _evaluate_all(self, now: float) -> None:
         for state in self._states:
             self._evaluate(state, now)
+        self._settled_at = now
 
     def _evaluate(self, state: _ObjectiveState, now: float) -> None:
         state._prune(now)
@@ -568,6 +599,7 @@ class SLOMonitor:
         if self.finalized:
             return
         self.finalized = True
+        self._settled_at = None
         if now is None:
             now = self.clock()
         for state in self._states:

@@ -146,6 +146,51 @@ def test_sweep_rejects_bad_values_with_exit_2(capsys, field, values):
     assert "repro sweep: error:" in err and "Traceback" not in err
 
 
+FLASH_CROWD_CASES = [
+    ("nan:400:4", "surge_start_s must be finite"),
+    ("20:400:inf", "surge_multiplier must be finite"),
+    ("20:-5:4", "surge duration must be positive"),
+    ("20:400:0", "surge multiplier must be >= 1"),
+]
+
+
+class TestSurgeAndPriorityValues:
+    """Surge windows and priority fractions the arrival process or the
+    experiment spec would reject die at the boundary with exit 2."""
+
+    def rejected(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["simulate", "slo"])
+    @pytest.mark.parametrize("value, message", FLASH_CROWD_CASES)
+    def test_flash_crowd(self, capsys, command, value, message):
+        self.rejected(capsys, [command, "--flash-crowd", value], "--flash-crowd: " + message)
+
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--surge", "nan", "surge_multiplier must be finite"),
+            ("--surge-duration", "-1", "surge duration must be positive"),
+            ("--surge-start", "inf", "surge_start_s must be finite"),
+        ],
+    )
+    def test_overload_surge(self, capsys, flag, value, message):
+        self.rejected(capsys, ["overload", flag, value], message)
+
+    @pytest.mark.parametrize("command", ["simulate", "overload", "slo"])
+    @pytest.mark.parametrize("value", ["nan", "1.5", "-0.1"])
+    def test_low_priority(self, capsys, command, value):
+        self.rejected(
+            capsys,
+            [command, "--low-priority", value],
+            "--low-priority: low_priority_fraction must be in [0, 1]",
+        )
+
+
 NON_FINITE_OBJECTIVES = ["latency-p95:nan", "latency-p95:2.0:nan", "queue:64:inf"]
 
 

@@ -8,9 +8,11 @@ candidate in this pass without matching it again, until the next
 commit changes the grid.  This test counts the work on a seeded
 flash-crowd run; a count is deterministic, so the gate cannot flake
 the way a wall-clock tolerance does, and it fails as soon as per-task
-rescans come back.
+rescans or per-entry placement requests come back.
 """
 
+import json
+import zlib
 from dataclasses import replace
 
 import pytest
@@ -19,6 +21,7 @@ from repro.grid.rms import ResourceManagementSystem
 from repro.sim.admission import AdmissionSpec, BrownoutSpec, QueueBoundSpec
 from repro.sim.experiment import ExperimentSpec, NodeSpec, run_experiment
 from repro.sim.simulator import DReAMSim
+from repro.sim.telemetry import TelemetryRegistry
 
 
 def flash_crowd_spec() -> ExperimentSpec:
@@ -104,6 +107,24 @@ def test_flash_crowd_matches_each_blocked_requirement_once_per_round(work):
     assert empty  # some requirements really were blocked
     # No requirement came back empty twice between two grid changes.
     assert len(empty) == len(set(empty))
-    # The queue is re-offered every pass; without the memo every
-    # placement request rescans the grid.
-    assert counts["scans"] < 0.15 * counts["plans"]
+    # The queue is re-offered every pass.  An entry whose requirement
+    # the memo already declined never reaches plan_placement (38.6
+    # requests per task before that skip, 3.5 with it), and the memo
+    # holds the scans to 1,410.
+    assert counts["plans"] <= 4 * 400
+    assert counts["scans"] <= 1_410
+
+
+def test_skipped_declines_move_the_counters_they_would_have():
+    """The pass counts its skipped entries in one ``inc`` at one
+    simulated instant; the counters, and the deferred counter's whole
+    ``(time, value)`` step series, equal those of declining each entry
+    inside ``plan_placement`` one at a time."""
+    telemetry = TelemetryRegistry()
+    run_experiment(flash_crowd_spec(), telemetry=telemetry)
+    values = {series.name: series.value for series in telemetry.series()}
+    assert values["rms_placements_deferred_total"] == 15_092
+    assert values["rms_placements_planned_total"] == 346
+    assert values["sim_degrades_total"] == 20
+    points = telemetry.counter("rms_placements_deferred_total").points
+    assert f"{zlib.crc32(json.dumps(points).encode()):08x}" == "0278c369"

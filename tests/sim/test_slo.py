@@ -5,6 +5,8 @@ live in test_golden_traces.py; the randomized battery in
 tests/properties/test_prop_slo.py.  This file covers the declarative
 spec/parsers, the monitor's windowed semantics under a hand-driven
 clock, the offline trace evaluator against the committed chaos golden,
+the cached windowed values against a fresh computation and the
+skipped re-evaluation of settled queue samples (hypothesis),
 the report/telemetry integration, the tenant-tag round trip (satellite:
 workload -> trace -> metrics -> report, pinned reports), and the
 ``repro slo`` / ``repro trend`` / ``repro analyze --tenant`` CLI exits.
@@ -17,12 +19,15 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim.slo import (
     SLO_PRESETS,
     SLOMonitor,
     SLOObjective,
     SLOSpec,
+    _STALE,
+    _percentile,
     evaluate_trace,
     parse_objective,
     parse_slo,
@@ -222,6 +227,125 @@ class TestMonitorSemantics:
         assert r.violated  # breach fraction 1.0 > budget 0.1
         assert 0.0 <= r.attainment <= 1.0
         assert 0.0 <= r.error_budget_remaining <= 1.0
+
+
+TENANTS = ("", "gold")
+OBSERVATIONS = st.one_of(
+    st.tuples(
+        st.just("completion"),
+        st.sampled_from(TENANTS),
+        st.one_of(st.none(), st.floats(0.0, 10.0)),
+        st.floats(0.0, 10.0),
+    ),
+    st.tuples(st.just("error"), st.sampled_from(TENANTS)),
+    st.tuples(st.just("queue"), st.integers(0, 50)),
+)
+#: (gap to the previous call, observation); repeated instants are common.
+STEPS = st.lists(
+    st.tuples(st.one_of(st.just(0.0), st.floats(0.0, 1.5)), OBSERVATIONS),
+    max_size=60,
+)
+OBJECTIVES = (
+    SLOObjective("latency", 1.0, percentile=95.0, window_s=2.0,
+                 budget_fraction=0.2),
+    SLOObjective("latency", 1.0, metric="wait", percentile=50.0,
+                 window_s=5.0, tenant="gold"),
+    SLOObjective("availability", 0.9, window_s=1.0, budget_fraction=0.2),
+    SLOObjective("availability", 0.9, window_s=3.0, tenant="gold"),
+    SLOObjective("throughput", 1.0, window_s=2.0),
+    SLOObjective("queue-depth", 10.0, window_s=2.0, budget_fraction=0.2),
+)
+
+
+def observe(monitor, kind, args) -> None:
+    if kind == "completion":
+        tenant, wait, turnaround = args
+        monitor.observe_completion(tenant=tenant, wait=wait, turnaround=turnaround)
+    elif kind == "error":
+        monitor.observe_error(tenant=args[0])
+    else:
+        monitor.observe_queue(args[0])
+
+
+class TestWindowValueCache:
+    """Differential check of the cached windowed values: after every
+    observation, each latency and availability objective's cache holds
+    what a fresh percentile or ok-ratio over its current samples gives."""
+
+    @staticmethod
+    def fresh(state):
+        samples = state.samples
+        if not samples:
+            return None
+        if state.obj.kind == "latency":
+            return _percentile([v for _, v in samples], state.obj.percentile)
+        return sum(1 for _, good in samples if good) / len(samples)
+
+    @settings(max_examples=60, deadline=None)
+    @given(queue_objective=st.booleans(), steps=STEPS)
+    def test_cache_equals_a_fresh_computation(self, queue_objective, steps):
+        objectives = OBJECTIVES if queue_objective else OBJECTIVES[:-1]
+        clock = {"now": 0.0}
+        monitor = SLOMonitor(
+            SLOSpec(objectives=objectives), clock=lambda: clock["now"]
+        )
+        cached = [s for s in monitor._states
+                  if s.obj.kind in ("latency", "availability")]
+        for gap, (kind, *args) in steps:
+            clock["now"] += gap
+            observe(monitor, kind, args)
+            for state in cached:
+                expected = self.fresh(state)
+                if state.window_value is not _STALE:
+                    assert state.window_value == expected
+                assert state.current_value(clock["now"]) == expected
+
+
+class TestSettledQueueSamples:
+    """A queue sample with an unchanged depth, at the instant of the
+    last evaluation, skips evaluating: the monitor emits the same events
+    and reports the same results as one that evaluates on every call."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(steps=STEPS, finalize_at=st.integers(0, 60))
+    def test_skipping_changes_nothing(self, steps, finalize_at):
+        clock = {"now": 0.0}
+        runs = []
+        for forced in (False, True):
+            clock["now"] = 0.0
+            emitted = []
+            monitor = SLOMonitor(
+                SLOSpec(objectives=OBJECTIVES),
+                clock=lambda: clock["now"],
+                emit=lambda kind, key=None, **p: emitted.append(
+                    (clock["now"], kind, p)
+                ),
+            )
+            for i, (gap, (kind, *args)) in enumerate(steps):
+                clock["now"] += gap
+                if forced:
+                    monitor._settled_at = None
+                observe(monitor, kind, args)
+                if i == finalize_at:
+                    monitor.finalize()
+            monitor.finalize()
+            results = [r.to_json() for r in monitor.results(clock["now"] or 1.0)]
+            runs.append((emitted, results))
+        assert runs[0] == runs[1]
+
+    def test_finalize_unsettles_the_instant(self):
+        clock = {"now": 1.0}
+        monitor = SLOMonitor(
+            SLOSpec(objectives=(SLOObjective("queue-depth", 1.0),)),
+            clock=lambda: clock["now"],
+        )
+        state = monitor._states[0]
+        monitor.observe_queue(5)
+        assert state.in_breach
+        monitor.finalize()
+        assert not state.in_breach
+        monitor.observe_queue(5)  # same instant and depth, after finalize
+        assert state.in_breach
 
 
 class TestEvaluateTraceChaosGolden:
