@@ -143,19 +143,21 @@ def _resilience_from_args(
             )
         except ValueError as exc:
             parser.error(
-                f"--deadlines must be SOFT:HARD positive factors "
+                f"--deadlines must be SOFT:HARD finite positive factors "
                 f"(hard >= soft), got {args.deadlines!r}: {exc}"
             )
     checkpoint = None
     if args.checkpoint_interval is not None:
-        if args.checkpoint_interval <= 0:
-            parser.error("--checkpoint-interval must be positive")
-        checkpoint = CheckpointSpec(interval_s=args.checkpoint_interval)
+        try:
+            checkpoint = CheckpointSpec(interval_s=args.checkpoint_interval)
+        except ValueError as exc:
+            parser.error(f"--checkpoint-interval: {exc}")
     speculation = None
     if args.speculative is not None:
-        if args.speculative <= 1.0:
-            parser.error("--speculative factor must be > 1")
-        speculation = SpeculationSpec(slowdown_factor=args.speculative)
+        try:
+            speculation = SpeculationSpec(slowdown_factor=args.speculative)
+        except ValueError as exc:
+            parser.error(f"--speculative: {exc}")
     spec = ResilienceSpec(
         breaker=HealthPolicy() if args.breaker else None,
         deadlines=deadlines,
@@ -1434,6 +1436,14 @@ def main(argv: list[str] | None = None) -> int:
         _check_spec_fields(
             parser, "--low-priority", low_priority_fraction=args.low_priority
         )
+    if getattr(args, "gpp_fraction", None) is not None:
+        _check_spec_fields(parser, "--gpp-fraction", gpp_fraction=args.gpp_fraction)
+    if getattr(args, "configurations", None) is not None:
+        _check_spec_fields(
+            parser, "--configurations", configurations=args.configurations
+        )
+    if getattr(args, "replications", None) is not None and args.replications < 1:
+        parser.error("--replications must be >= 1")
     if getattr(args, "slo", None) is not None:
         from repro.sim.slo import parse_slo
 

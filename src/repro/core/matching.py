@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable
 
-from repro.core.node import Node, RPEResource
+from repro.core.node import Node
 from repro.core.state import PEState
 from repro.core.task import Task
 from repro.hardware.taxonomy import PEClass
@@ -72,24 +72,53 @@ def task_required_slices(task: Task) -> int:
     return 0
 
 
-def _rpe_dynamic_ok(task: Task, rpe: RPEResource, needed: int) -> bool:
-    """Dynamic admissibility of an RPE: resident-config reuse, or enough
-    placeable area (*needed* slices) for the task's circuit."""
-    if rpe.offline:
+def static_key(task: Task) -> tuple:
+    """Everything static matching reads from *task*: the node type, the
+    constraints and the three hardware artifacts.  Equal keys get equal
+    answers from one processing-element spec, whatever the grid state.
+    The node type enters by value: a str caches its hash, an enum
+    member hashes in Python."""
+    req = task.exec_req
+    artifacts = req.artifacts
+    return (
+        req.node_type.value,
+        req.constraints,
+        artifacts.bitstream,
+        artifacts.hdl_design,
+        artifacts.softcore,
+    )
+
+
+#: Static feasibility memo: :func:`static_key` -> ``{id(spec): (spec,
+#: feasible)}``.  A spec (``GPPSpec``, ``GPUSpec``, ``FPGADevice``) is a
+#: frozen value, so its answer never changes; the entry holds the spec,
+#: so its id cannot be reused while the memo lives.
+StaticMemo = dict[tuple, dict[int, tuple[object, bool]]]
+
+
+def _remember(table: dict, spec: object, feasible: bool) -> bool:
+    table[id(spec)] = (spec, feasible)
+    return feasible
+
+
+def _rpe_fits(task: Task, device, needed: int) -> bool:
+    """Static admissibility of an RPE device: its Table I descriptor
+    matches, a device-specific bitstream targets this exact model, and
+    the circuit's *needed* slices fit the whole device."""
+    req = task.exec_req
+    if not req.matches(device.capabilities()):
         return False
-    if task.function and rpe.fabric.find_resident(task.function) is not None:
-        return True
-    if needed == 0:
-        # No area information: any available region will do.
-        return rpe.fabric.available_slices > 0
-    return rpe.fabric.can_place(needed)
+    bitstream = req.artifacts.bitstream
+    if bitstream is not None and not bitstream.targets(device):
+        return False
+    return needed <= device.slices
 
 
 def match_node(
     task: Task, node: Node, *, require_available: bool = False
 ) -> list[Candidate]:
     """All placements of *task* on *node* (one per admissible PE)."""
-    return _match_node(task, node, require_available, _rpe_slices(task))
+    return _match_node(task, node, require_available, _rpe_slices(task), {})
 
 
 def _rpe_slices(task: Task) -> int:
@@ -101,16 +130,25 @@ def _rpe_slices(task: Task) -> int:
 
 
 def _match_node(
-    task: Task, node: Node, require_available: bool, needed: int
+    task: Task, node: Node, require_available: bool, needed: int, table: dict
 ) -> list[Candidate]:
+    """*table* is the static feasibility table of *task*'s
+    :func:`static_key`; only dynamic state is read past it."""
     candidates: list[Candidate] = []
-    wanted = task.exec_req.node_type
+    req = task.exec_req
+    wanted = req.node_type
 
     if wanted in (PEClass.GPP, PEClass.SOFTCORE):
         for index, gpp in enumerate(node.gpps):
             if wanted is PEClass.SOFTCORE:
                 break  # plain GPPs cannot satisfy a soft-core requirement
-            if not task.exec_req.matches(gpp.spec.capabilities()):
+            spec = gpp.spec
+            entry = table.get(id(spec))
+            feasible = (
+                entry[1] if entry is not None
+                else _remember(table, spec, req.matches(spec.capabilities()))
+            )
+            if not feasible:
                 continue
             if require_available and gpp.state is not PEState.IDLE:
                 continue
@@ -124,10 +162,14 @@ def _match_node(
                 )
             )
         # Section III-A fallback: soft cores hosted on RPEs can serve
-        # GPP-class (and SOFTCORE-class) requirements.
+        # GPP-class (and SOFTCORE-class) requirements.  A hosted core's
+        # descriptor carries its resource and region ids, so it is
+        # matched live, not through the static table.
         for index, rpe in enumerate(node.rpes):
+            if not rpe.hosted_softcores:
+                continue
             for caps in rpe.softcore_capabilities():
-                if task.exec_req.matches(caps):
+                if req.matches(caps):
                     candidates.append(
                         Candidate(
                             node_id=node.node_id,
@@ -140,18 +182,28 @@ def _match_node(
                     )
 
     if wanted is PEClass.RPE:
+        function = task.function
         for index, rpe in enumerate(node.rpes):
-            if not task.exec_req.matches(rpe.device.capabilities()):
+            device = rpe.device
+            entry = table.get(id(device))
+            feasible = (
+                entry[1] if entry is not None
+                else _remember(table, device, _rpe_fits(task, device, needed))
+            )
+            if not feasible:
                 continue
-            # A device-specific bitstream must target this exact model.
-            bitstream = task.exec_req.artifacts.bitstream
-            if bitstream is not None and not bitstream.targets(rpe.device):
-                continue
-            if needed > rpe.device.slices:
-                continue
-            if require_available and not _rpe_dynamic_ok(task, rpe, needed):
-                continue
-            reuse = bool(task.function) and rpe.fabric.find_resident(task.function) is not None
+            fabric = rpe.fabric
+            resident = fabric.find_resident(function) if function else None
+            if require_available:
+                if rpe.offline:
+                    continue
+                # Resident-configuration reuse, or enough placeable area
+                # for the circuit (no area information: any available
+                # region will do).
+                if resident is None and not (
+                    fabric.can_place(needed) if needed else fabric.available_slices > 0
+                ):
+                    continue
             candidates.append(
                 Candidate(
                     node_id=node.node_id,
@@ -159,21 +211,27 @@ def _match_node(
                     kind=PEClass.RPE,
                     resource_id=rpe.resource_id,
                     resource_index=index,
-                    reuses_resident=reuse,
+                    reuses_resident=resident is not None,
                 )
             )
 
-    if wanted is PEClass.SOFTCORE and task.exec_req.artifacts.softcore is not None:
+    if wanted is PEClass.SOFTCORE and req.artifacts.softcore is not None:
         # Pre-determined hardware configuration (Section III-B1): the
         # user selected a soft core that is not hosted anywhere yet; any
         # RPE whose device can fit it is a candidate (the scheduler pays
         # the provisioning reconfiguration).
-        spec = task.exec_req.artifacts.softcore
+        spec = req.artifacts.softcore
         already = {c.resource_id for c in candidates}
         for index, rpe in enumerate(node.rpes):
             if rpe.resource_id in already:
                 continue
-            if not spec.fits_on(rpe.device):
+            device = rpe.device
+            entry = table.get(id(device))
+            feasible = (
+                entry[1] if entry is not None
+                else _remember(table, device, spec.fits_on(device))
+            )
+            if not feasible:
                 continue
             if require_available and not rpe.fabric.can_place(spec.required_slices()):
                 continue
@@ -191,7 +249,13 @@ def _match_node(
         # The Section III extension class: nodes may carry GPUs; they
         # match exactly like GPPs over their Table I descriptors.
         for index, gpu in enumerate(node.gpus):
-            if not task.exec_req.matches(gpu.spec.capabilities()):
+            spec = gpu.spec
+            entry = table.get(id(spec))
+            feasible = (
+                entry[1] if entry is not None
+                else _remember(table, spec, req.matches(spec.capabilities()))
+            )
+            if not feasible:
                 continue
             if require_available and gpu.state is not PEState.IDLE:
                 continue
@@ -209,11 +273,28 @@ def _match_node(
 
 
 def find_candidates(
-    task: Task, nodes: Iterable[Node], *, require_available: bool = False
+    task: Task,
+    nodes: Iterable[Node],
+    *,
+    require_available: bool = False,
+    memo: StaticMemo | None = None,
 ) -> list[Candidate]:
-    """All placements of *task* across *nodes*, in node order."""
+    """All placements of *task* across *nodes*, in node order.
+
+    *memo* carries static feasibility across calls (see
+    :data:`StaticMemo`); its owner keeps it for as long as the specs it
+    was filled from may be asked about.  Without one, each spec is
+    matched at most once per call.
+    """
+    if memo is None:
+        table: dict = {}
+    else:
+        key = static_key(task)
+        table = memo.get(key)
+        if table is None:
+            table = memo[key] = {}
     result: list[Candidate] = []
     needed = _rpe_slices(task)
     for node in nodes:
-        result.extend(_match_node(task, node, require_available, needed))
+        result.extend(_match_node(task, node, require_available, needed, table))
     return result

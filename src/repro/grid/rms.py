@@ -26,7 +26,7 @@ from __future__ import annotations
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 
-from repro.core.matching import Candidate, find_candidates
+from repro.core.matching import Candidate, StaticMemo, find_candidates, static_key
 from repro.core.node import Node
 from repro.core.state import NodeStateSnapshot
 from repro.core.task import Task
@@ -130,10 +130,15 @@ class ResourceManagementSystem:
         #: for the duration of one plan_placement call (set from the
         #: simulator's completion records); drives locality pricing.
         self._data_sites: dict[int, int] | None = None
-        #: Candidate -> its priced Placement, valid for the duration of
-        #: one plan_placement call (grid state cannot change while the
-        #: strategy chooses), so each candidate is priced at most once.
-        self._quotes: dict[Candidate, Placement] | None = None
+        #: id(candidate) -> its quote (:meth:`_quoted`), valid for the
+        #: duration of one plan_placement call (grid state cannot change
+        #: while the strategy chooses), so each candidate is priced at
+        #: most once and only the chosen one becomes a Placement.
+        self._quotes: dict[int, tuple] | None = None
+        #: Static feasibility of each requirement on each PE spec
+        #: (:data:`repro.core.matching.StaticMemo`); specs are frozen,
+        #: so it stays valid for the grid's lifetime.
+        self._static: StaticMemo = {}
         #: Match keys (:meth:`_match_key`) that found no candidate,
         #: valid for one dispatch round (:meth:`open_round`) and
         #: emptied by :meth:`commit`; ``None`` outside a round.
@@ -177,7 +182,12 @@ class ResourceManagementSystem:
     # Matchmaking and cost model
     # ------------------------------------------------------------------
     def find_candidates(self, task: Task, *, require_available: bool = True) -> list[Candidate]:
-        return find_candidates(task, self.nodes, require_available=require_available)
+        return find_candidates(
+            task,
+            self._nodes.values(),
+            require_available=require_available,
+            memo=self._static,
+        )
 
     def _transfer_time(
         self, size_bytes: int, node_id: int, *, from_node: int | None = None
@@ -242,9 +252,11 @@ class ResourceManagementSystem:
         # bitstream declares one and the task also carries a workload.
         return task.t_estimated
 
-    def _plan_rpe(self, task: Task, candidate: Candidate) -> tuple[ConfigurationPlan, int]:
-        """Configuration plan + target region for an RPE candidate."""
-        rpe = self.node(candidate.node_id).rpe(candidate.resource_id)
+    def _plan_rpe(
+        self, task: Task, candidate: Candidate, rpe
+    ) -> tuple[ConfigurationPlan, int]:
+        """Configuration plan + target region for an RPE candidate
+        (*rpe* is its resource)."""
         plan = self.virtualization.plan_rpe_configuration(task, rpe)
         if not plan.needs_reconfiguration:
             region = rpe.fabric.find_resident(task.function)
@@ -265,56 +277,86 @@ class ResourceManagementSystem:
     def estimate_cost_s(self, task: Task, candidate: Candidate) -> float:
         """Dispatch-to-completion time if *task* ran on *candidate* --
         the objective the hybrid scheduler minimizes."""
-        return self._price(task, candidate).total_time_s
+        return self._quoted(task, candidate)[1]
 
     def _price(self, task: Task, candidate: Candidate) -> Placement:
-        """Build an (uncommitted) placement with all timing fields;
-        inside :meth:`plan_placement` a candidate's quote is reused."""
-        if self._quotes is None:
-            return self._quote(task, candidate)
-        placement = self._quotes.get(candidate)
-        if placement is None:
-            placement = self._quotes[candidate] = self._quote(task, candidate)
-        return placement
+        """An (uncommitted) placement with all timing fields, built from
+        the candidate's quote; inside :meth:`plan_placement` the quote
+        is reused."""
+        _, _, fields = self._quoted(task, candidate)
+        return Placement(task, candidate, *fields)
 
     def _quote(self, task: Task, candidate: Candidate) -> Placement:
-        placement = Placement(task=task, candidate=candidate)
-        placement.exec_time_s = self._exec_time(task, candidate)
+        """A freshly priced placement, never memoized."""
+        _, _, fields = self._components(task, candidate)
+        return Placement(task, candidate, *fields)
+
+    def _quoted(self, task: Task, candidate: Candidate) -> tuple:
+        """*candidate*'s quote, priced at most once per plan_placement
+        call.  The memo is keyed by identity: the quote holds the
+        candidate, so its id is not reused while the memo lives."""
+        quotes = self._quotes
+        if quotes is None:
+            return self._components(task, candidate)
+        quote = quotes.get(id(candidate))
+        if quote is None:
+            quote = quotes[id(candidate)] = self._components(task, candidate)
+        return quote
+
+    def _components(self, task: Task, candidate: Candidate) -> tuple:
+        """Price *candidate*: ``(candidate, total seconds, fields)``,
+        where *fields* are :class:`Placement`'s fields after ``task``
+        and ``candidate``, in declaration order."""
+        exec_time_s = self._exec_time(task, candidate)
+        region_id = candidate.region_id
+        bitstream = provision_softcore = None
+        synthesis_time_s = reconfig_time_s = 0.0
+        reused = False
         bitstream_bytes = 0
 
         if candidate.kind is PEClass.RPE:
-            plan, region_id = self._plan_rpe(task, candidate)
-            placement.region_id = region_id
-            placement.bitstream = plan.bitstream
-            placement.synthesis_time_s = plan.synthesis_time_s
-            placement.reused_configuration = not plan.needs_reconfiguration
-            if plan.bitstream is not None:
-                rpe = self.node(candidate.node_id).rpe(candidate.resource_id)
-                placement.reconfig_time_s = rpe.fabric.reconfiguration_time_s(
-                    plan.bitstream, partial=self.partial_reconfiguration
+            rpe = self.node(candidate.node_id).rpe(candidate.resource_id)
+            plan, region_id = self._plan_rpe(task, candidate, rpe)
+            bitstream = plan.bitstream
+            synthesis_time_s = plan.synthesis_time_s
+            reused = bitstream is None
+            if bitstream is not None:
+                reconfig_time_s = rpe.fabric.reconfiguration_time_s(
+                    bitstream, partial=self.partial_reconfiguration
                 )
                 # Only user-shipped bitstreams traverse the network.
-                if task.exec_req.artifacts.bitstream is plan.bitstream:
-                    bitstream_bytes = plan.bitstream.size_bytes
-        elif candidate.kind is PEClass.SOFTCORE and candidate.region_id is not None:
-            # Soft core already hosted: execute in its region.
-            placement.region_id = candidate.region_id
-        elif candidate.kind is PEClass.SOFTCORE and candidate.region_id is None:
-            # Soft core must be provisioned first (Section III-B1/III-A).
+                if task.exec_req.artifacts.bitstream is bitstream:
+                    bitstream_bytes = bitstream.size_bytes
+        elif candidate.kind is PEClass.SOFTCORE and region_id is None:
+            # Soft core must be provisioned first (Section III-B1/III-A);
+            # a hosted one executes in its region (``region_id``).
             rpe = self.node(candidate.node_id).rpe(candidate.resource_id)
-            spec = task.exec_req.artifacts.softcore or self.virtualization.provisioner.default_core
-            placement.provision_softcore = spec
-            placement.reconfig_time_s = rpe.device.reconfiguration_time_s(
-                spec.required_slices()
+            provision_softcore = (
+                task.exec_req.artifacts.softcore
+                or self.virtualization.provisioner.default_core
+            )
+            reconfig_time_s = rpe.device.reconfiguration_time_s(
+                provision_softcore.required_slices()
             )
 
         # Input streams and the user's bitstream move concurrently; the
         # staging delay is the slowest of them.
-        placement.transfer_time_s = max(
+        transfer_time_s = max(
             self._input_transfer_time(task, candidate.node_id),
             self._transfer_time(bitstream_bytes, candidate.node_id),
         )
-        return placement
+        # Placement.total_time_s's expression order, so the floats match.
+        cost = (transfer_time_s + synthesis_time_s + reconfig_time_s) + exec_time_s
+        return candidate, cost, (
+            region_id,
+            bitstream,
+            provision_softcore,
+            transfer_time_s,
+            synthesis_time_s,
+            reconfig_time_s,
+            exec_time_s,
+            reused,
+        )
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -340,19 +382,14 @@ class ResourceManagementSystem:
     def _match_key(
         task: Task, exclude_nodes: set[int] | frozenset[int] | None
     ) -> tuple:
-        """Everything matchmaking reads from *task*, plus the excluded
-        nodes: equal keys get equal candidate lists from one grid state.
-        Not the ``ExecReq`` itself -- its ``input_data_bytes`` differs
-        per task, and matching never reads it.  The node type enters by
-        value: a str caches its hash, an enum member hashes in Python."""
-        req = task.exec_req
-        artifacts = req.artifacts
+        """Everything matchmaking reads from *task* -- the static part
+        (:func:`~repro.core.matching.static_key`) and the function,
+        which resident reuse reads -- plus the excluded nodes: equal
+        keys get equal candidate lists from one grid state.  Not the
+        ``ExecReq`` itself -- its ``input_data_bytes`` differs per task,
+        and matching never reads it."""
         return (
-            req.node_type.value,
-            req.constraints,
-            artifacts.bitstream,
-            artifacts.hdl_design,
-            artifacts.softcore,
+            static_key(task),
             task.function,
             frozenset(exclude_nodes) if exclude_nodes else None,
         )

@@ -163,15 +163,25 @@ class Fabric:
         equal size, FREE regions are preferred over evicting an idle
         resident configuration (which a later task might reuse).
         """
-        candidates = [
-            r for r in self.regions if r.is_available and r.slices >= required_slices
-        ]
-        if not candidates:
-            return None
-        return min(
-            candidates,
-            key=lambda r: (r.slices, 0 if r.state is RegionState.FREE else 1),
-        )
+        best = None
+        best_slices = best_rank = 0
+        for region in self.regions:
+            state = region.state
+            if state is RegionState.FREE:
+                rank = 0
+            elif state is RegionState.CONFIGURED:
+                rank = 1
+            else:
+                continue
+            slices = region.slices
+            if slices < required_slices:
+                continue
+            # Strict comparisons: the first region wins a tie, as min() does.
+            if best is None or slices < best_slices or (
+                slices == best_slices and rank < best_rank
+            ):
+                best, best_slices, best_rank = region, slices, rank
+        return best
 
     def can_place(self, required_slices: int) -> bool:
         return self.find_placeable(required_slices) is not None

@@ -51,11 +51,7 @@ import math
 from dataclasses import dataclass
 
 from repro.hardware.fabric import RegionState
-
-
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
+from repro.sim.workload import require_finite
 
 
 def _require_whole(name: str, value: float) -> None:
@@ -83,7 +79,7 @@ class QueueBoundSpec:
         _require_whole("max_defers", self.max_defers)
         if self.max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        _require_finite("defer_delay_s", self.defer_delay_s)
+        require_finite("defer_delay_s", self.defer_delay_s)
         if self.defer_delay_s <= 0:
             raise ValueError("defer_delay_s must be positive")
         if self.max_defers < 1:
@@ -104,10 +100,10 @@ class TokenBucketSpec:
     burst: float = 8.0
 
     def __post_init__(self) -> None:
-        _require_finite("rate_per_s", self.rate_per_s)
+        require_finite("rate_per_s", self.rate_per_s)
         if self.rate_per_s <= 0:
             raise ValueError("rate_per_s must be positive")
-        _require_finite("burst", self.burst)
+        require_finite("burst", self.burst)
         if self.burst < 1.0:
             raise ValueError("burst must be >= 1 (a whole token)")
 
@@ -128,7 +124,7 @@ class UtilizationSpec:
     threshold: float = 0.9
 
     def __post_init__(self) -> None:
-        _require_finite("threshold", self.threshold)
+        require_finite("threshold", self.threshold)
         if not 0.0 < self.threshold <= 1.0:
             raise ValueError("threshold must be in (0, 1]")
 
@@ -163,7 +159,7 @@ class BrownoutSpec:
             raise ValueError(
                 "exit_pending must be strictly below enter_pending (hysteresis)"
             )
-        _require_finite("dwell_s", self.dwell_s)
+        require_finite("dwell_s", self.dwell_s)
         if self.dwell_s <= 0:
             raise ValueError("dwell_s must be positive")
         if not 1 <= self.max_stage <= 3:

@@ -41,8 +41,9 @@ byte-identical.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+
+from repro.sim.workload import require_finite
 
 __all__ = [
     "HeartbeatSpec",
@@ -54,11 +55,6 @@ __all__ = [
     "SUSPECT",
     "DOWN",
 ]
-
-
-def _require_finite(name: str, value: float) -> None:
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -95,7 +91,7 @@ class HeartbeatSpec:
 
     def __post_init__(self) -> None:
         for name in ("interval_s", "suspect_after", "confirm_after", "ewma_alpha"):
-            _require_finite(name, getattr(self, name))
+            require_finite(name, getattr(self, name))
         if self.interval_s <= 0:
             raise ValueError(f"interval_s must be positive, got {self.interval_s!r}")
         if self.suspect_after < 1.0:
@@ -141,13 +137,13 @@ class FailoverSpec:
     def __post_init__(self) -> None:
         if self.standbys < 0:
             raise ValueError(f"standbys must be >= 0, got {self.standbys!r}")
-        _require_finite("takeover_delay_s", self.takeover_delay_s)
+        require_finite("takeover_delay_s", self.takeover_delay_s)
         if self.takeover_delay_s < 0:
             raise ValueError(
                 f"takeover_delay_s must be >= 0, got {self.takeover_delay_s!r}"
             )
         if self.lease_s is not None:
-            _require_finite("lease_s", self.lease_s)
+            require_finite("lease_s", self.lease_s)
             if self.lease_s <= 0:
                 raise ValueError(f"lease_s must be positive, got {self.lease_s!r}")
         if self.lease_s is not None and self.heartbeat is not None:

@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.grid.health import HealthPolicy
+from repro.sim.workload import require_finite
 
 
 @dataclass(frozen=True)
@@ -47,6 +48,9 @@ class DeadlineSpec:
     reschedule: bool = True
 
     def __post_init__(self) -> None:
+        require_finite("soft_factor", self.soft_factor)
+        require_finite("hard_factor", self.hard_factor)
+        require_finite("slack_s", self.slack_s)
         if self.soft_factor <= 0 or self.hard_factor <= 0:
             raise ValueError("deadline factors must be positive")
         if self.hard_factor < self.soft_factor:
@@ -78,6 +82,8 @@ class CheckpointSpec:
     overhead_s: float = 0.0
 
     def __post_init__(self) -> None:
+        require_finite("interval_s", self.interval_s)
+        require_finite("overhead_s", self.overhead_s)
         if self.interval_s <= 0:
             raise ValueError("interval_s must be positive")
         if self.overhead_s < 0:
@@ -99,6 +105,7 @@ class SpeculationSpec:
     slowdown_factor: float = 2.0
 
     def __post_init__(self) -> None:
+        require_finite("slowdown_factor", self.slowdown_factor)
         if self.slowdown_factor <= 1.0:
             raise ValueError("slowdown_factor must be > 1")
 

@@ -58,6 +58,13 @@ def require_int(name: str, value: object) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
+def require_finite(name: str, value: float) -> None:
+    """Reject NaN and infinities, which pass every sign check (all
+    comparisons with NaN are false)."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
+
+
 def check_range(name: str, bounds: tuple[float, float]) -> None:
     """Reject a ``(lo, hi)`` range unless ``0 < lo <= hi``, both finite."""
     lo, hi = bounds

@@ -191,6 +191,43 @@ class TestSurgeAndPriorityValues:
         )
 
 
+class TestResilienceAndWorkloadValues:
+    """Non-finite resilience values and out-of-range workload values die
+    at the boundary with exit 2, through the specs' own checks."""
+
+    rejected = TestSurgeAndPriorityValues.rejected
+
+    @pytest.mark.parametrize("command", ["simulate", "chaos"])
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--deadlines", "nan:4"], "soft_factor must be finite"),
+            (["--deadlines", "4:inf"], "hard_factor must be finite"),
+            (["--speculative", "nan"], "--speculative: slowdown_factor must be finite"),
+            (["--speculative", "inf"], "--speculative: slowdown_factor must be finite"),
+            (["--checkpoint-interval", "nan"], "--checkpoint-interval: interval_s must be finite"),
+            (["--checkpoint-interval", "inf"], "--checkpoint-interval: interval_s must be finite"),
+        ],
+    )
+    def test_non_finite_resilience(self, capsys, command, flags, message):
+        self.rejected(capsys, [command, *flags], message)
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--gpp-fraction", "nan"], "--gpp-fraction: gpp_fraction must be in [0, 1]"),
+            (["--gpp-fraction", "1.5"], "--gpp-fraction: gpp_fraction must be in [0, 1]"),
+            (["--gpp-fraction", "-0.1"], "--gpp-fraction: gpp_fraction must be in [0, 1]"),
+            (["--configurations", "0"], "--configurations: configurations must be positive"),
+            (["--configurations", "-3"], "--configurations: configurations must be positive"),
+            (["--replications", "0"], "--replications must be >= 1"),
+            (["--replications", "-2"], "--replications must be >= 1"),
+        ],
+    )
+    def test_bad_workload_values(self, capsys, flags, message):
+        self.rejected(capsys, ["simulate", "--tasks", "5", *flags], message)
+
+
 NON_FINITE_OBJECTIVES = ["latency-p95:nan", "latency-p95:2.0:nan", "queue:64:inf"]
 
 

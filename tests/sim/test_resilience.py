@@ -8,6 +8,8 @@ claim -- checkpointing strictly reduces wasted work under the chaos
 preset at identical seeds.
 """
 
+import math
+
 import pytest
 
 from repro.core.execreq import Artifacts, ExecReq, MinValue
@@ -95,6 +97,22 @@ class TestSpecs:
             CheckpointSpec(interval_s=0.0)
         with pytest.raises(ValueError):
             SpeculationSpec(slowdown_factor=1.0)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "make, name",
+        [
+            (lambda v: CheckpointSpec(interval_s=v), "interval_s"),
+            (lambda v: CheckpointSpec(overhead_s=v), "overhead_s"),
+            (lambda v: DeadlineSpec(soft_factor=v), "soft_factor"),
+            (lambda v: DeadlineSpec(hard_factor=v), "hard_factor"),
+            (lambda v: DeadlineSpec(slack_s=v), "slack_s"),
+            (lambda v: SpeculationSpec(slowdown_factor=v), "slowdown_factor"),
+        ],
+    )
+    def test_non_finite_fields_rejected(self, make, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            make(value)
 
     def test_budget_derivation(self):
         spec = DeadlineSpec(soft_factor=4.0, hard_factor=12.0, slack_s=1.0)
