@@ -3,14 +3,22 @@ span derivation, Perfetto/OpenMetrics export, and the zero-perturbation
 guarantee (telemetry on or off, the event trace is byte-identical)."""
 
 import json
+import zlib
 from pathlib import Path
 
 import pytest
 
 from repro.grid.health import HealthPolicy
-from repro.sim.experiment import ExperimentSpec, _build, run_experiment
-from repro.sim.faults import FaultSpec
-from repro.sim.resilience import CheckpointSpec, DeadlineSpec, ResilienceSpec
+from repro.sim.admission import AdmissionSpec, BrownoutSpec, QueueBoundSpec
+from repro.sim.experiment import ExperimentSpec, NodeSpec, _build, run_experiment
+from repro.sim.failover import FailoverSpec, HeartbeatSpec
+from repro.sim.faults import FaultSpec, RetryPolicy
+from repro.sim.resilience import (
+    CheckpointSpec,
+    DeadlineSpec,
+    ResilienceSpec,
+    SpeculationSpec,
+)
 from repro.sim.telemetry import (
     ANNOTATION_KINDS,
     TELEMETRY_FORMAT,
@@ -226,6 +234,140 @@ class TestInstrumentedRun:
             return [e.to_json() for e in canonical_events(list(sink.events))]
 
         assert lines(None) == lines(TelemetryRegistry())
+
+
+#: Chaos faults on both planes with every defensive mechanism armed:
+#: together with FLASH_SPEC it moves every series in ``FOLDED``.
+CHAOS_FAILOVER_SPEC = ExperimentSpec(
+    tasks=120,
+    configurations=4,
+    arrival_rate_per_s=1.0,
+    speedup_range=(2.0, 5.0),
+    required_time_range_s=(3.0, 8.0),
+    gpp_fraction=0.2,
+    seed=2,
+    tenants=3,
+    retry=RetryPolicy(max_attempts=2),
+    faults=FaultSpec(
+        crash_rate_per_s=0.06,
+        downtime_range_s=(4.0, 12.0),
+        config_fault_prob=0.3,
+        seu_rate_per_s=0.15,
+        link_fault_rate_per_s=0.02,
+        degrade_factor=0.1,
+        rms_crash_rate_per_s=0.05,
+        rms_downtime_range_s=(6.0, 12.0),
+        rms_gray_rate_per_s=0.03,
+        rms_gray_duration_range_s=(2.0, 5.0),
+        horizon_s=60.0,
+    ),
+    resilience=ResilienceSpec(
+        breaker=HealthPolicy(min_events=2, open_threshold=0.4, open_duration_s=5.0),
+        deadlines=DeadlineSpec(soft_factor=3.0, hard_factor=8.0, slack_s=0.5),
+        checkpoint=CheckpointSpec(interval_s=0.25, overhead_s=0.2),
+        speculation=SpeculationSpec(slowdown_factor=1.5),
+    ),
+    failover=FailoverSpec(
+        heartbeat=HeartbeatSpec(interval_s=0.25, suspect_after=2.0, confirm_after=4.0),
+        standbys=2,
+        takeover_delay_s=0.25,
+        lease_s=0.5,
+    ),
+)
+
+#: A 4x flash crowd against a deferring queue bound and a brownout
+#: controller, with low-priority tasks to degrade and shed.
+FLASH_SPEC = ExperimentSpec(
+    tasks=400,
+    nodes=(
+        NodeSpec(gpps=1, gpp_mips=2_000, rpe_models=("XC5VLX330",), regions_per_rpe=3),
+        NodeSpec(gpps=1, gpp_mips=1_500, rpe_models=("XC5VLX155",), regions_per_rpe=2),
+    ),
+    gpp_fraction=0.4,
+    seed=2,
+    tenants=3,
+    low_priority_fraction=0.3,
+    flash_crowd=(20.0, 400.0, 4.0),
+    admission=AdmissionSpec(
+        queue=QueueBoundSpec(
+            max_pending=40, defer=True, defer_delay_s=0.5, max_defers=1
+        ),
+        brownout=BrownoutSpec(enter_pending=24, exit_pending=8, dwell_s=2.0),
+    ),
+)
+
+#: The series the simulator's transitions move, with the label sets
+#: each pin scenario must produce.
+FOLDED = {
+    "chaos": {
+        "sim_migrations_total": [{}],
+        "sim_retries_total": [{}],
+        "sim_fallbacks_total": [{}],
+        "sim_faults_total": [{}],
+        "sim_deadline_misses_total": [{"deadline": "hard"}, {"deadline": "soft"}],
+        "sim_checkpoints_total": [{}],
+        "sim_speculations_total": [{}],
+        "sim_suspicions_total": [{}],
+        "sim_rms_crashes_total": [{}],
+        "sim_rms_gray_total": [{}],
+        "sim_failovers_total": [{}],
+        "sim_orphans_total": [{}],
+        "control_plane_state": [{}],
+        "task_wait_seconds": [{}],
+        "task_turnaround_seconds": [{}],
+    },
+    "flash": {
+        "sim_deferrals_total": [{}],
+        "sim_sheds_total": [{"reason": "brownout"}, {"reason": "queue-full"}],
+        "sim_degrades_total": [{}],
+        "sim_brownout_stage": [{}],
+        "task_wait_seconds": [{}],
+        "task_turnaround_seconds": [{}],
+    },
+}
+
+
+def _telemetry_crc(spec, *, traced: bool = False) -> tuple[str, dict]:
+    """CRC-32 of a run's registry dump without ``meta``, and the dump."""
+    telemetry = TelemetryRegistry()
+    tracer = Tracer(InMemorySink()) if traced else None
+    run_experiment(spec, tracer=tracer, telemetry=telemetry)
+    dump = {k: v for k, v in telemetry.to_json().items() if k != "meta"}
+    return f"{zlib.crc32(json.dumps(dump, sort_keys=True).encode()):08x}", dump
+
+
+class TestTelemetryPins:
+    """Every series a registry collects, pinned to the CRC of its JSON
+    dump: which instruments exist, their help strings and labels, every
+    ``(time, value)`` sample and every histogram bucket."""
+
+    SPECS = {"chaos": CHAOS_FAILOVER_SPEC, "flash": FLASH_SPEC}
+    PINNED_CRC = {"chaos": "d03970fd", "flash": "dc0d4170"}
+
+    @pytest.mark.parametrize("engine", ["heap", "calendar"])
+    @pytest.mark.parametrize("scenario", ["chaos", "flash"])
+    def test_registry_is_pinned(self, scenario, engine):
+        crc, dump = _telemetry_crc(self.SPECS[scenario].with_(engine=engine))
+        records = dump["series"] + dump["histograms"]
+        for name, label_sets in FOLDED[scenario].items():
+            # The two gauges carry a t=0 seed sample; they must move after it.
+            seeded = int(name in ("sim_brownout_stage", "control_plane_state"))
+            moved = [
+                record["labels"]
+                for record in records
+                if record["name"] == name
+                and (len(record.get("points", ())) > seeded or record.get("count"))
+            ]
+            assert sorted(moved, key=repr) == label_sets, name
+        assert crc == self.PINNED_CRC[scenario]
+
+    @pytest.mark.parametrize("scenario", ["chaos", "flash"])
+    def test_registry_identical_with_and_without_tracer(self, scenario):
+        # No invariant checker: a speculative replica that loads its
+        # region emits no ``reconfigure`` event, so the checker rejects
+        # a later reuse of that region on the chaos spec.
+        spec = self.SPECS[scenario]
+        assert _telemetry_crc(spec)[1] == _telemetry_crc(spec, traced=True)[1]
 
 
 class TestGoldenTracesWithTelemetryOff:
