@@ -1,8 +1,10 @@
 """Telemetry layer: zero cost when disabled, cheap when enabled.
 
-The telemetry registry (PR 4) hangs off a single attribute: every hook
-in the simulator, RMS, JSS, and health tracker is guarded by one
-``if self.telemetry is not None`` check.  This bench pins the
+The telemetry registry (PR 4) hangs off a single attribute: the RMS,
+JSS, and health tracker hooks are each guarded by one ``if
+self.telemetry is not None`` check, and the simulator's transitions
+reach the registry through ``_emit``, which does nothing when neither a
+tracer nor a registry listens.  This bench pins the
 zero-cost-when-disabled guarantee and keeps the enabled path honest:
 
 * **Disabled overhead.**  A simulator constructed without a registry
@@ -74,15 +76,16 @@ def bench_disabled_overhead(benchmark):
 
 def bench_disabled_guard_cost(benchmark):
     """Bound the *disabled* path directly: all that remains of
-    telemetry in an uninstrumented run is its ``is not None`` guards.
-    Timing the no-op hooks themselves and scaling by a generous
-    per-task call count proves the guard budget is far under the 5%
-    acceptance bar, without depending on run-to-run machine noise."""
+    telemetry in an uninstrumented run is the grid-sampling guard and
+    the no-listener ``_emit``.  Timing those no-op hooks themselves and
+    scaling by a generous per-task call count proves the guard budget
+    is far under the 5% acceptance bar, without depending on run-to-run
+    machine noise."""
     from repro.sim.experiment import build_grid
     from repro.sim.simulator import DReAMSim
 
     sim = DReAMSim(build_grid(SPEC))
-    assert sim.telemetry is None
+    assert sim.telemetry is None and sim.tracer is None
 
     calls = 200_000
     start = time.perf_counter()
@@ -91,9 +94,9 @@ def bench_disabled_guard_cost(benchmark):
     sample_s = time.perf_counter() - start
     start = time.perf_counter()
     for _ in range(calls):
-        sim._telemetry_count("sim_retries_total", "retry requeues")
-    count_s = time.perf_counter() - start
-    per_call_s = (sample_s + count_s) / (2 * calls)
+        sim._emit("retry", 0, attempt=2)
+    emit_s = time.perf_counter() - start
+    per_call_s = (sample_s + emit_s) / (2 * calls)
 
     plain_s, plain = timed(repeats=3)
     assert plain.completed == SPEC.tasks

@@ -465,8 +465,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if args.trace:
         try:
             events = read_jsonl(args.trace)
-        except OSError as exc:
-            print(f"repro report: error: {exc}", file=sys.stderr)
+        except (OSError, ValueError) as exc:
+            print(f"repro report: error: {args.trace}: {exc}", file=sys.stderr)
             return 2
     html_text = render_dashboard(registry, events)
     Path(args.output).write_text(html_text, encoding="utf-8")

@@ -22,6 +22,9 @@ import html
 from dataclasses import dataclass
 
 from repro.sim.telemetry import (
+    BROWNOUT_STAGE,
+    CHECKPOINT_OVERHEAD,
+    EVENT_COUNTERS,
     Histogram,
     Instant,
     Span,
@@ -579,7 +582,7 @@ def _brownout_bands(
     """Brownout residency windows (stage > 0) from the stage gauge's
     step series; ``None`` when the run never browned out (charts then
     draw no bands at all)."""
-    series = registry.series("sim_brownout_stage")
+    series = registry.series(BROWNOUT_STAGE.name)
     if not series or not series[0].points:
         return None
     points = series[0].points
@@ -636,12 +639,12 @@ def _series_charts(registry: TelemetryRegistry) -> list[str]:
             queue_series, title="Scheduler queue", unit="tasks", t_max=t_max,
             bands=brownout_bands, band_label="brownout active",
         ) if queue_series else None,
-        chart("sim_sheds_total", "Load shedding", "cumulative sheds",
+        chart(EVENT_COUNTERS["shed"].name, "Load shedding", "cumulative sheds",
               lambda s: s.labels.get("reason", "shed"),
               bands=brownout_bands),
-        chart("sim_deferrals_total", "Backpressure deferrals",
+        chart(EVENT_COUNTERS["defer"].name, "Backpressure deferrals",
               "cumulative deferrals"),
-        chart("sim_brownout_stage", "Brownout stage", "0=healthy .. 3=shedding",
+        chart(BROWNOUT_STAGE.name, "Brownout stage", "0=healthy .. 3=shedding",
               bands=brownout_bands),
         chart("node_breaker_state", "Circuit breaker state",
               "0=closed 1=half-open 2=open",
@@ -649,8 +652,8 @@ def _series_charts(registry: TelemetryRegistry) -> list[str]:
         chart("rpe_configured_slices", "Configured fabric area", "slices",
               lambda s: f"node {s.labels.get('node', '?')} "
                         f"rpe {s.labels.get('rpe', '?')}"),
-        chart("sim_retries_total", "Retry activity", "cumulative retries"),
-        chart("sim_checkpoint_overhead_seconds_total", "Checkpoint overhead",
+        chart(EVENT_COUNTERS["retry"].name, "Retry activity", "cumulative retries"),
+        chart(CHECKPOINT_OVERHEAD.name, "Checkpoint overhead",
               "cumulative seconds"),
     ]
     return [c for c in charts if c is not None]

@@ -18,7 +18,8 @@ class BestFitAreaScheduler(Scheduler):
     regions for large future configurations.
 
     For GPP-class tasks: pick the highest-MIPS processor -- area is not
-    meaningful there, so "best fit" degenerates to "fastest".
+    meaningful there, so "best fit" degenerates to "fastest".  GPU-class
+    tasks likewise take the GPU with the highest peak GFLOPS.
     """
 
     name = "best-fit-area"
@@ -39,10 +40,12 @@ class BestFitAreaScheduler(Scheduler):
                 return float("inf")
             return region.slices - required
 
-        def gpp_speed(candidate: Candidate) -> float:
+        def speed(candidate: Candidate) -> float:
             node = rms.node(candidate.node_id)
             if candidate.kind is PEClass.GPP:
                 return node.gpp(candidate.resource_id).spec.mips
+            if candidate.kind is PEClass.GPU:
+                return node.gpu(candidate.resource_id).spec.peak_gflops
             # Hosted soft core: use its delivered MIPS.
             rpe = node.rpe(candidate.resource_id)
             for caps in rpe.softcore_capabilities():
@@ -53,4 +56,4 @@ class BestFitAreaScheduler(Scheduler):
         if task.exec_req.node_type is PEClass.RPE:
             best = min(candidates, key=rpe_waste)
             return best if rpe_waste(best) != float("inf") else None
-        return max(candidates, key=gpp_speed)
+        return max(candidates, key=speed)

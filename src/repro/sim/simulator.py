@@ -72,7 +72,7 @@ from repro.sim.faults import FaultInjector, RetryPolicy
 from repro.sim.metrics import MetricsCollector, SimulationReport
 from repro.sim.resilience import ResilienceSpec
 from repro.sim.slo import SLOMonitor, SLOSpec
-from repro.sim.telemetry import TelemetryRegistry
+from repro.sim.telemetry import TelemetryFold, TelemetryRegistry
 from repro.sim.tracing import Tracer
 
 
@@ -156,6 +156,25 @@ class _Entry:
             self._keyed_task = self.task
             self._key = ResourceManagementSystem._match_key(self.task, None)
         return self._key
+
+
+def _placed_on(entries, node_id: int) -> list[_Entry]:
+    """The entries (a snapshot) whose live placement is on *node_id*."""
+    return [
+        e
+        for e in list(entries)
+        if e.placement is not None and e.placement.candidate.node_id == node_id
+    ]
+
+
+def _power_cycle(node: Node) -> None:
+    """A crashed node's fabric comes back cold: resident configurations
+    and hosted soft cores are gone."""
+    for rpe in node.rpes:
+        for region in rpe.fabric.regions:
+            if region.configuration is not None:
+                rpe.fabric.clear(region)
+        rpe.hosted_softcores.clear()
 
 
 class DReAMSim:
@@ -269,18 +288,30 @@ class DReAMSim:
             if slo is not None and slo.enabled
             else None
         )
-        #: Sim-time telemetry (None = the exact un-instrumented paths:
-        #: every hook below is a single attribute check).  Telemetry is
-        #: purely observational -- it schedules no events and draws no
-        #: randomness -- so enabling it never perturbs traces either.
+        #: Sim-time telemetry (None = the exact un-instrumented paths).
+        #: Telemetry is purely observational -- it schedules no events
+        #: and draws no randomness -- so enabling it never perturbs
+        #: traces either.  Transition-driven instruments live in the
+        #: fold, which :meth:`_emit` feeds.
         self.telemetry = telemetry
+        self._fold: TelemetryFold | None = None
         if telemetry is not None:
             telemetry.set_clock(lambda: self.engine.now)
             self.rms.telemetry = telemetry
             self.jss.telemetry = telemetry
             if self.health is not None:
                 self.health.telemetry = telemetry
+            spec = self.resilience.checkpoint if self.resilience is not None else None
+            self._fold = TelemetryFold(
+                telemetry,
+                brownout=self.admission is not None,
+                control_plane=self.control_plane is not None,
+                checkpoint_overhead_s=spec.overhead_s if spec is not None else 0.0,
+            )
             self._telemetry_init()
+        #: Anyone listening to :meth:`_emit`: the hot transitions build
+        #: their payloads only then.
+        self._listening = tracer is not None or telemetry is not None
 
     # ------------------------------------------------------------------
     # Sim-time telemetry (no-ops without a registry)
@@ -299,19 +330,13 @@ class DReAMSim:
         self._t_active_gauge = registry.gauge(
             "sim_active_tasks", "tasks holding a placement"
         )
+        self._t_backoff_gauge = registry.gauge(
+            "sim_tasks_in_backoff", "tasks waiting out a retry backoff"
+        )
         self._t_util_gauges: dict[int, object] = {}
         self._t_queue_gauge.set(0)
         self._t_active_gauge.set(0)
-        registry.gauge(
-            "sim_tasks_in_backoff", "tasks waiting out a retry backoff"
-        ).set(0)
-        if self.admission is not None:
-            registry.gauge(
-                "sim_brownout_stage",
-                "current brownout degradation stage (0 = healthy)",
-            ).set(0)
-        if self.control_plane is not None:
-            self._telemetry_cp_state(0)
+        self._t_backoff_gauge.set(0)
         for node in self.rms.nodes:
             self._t_util_gauge(node.node_id).set(0)
             if self.health is not None:
@@ -366,17 +391,16 @@ class DReAMSim:
                 parts / count if count else 0.0
             )
 
-    def _telemetry_count(self, name: str, help: str, amount: float = 1.0,
-                         **labels) -> None:
-        if self.telemetry is not None:
-            self.telemetry.counter(name, help, **labels).inc(amount)
-
     # ------------------------------------------------------------------
-    # Structured tracing (no-ops without a tracer)
+    # The event stream (no-op without a tracer or a registry)
     # ------------------------------------------------------------------
     def _emit(self, kind: str, key: object = None, **payload) -> None:
+        """The one observer call per transition: the tracer records the
+        event and the telemetry fold moves the instruments it drives."""
         if self.tracer is not None:
             self.tracer.emit(self.engine.now, kind, key=key, **payload)
+        if self._fold is not None:
+            self._fold.observe(kind, key, payload)
 
     def _region_slices(self, placement: Placement) -> tuple[int, int]:
         """(region slices, device capacity) of a committed placement."""
@@ -390,13 +414,15 @@ class DReAMSim:
             f"placement region {placement.region_id} vanished"
         )
 
-    def _emit_slice_free(self, entry: _Entry) -> None:
+    def _emit_slice(self, kind: str, entry: _Entry) -> None:
+        """``slice-alloc`` / ``slice-free`` for the fabric region of
+        *entry*'s placement (nothing for GPP-class placements)."""
         placement = entry.placement
-        if self.tracer is None or placement is None or placement.region_id is None:
+        if not self._listening or placement is None or placement.region_id is None:
             return
         slices, capacity = self._region_slices(placement)
         self._emit(
-            "slice-free",
+            kind,
             entry.key,
             node=placement.candidate.node_id,
             resource=placement.candidate.resource_id,
@@ -617,18 +643,13 @@ class DReAMSim:
 
     def schedule_node_leave(self, time: float, node_id: int) -> None:
         def leave() -> None:
-            for replica in self._replicas_on(node_id):
+            for replica in _placed_on(self._replicas.values(), node_id):
                 self._abort_replica(replica, action="abort")
-            victims = [
-                e
-                for e in self.active.values()
-                if e.placement is not None and e.placement.candidate.node_id == node_id
-            ]
-            for entry in victims:
+            for entry in _placed_on(self.active.values(), node_id):
                 for handle in entry.events:
                     handle.cancel()
                 entry.events.clear()
-                self._emit_slice_free(entry)
+                self._emit_slice("slice-free", entry)
                 self._emit("requeue", entry.key, node=node_id)
                 if entry.is_probe and self.health is not None:
                     # A graceful departure is not evidence against the
@@ -677,25 +698,16 @@ class DReAMSim:
                 self._crash_with_detection(node_id, rejoin_after_s)
                 return
             site = self.rms.site_of(node_id)
-            for replica in self._replicas_on(node_id):
+            for replica in _placed_on(self._replicas.values(), node_id):
                 self._abort_replica(replica, action="abort", clear_configuration=True)
-            victims = [
-                e
-                for e in self.active.values()
-                if e.placement is not None and e.placement.candidate.node_id == node_id
-            ]
-            for entry in victims:
+            for entry in _placed_on(self.active.values(), node_id):
                 self._fault(
                     entry,
                     reason=f"node {node_id} crashed",
                     clear_configuration=True,
                 )
             node = self.rms.unregister_node(node_id)
-            for rpe in node.rpes:  # power-cycle: resident configs are gone
-                for region in rpe.fabric.regions:
-                    if region.configuration is not None:
-                        rpe.fabric.clear(region)
-                rpe.hosted_softcores.clear()
+            _power_cycle(node)
             self.metrics.record_node_down(node_id, self.engine.now)
             self._emit("node-leave", node=node_id, crash=True)
             if rejoin_after_s is not None:
@@ -732,12 +744,6 @@ class DReAMSim:
             )
         return self.control_plane
 
-    def _telemetry_cp_state(self, value: int) -> None:
-        if self.telemetry is not None:
-            self.telemetry.gauge(
-                "control_plane_state", "0 = up, 1 = gray, 2 = down"
-            ).set(value)
-
     def schedule_rms_crash(self, time: float, *, downtime_s: float) -> None:
         """The primary RMS process dies.  The data plane keeps going --
         placements already executing run to completion on their nodes --
@@ -757,10 +763,6 @@ class DReAMSim:
                 return  # already dark; overlapping draws collapse
             self._down_at.setdefault("rms", now)
             self._emit("rms-crash", downtime=downtime_s, generation=cp.generation)
-            self._telemetry_count(
-                "sim_rms_crashes_total", "primary RMS process crashes"
-            )
-            self._telemetry_cp_state(2)
             generation = cp.generation
 
             def restore() -> None:
@@ -803,10 +805,6 @@ class DReAMSim:
                 return  # already dark; overlapping draws collapse
             self._down_at.setdefault("rms", now)
             self._emit("rms-gray", duration=duration_s, generation=cp.generation)
-            self._telemetry_count(
-                "sim_rms_gray_total", "primary RMS gray-failure episodes"
-            )
-            self._telemetry_cp_state(1)
             generation = cp.generation
 
             def recover() -> None:
@@ -820,7 +818,6 @@ class DReAMSim:
                 self._emit(
                     "rms-restore", reason="gray-recovered", generation=cp.generation
                 )
-                self._telemetry_cp_state(0)
                 if self.monitor is not None:
                     self.monitor.watch("rms", self.engine.now)
                 self._dispatch_pending()
@@ -848,7 +845,6 @@ class DReAMSim:
             generation=cp.generation,
             orphaned=len(orphans),
         )
-        self._telemetry_cp_state(0)
         for entry in orphans:
             self._orphan(entry, reason="control-plane cold restart")
         if self.monitor is not None:
@@ -903,10 +899,6 @@ class DReAMSim:
             adopted=len(self.active) - len(orphans),
             orphaned=len(orphans),
         )
-        self._telemetry_count(
-            "sim_failovers_total", "standby promotions to primary"
-        )
-        self._telemetry_cp_state(0)
         for entry in orphans:
             self._leases_expired += 1
             node = (
@@ -950,9 +942,6 @@ class DReAMSim:
             node=placement.candidate.node_id,
             reason=reason,
         )
-        self._telemetry_count(
-            "sim_orphans_total", "orphaned placements recovered into the queue"
-        )
         if entry.is_probe and self.health is not None:
             self.health.abort_probe(placement.candidate.node_id)
         entry.is_probe = False
@@ -980,16 +969,12 @@ class DReAMSim:
         site = self.rms.site_of(node_id)
         self._dead_nodes[node_id] = now
         self.metrics.record_node_down(node_id, now)
-        for replica in self._replicas_on(node_id):
+        for replica in _placed_on(self._replicas.values(), node_id):
             self._abort_replica(replica, action="abort", clear_configuration=True)
-        for entry in list(self.active.values()):
-            if (
-                entry.placement is not None
-                and entry.placement.candidate.node_id == node_id
-            ):
-                for handle in entry.events:
-                    handle.cancel()
-                entry.events.clear()
+        for entry in _placed_on(self.active.values(), node_id):
+            for handle in entry.events:
+                handle.cancel()
+            entry.events.clear()
         if rejoin_after_s is None:
             return
 
@@ -1000,23 +985,13 @@ class DReAMSim:
                 if node_id not in self._dead_nodes:
                     return  # pragma: no cover - defensive
                 del self._dead_nodes[node_id]
-                victims = [
-                    e
-                    for e in self.active.values()
-                    if e.placement is not None
-                    and e.placement.candidate.node_id == node_id
-                ]
-                for entry in victims:
+                for entry in _placed_on(self.active.values(), node_id):
                     self._fault(
                         entry,
                         reason=f"node {node_id} rebooted",
                         clear_configuration=True,
                     )
-                for rpe in node.rpes:  # power-cycle: residents are gone
-                    for region in rpe.fabric.regions:
-                        if region.configuration is not None:
-                            rpe.fabric.clear(region)
-                    rpe.hosted_softcores.clear()
+                _power_cycle(node)
                 self.metrics.record_node_up(node_id, self.engine.now)
                 if self.monitor is not None:
                     if node_id in self._suspected_targets:
@@ -1058,26 +1033,16 @@ class DReAMSim:
             # wrongly evicted -- the detector's false-positive cost.
             self._false_suspicions += 1
             self.metrics.record_node_down(node_id, now)
-        for replica in self._replicas_on(node_id):
+        for replica in _placed_on(self._replicas.values(), node_id):
             self._abort_replica(replica, action="abort", clear_configuration=True)
-        victims = [
-            e
-            for e in self.active.values()
-            if e.placement is not None
-            and e.placement.candidate.node_id == node_id
-        ]
-        for entry in victims:
+        for entry in _placed_on(self.active.values(), node_id):
             self._fault(
                 entry,
                 reason=f"node {node_id} loss confirmed by heartbeat detector",
                 clear_configuration=True,
             )
         node = self.rms.unregister_node(node_id)
-        for rpe in node.rpes:  # power-cycle: resident configs are gone
-            for region in rpe.fabric.regions:
-                if region.configuration is not None:
-                    rpe.fabric.clear(region)
-            rpe.hosted_softcores.clear()
+        _power_cycle(node)
         if self.health is not None:
             self.health.record_detected_failure(node_id, now)
         self._emit("node-leave", node=node_id, crash=True, detected=True)
@@ -1091,9 +1056,6 @@ class DReAMSim:
             "heartbeat-suspect",
             target=target,
             suspicion=round(self.monitor.suspicion(target, now), 6),
-        )
-        self._telemetry_count(
-            "sim_suspicions_total", "heartbeat suspicions raised"
         )
 
     def _hb_confirm(self, target: object, now: float) -> None:
@@ -1259,9 +1221,6 @@ class DReAMSim:
             node=placement.candidate.node_id,
             reason=reason,
         )
-        self._telemetry_count(
-            "sim_faults_total", "placements destroyed by injected faults"
-        )
         self._health_failure(entry, placement.candidate.node_id)
         entry.attempts += 1
         entry.excluded_nodes.add(placement.candidate.node_id)
@@ -1309,27 +1268,19 @@ class DReAMSim:
         delay = self.retry.backoff_s(max(1, entry.attempts))
         entry.in_backoff = True
         if self.telemetry is not None:
-            self.telemetry.gauge(
-                "sim_tasks_in_backoff", "tasks waiting out a retry backoff"
-            ).inc()
+            self._t_backoff_gauge.inc()
 
         def requeue() -> None:
             entry.in_backoff = False
             if self.telemetry is not None:
-                self.telemetry.gauge(
-                    "sim_tasks_in_backoff", "tasks waiting out a retry backoff"
-                ).dec()
+                self._t_backoff_gauge.dec()
             if entry.discarded or entry.failed:
                 return  # abandoned while waiting out the backoff
             if kind == "retry":
                 self.metrics.record_retry(entry.key, self.engine.now)
-                self._telemetry_count("sim_retries_total", "retry requeues")
                 self._emit("retry", entry.key, attempt=entry.attempts + 1)
             else:
                 self.metrics.record_fallback(entry.key, self.engine.now)
-                self._telemetry_count(
-                    "sim_fallbacks_total", "GPP graceful-degradation fallbacks"
-                )
                 self._emit("fallback", entry.key)
             self.pending.append(entry)
             self.requeues += 1
@@ -1428,10 +1379,6 @@ class DReAMSim:
         if entry.completed or entry.discarded or entry.failed:
             return
         self.metrics.record_deadline_miss(entry.key, self.engine.now, hard=False)
-        self._telemetry_count(
-            "sim_deadline_misses_total", "deadline watchdog firings",
-            deadline="soft",
-        )
         spec = self.resilience.deadlines
         assert spec is not None
         if (
@@ -1462,10 +1409,6 @@ class DReAMSim:
         if entry.completed or entry.discarded or entry.failed:
             return
         self.metrics.record_deadline_miss(entry.key, self.engine.now, hard=True)
-        self._telemetry_count(
-            "sim_deadline_misses_total", "deadline watchdog firings",
-            deadline="hard",
-        )
         reason = f"deadline_exceeded: hard deadline of {budget_s:.3f}s missed"
         if self.active.get(entry.key) is entry and entry.placement is not None:
             self._emit(
@@ -1538,7 +1481,7 @@ class DReAMSim:
         for handle in entry.events:
             handle.cancel()
         entry.events.clear()
-        self._emit_slice_free(entry)
+        self._emit_slice("slice-free", entry)
         self.rms.abort_placement(placement, clear_configuration=clear_configuration)
         return preserved, wasted, slice_seconds
 
@@ -1608,14 +1551,6 @@ class DReAMSim:
             self.metrics.record_checkpoint(
                 entry.key, self.engine.now, overhead_s=spec.overhead_s
             )
-            self._telemetry_count(
-                "sim_checkpoints_total", "progress snapshots taken"
-            )
-            self._telemetry_count(
-                "sim_checkpoint_overhead_seconds_total",
-                "execution seconds spent writing snapshots",
-                spec.overhead_s,
-            )
             self._emit(
                 "checkpoint",
                 entry.key,
@@ -1629,13 +1564,6 @@ class DReAMSim:
     # ------------------------------------------------------------------
     # Adaptive resilience: speculative replicas
     # ------------------------------------------------------------------
-    def _replicas_on(self, node_id: int) -> list[_Entry]:
-        return [
-            r
-            for r in list(self._replicas.values())
-            if r.placement is not None and r.placement.candidate.node_id == node_id
-        ]
-
     def _data_sites_for(self, entry: _Entry) -> dict[int, int] | None:
         sites = {
             data.source_task_id: self._output_sites[(entry.job_id, data.source_task_id)]
@@ -1691,9 +1619,6 @@ class DReAMSim:
         replica.placement = placement
         self._replicas[entry.key] = replica
         self.metrics.record_speculation(entry.key, self.engine.now)
-        self._telemetry_count(
-            "sim_speculations_total", "speculative replicas launched"
-        )
         self._emit(
             "speculate",
             entry.key,
@@ -1701,17 +1626,7 @@ class DReAMSim:
             node=placement.candidate.node_id,
             primary_node=primary_node,
         )
-        if self.tracer is not None and placement.region_id is not None:
-            slices, capacity = self._region_slices(placement)
-            self._emit(
-                "slice-alloc",
-                entry.key,
-                node=placement.candidate.node_id,
-                resource=placement.candidate.resource_id,
-                region=placement.region_id,
-                slices=slices,
-                capacity=capacity,
-            )
+        self._emit_slice("slice-alloc", replica)
         replica.events.append(
             self.engine.schedule(
                 placement.setup_time_s, lambda: self._replica_start(replica)
@@ -1743,7 +1658,7 @@ class DReAMSim:
         for handle in entry.events:
             handle.cancel()
         entry.events.clear()
-        self._emit_slice_free(entry)
+        self._emit_slice("slice-free", entry)
         self.rms.abort_placement(primary_placement, clear_configuration=False)
         if entry.is_probe and self.health is not None:
             # Slow, not faulty: return the probe slot without judgment.
@@ -1795,7 +1710,7 @@ class DReAMSim:
         placement = replica.placement
         if placement is None:  # pragma: no cover - defensive
             return
-        self._emit_slice_free(replica)
+        self._emit_slice("slice-free", replica)
         self.rms.abort_placement(placement, clear_configuration=clear_configuration)
         self.metrics.record_speculation_result(
             replica.key,
@@ -1834,7 +1749,7 @@ class DReAMSim:
         self.metrics.record_arrival(
             entry.key, self.engine.now, task.function, tenant=task.tenant
         )
-        if self.tracer is not None:
+        if self._listening:
             # Priority/tenant ride along only when set, so traces of
             # untagged workloads are byte-identical to pre-overload runs.
             extra: dict[str, object] = {}
@@ -1921,9 +1836,6 @@ class DReAMSim:
         entry.defers += 1
         ctl.deferrals += 1
         self.metrics.record_defer(entry.key, self.engine.now)
-        self._telemetry_count(
-            "sim_deferrals_total", "submissions deferred by backpressure"
-        )
         self._emit(
             "defer",
             entry.key,
@@ -1967,10 +1879,6 @@ class DReAMSim:
         entry.deadline_events.clear()
         ctl.shed += 1
         self.metrics.record_shed(entry.key, self.engine.now, reason=reason)
-        self._telemetry_count(
-            "sim_sheds_total", "submissions shed by overload protection",
-            reason=reason,
-        )
         if self.slo is not None:
             self.slo.observe_error(
                 tenant=entry.task.tenant, priority=entry.task.priority
@@ -2028,11 +1936,6 @@ class DReAMSim:
                 stage=new,
                 depth=len(self.pending),
             )
-            if self.telemetry is not None:
-                self.telemetry.gauge(
-                    "sim_brownout_stage",
-                    "current brownout degradation stage (0 = healthy)",
-                ).set(new)
         if ctl.stage >= 3:
             self._shed_excess()
         at = ctl.next_review()
@@ -2140,10 +2043,6 @@ class DReAMSim:
         entry.fell_back = True
         admission.degraded += 1
         self.metrics.record_degrade(entry.key, self.engine.now)
-        self._telemetry_count(
-            "sim_degrades_total",
-            "low-priority tasks forced to GPP by brownout",
-        )
         self._emit("degrade", entry.key, stage=admission.stage)
 
     def _try_dispatch(self, entry: _Entry) -> bool:
@@ -2211,11 +2110,7 @@ class DReAMSim:
                 else task_required_slices(entry.task)
             ),
         )
-        if self.telemetry is not None:
-            self.telemetry.histogram(
-                "task_wait_seconds", "arrival -> dispatch latency"
-            ).observe(self.engine.now - entry.arrival)
-        if self.tracer is not None:
+        if self._listening:
             self._emit(
                 "dispatch",
                 entry.key,
@@ -2229,17 +2124,7 @@ class DReAMSim:
                 synthesis_time=placement.synthesis_time_s,
                 reconfig_time=placement.reconfig_time_s,
             )
-            if placement.region_id is not None:
-                slices, capacity = self._region_slices(placement)
-                self._emit(
-                    "slice-alloc",
-                    entry.key,
-                    node=placement.candidate.node_id,
-                    resource=placement.candidate.resource_id,
-                    region=placement.region_id,
-                    slices=slices,
-                    capacity=capacity,
-                )
+            self._emit_slice("slice-alloc", entry)
             if placement.reconfig_time_s > 0:
                 self._emit(
                     "reconfigure",
@@ -2255,9 +2140,6 @@ class DReAMSim:
             # or timeout: the task migrated (possibly back, under the
             # starvation guard) carrying its preserved progress.
             self.metrics.record_migration(entry.key, self.engine.now)
-            self._telemetry_count(
-                "sim_migrations_total", "checkpoint-resume migrations"
-            )
             self._emit(
                 "migrate",
                 entry.key,
@@ -2339,7 +2221,7 @@ class DReAMSim:
         self.rms.begin_execution(placement)
         entry.started = True
         self.metrics.record_start(entry.key, self.engine.now)
-        if self.tracer is not None:
+        if self._listening:
             self._emit("start", entry.key, node=placement.candidate.node_id)
         if entry.job_id is not None:
             self.jss.mark_started(
@@ -2382,10 +2264,6 @@ class DReAMSim:
             f"{placement.candidate.kind.value}{placement.candidate.resource_index}"
         )
         self.metrics.record_finish(entry.key, self.engine.now, label)
-        if self.telemetry is not None:
-            self.telemetry.histogram(
-                "task_turnaround_seconds", "arrival -> completion latency"
-            ).observe(self.engine.now - entry.arrival)
         if self.slo is not None:
             self.slo.observe_completion(
                 tenant=entry.task.tenant,
@@ -2404,9 +2282,9 @@ class DReAMSim:
         for handle in entry.deadline_events:
             handle.cancel()
         entry.deadline_events.clear()
-        if self.tracer is not None:
+        if self._listening:
             self._emit("complete", entry.key, node=placement.candidate.node_id)
-            self._emit_slice_free(entry)
+            self._emit_slice("slice-free", entry)
         self.active.pop(entry.key, None)
         self._output_sites[(entry.job_id, entry.task.task_id)] = (
             placement.candidate.node_id

@@ -672,6 +672,14 @@ def evaluate_trace(events, spec: SLOSpec):
     ``shed``/``discard`` abandon, ``retry``/``fallback``/``requeue``
     re-enter).  Returns ``(results, emitted)`` where *emitted* is the
     list of ``(time, kind, payload)`` SLO events the replay produced.
+
+    The depth is sampled once per instant, after the last event at that
+    timestamp, as the live monitor samples it once per dispatch pass:
+    the transient depths inside one pass are never seen, so breach
+    counts and breach seconds match the live run.  The emitted events
+    can still differ: the live monitor also samples on dispatch passes
+    that no trace event marks (a pass that places nothing), and each
+    sample re-evaluates the time-windowed objectives at that instant.
     """
     now = [0.0]
     emitted: list[tuple[float, str, dict]] = []
@@ -687,6 +695,8 @@ def evaluate_trace(events, spec: SLOSpec):
     dispatched_at: dict[object, float] = {}
     in_queue: set[object] = set()
     depth = 0
+    #: A queue transition happened at ``now[0]`` and is not yet sampled.
+    unsampled = False
     horizon = 0.0
 
     def enter(key) -> None:
@@ -702,6 +712,9 @@ def evaluate_trace(events, spec: SLOSpec):
             depth -= 1
 
     for event in events:
+        if unsampled and event.time != now[0]:
+            monitor.observe_queue(depth)
+            unsampled = False
         now[0] = event.time
         horizon = max(horizon, event.time)
         kind, key = event.kind, event.key
@@ -713,19 +726,19 @@ def evaluate_trace(events, spec: SLOSpec):
             )
             if not admission_armed:
                 enter(key)
-            monitor.observe_queue(depth)
+            unsampled = True
         elif kind == "admit":
             enter(key)
-            monitor.observe_queue(depth)
+            unsampled = True
         elif kind == "dispatch":
             leave(key)
             # The latest dispatch, like the live monitor: a retried
             # task's wait runs to the dispatch that completed it.
             dispatched_at[key] = event.time
-            monitor.observe_queue(depth)
+            unsampled = True
         elif kind in ("retry", "fallback", "requeue"):
             enter(key)
-            monitor.observe_queue(depth)
+            unsampled = True
         elif kind == "complete":
             leave(key)
             sub = submits.get(key)
@@ -738,13 +751,15 @@ def evaluate_trace(events, spec: SLOSpec):
                     wait=None if dispatch is None else dispatch - t0,
                     turnaround=event.time - t0,
                 )
-            monitor.observe_queue(depth)
+            unsampled = True
         elif kind in ("shed", "task-failed", "discard"):
             leave(key)
             if kind in ("shed", "task-failed"):
                 sub = submits.get(key)
                 tenant, priority = (sub[1], sub[2]) if sub else ("", 0)
                 monitor.observe_error(tenant=tenant, priority=priority)
-            monitor.observe_queue(depth)
+            unsampled = True
+    if unsampled:
+        monitor.observe_queue(depth)
     monitor.finalize(horizon)
     return monitor.results(horizon), emitted

@@ -15,6 +15,8 @@ scalars; this module adds the time dimension:
   pluggable ``clock`` (the simulator installs ``engine.now``), which
   lets hooks in layers that never see the clock (RMS, JSS, health
   tracker) sample correctly.
+* :class:`TelemetryFold` -- the simulator passes every event it emits
+  to the fold, which owns one table from event kind to instrument.
 * **Span derivation** -- :func:`build_task_spans` and
   :func:`build_node_spans` fold a :class:`~repro.sim.tracing.TraceEvent`
   stream into task-lifecycle spans (queued -> setup -> execute, one
@@ -43,6 +45,7 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from repro.sim.tracing import TraceEvent
 
@@ -55,8 +58,8 @@ DEFAULT_BUCKETS = (0.1, 0.25, 0.5, 1.0, 2.5, 5.0, 10.0, 25.0, 60.0)
 #: Numeric encoding of circuit-breaker states for the breaker gauge.
 BREAKER_STATE_VALUES = {"closed": 0.0, "half-open": 1.0, "open": 2.0}
 
-#: Numeric encoding of the ``control_plane_state`` gauge sampled by
-#: the simulator's failover layer (:mod:`repro.sim.failover`).
+#: Numeric encoding of the ``control_plane_state`` gauge the
+#: :class:`TelemetryFold` sets from the failover layer's events.
 CONTROL_PLANE_STATE_VALUES = {"up": 0.0, "gray": 1.0, "down": 2.0}
 
 
@@ -330,6 +333,116 @@ def load_telemetry(path: str | Path) -> TelemetryRegistry:
         histogram.sum = float(record["sum"])
         histogram.count = int(record["count"])
     return registry
+
+
+# ----------------------------------------------------------------------
+# The event fold: simulator transitions -> instruments
+# ----------------------------------------------------------------------
+
+class Series(NamedTuple):
+    """An instrument the fold drives, and the payload field labelling it."""
+
+    name: str
+    help: str
+    label: str | None = None
+
+
+#: Event kind -> the counter each event moves by one (``speculate``
+#: only on ``action="launch"``).
+EVENT_COUNTERS: dict[str, Series] = {
+    "defer": Series("sim_deferrals_total", "submissions deferred by backpressure"),
+    "shed": Series("sim_sheds_total", "submissions shed by overload protection", "reason"),
+    "degrade": Series("sim_degrades_total", "low-priority tasks forced to GPP by brownout"),
+    "migrate": Series("sim_migrations_total", "checkpoint-resume migrations"),
+    "retry": Series("sim_retries_total", "retry requeues"),
+    "fallback": Series("sim_fallbacks_total", "GPP graceful-degradation fallbacks"),
+    "fault": Series("sim_faults_total", "placements destroyed by injected faults"),
+    "timeout": Series("sim_deadline_misses_total", "deadline watchdog firings", "deadline"),
+    "checkpoint": Series("sim_checkpoints_total", "progress snapshots taken"),
+    "speculate": Series("sim_speculations_total", "speculative replicas launched"),
+    "heartbeat-suspect": Series("sim_suspicions_total", "heartbeat suspicions raised"),
+    "rms-crash": Series("sim_rms_crashes_total", "primary RMS process crashes"),
+    "rms-gray": Series("sim_rms_gray_total", "primary RMS gray-failure episodes"),
+    "failover-complete": Series("sim_failovers_total", "standby promotions to primary"),
+    "orphan-recovered": Series(
+        "sim_orphans_total", "orphaned placements recovered into the queue"
+    ),
+}
+#: Each ``checkpoint`` also adds the run's per-snapshot overhead.
+CHECKPOINT_OVERHEAD = Series(
+    "sim_checkpoint_overhead_seconds_total", "execution seconds spent writing snapshots"
+)
+#: Observed at ``dispatch`` / ``complete``, from the key's ``submit``.
+TASK_WAIT = Series("task_wait_seconds", "arrival -> dispatch latency")
+TASK_TURNAROUND = Series("task_turnaround_seconds", "arrival -> completion latency")
+#: The two event-driven gauges: the stage of each ``brownout`` event,
+#: and the state (CONTROL_PLANE_STATE_VALUES) each control-plane event sets.
+BROWNOUT_STAGE = Series(
+    "sim_brownout_stage", "current brownout degradation stage (0 = healthy)"
+)
+CONTROL_PLANE_STATE = Series("control_plane_state", "0 = up, 1 = gray, 2 = down")
+CONTROL_PLANE_EVENTS = {
+    "rms-crash": 2.0, "rms-gray": 1.0, "rms-restore": 0.0, "failover-complete": 0.0
+}
+#: The kinds the fold reads besides submit, dispatch and complete; the
+#: rest (start, slice-alloc, ...) pass by.
+FOLDED_KINDS = frozenset(EVENT_COUNTERS).union(
+    CONTROL_PLANE_EVENTS, ("task-failed", "discard", "brownout")
+)
+
+
+class TelemetryFold:
+    """Folds the simulator's event stream into a registry, as
+    ``EVENT_COUNTERS`` and the other ``Series`` constants say.
+    Instruments are created at their first event and cached per (name,
+    label value).  ``brownout`` / ``control_plane`` seed their
+    gauge at 0 for layers armed from the start; ``checkpoint_overhead_s``
+    is the run's ``CheckpointSpec.overhead_s``."""
+
+    def __init__(self, registry: TelemetryRegistry, *, brownout: bool = False,
+                 control_plane: bool = False, checkpoint_overhead_s: float = 0.0):
+        self.registry = registry
+        self.checkpoint_overhead_s = checkpoint_overhead_s
+        self._cache: dict[object, Instrument] = {}
+        #: Task key -> submit time, dropped at the key's terminal event.
+        self._submitted: dict[object, float] = {}
+        if brownout:
+            self._get(registry.gauge, BROWNOUT_STAGE).set(0)
+        if control_plane:
+            self._get(registry.gauge, CONTROL_PLANE_STATE).set(0)
+
+    def _get(self, factory, series: Series, label: object = None):
+        key = series.name if series.label is None else (series.name, label)
+        instrument = self._cache.get(key)
+        if instrument is None:
+            labels = {series.label: label} if series.label is not None else {}
+            instrument = self._cache[key] = factory(series.name, series.help, **labels)
+        return instrument
+
+    def observe(self, kind: str, key: object, payload: dict) -> None:
+        """Fold one event into the instruments its kind drives."""
+        registry = self.registry
+        if kind == "submit":
+            self._submitted[key] = registry.clock()
+        elif kind == "dispatch":
+            wait = registry.clock() - self._submitted[key]
+            self._get(registry.histogram, TASK_WAIT).observe(wait)
+        elif kind == "complete":
+            turnaround = registry.clock() - self._submitted.pop(key)
+            self._get(registry.histogram, TASK_TURNAROUND).observe(turnaround)
+        elif kind in FOLDED_KINDS:
+            counter = EVENT_COUNTERS.get(kind)
+            if counter is not None and (kind != "speculate" or payload["action"] == "launch"):
+                label = payload[counter.label] if counter.label is not None else None
+                self._get(registry.counter, counter, label).inc()
+            if kind in CONTROL_PLANE_EVENTS:
+                self._get(registry.gauge, CONTROL_PLANE_STATE).set(CONTROL_PLANE_EVENTS[kind])
+            elif kind in ("task-failed", "discard", "shed"):
+                self._submitted.pop(key, None)
+            elif kind == "checkpoint":
+                self._get(registry.counter, CHECKPOINT_OVERHEAD).inc(self.checkpoint_overhead_s)
+            elif kind == "brownout":
+                self._get(registry.gauge, BROWNOUT_STAGE).set(payload["stage"])
 
 
 # ----------------------------------------------------------------------

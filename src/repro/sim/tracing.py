@@ -37,6 +37,7 @@ golden-trace regression tests pin down.
 from __future__ import annotations
 
 import json
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -116,9 +117,21 @@ class TraceEvent:
 
     @classmethod
     def from_json(cls, line: str) -> "TraceEvent":
+        """Parse one JSONL record; ``ValueError`` unless it is an object
+        with a finite real ``t`` and a non-empty string ``kind``."""
         data = json.loads(line)
-        time = data.pop("t")
-        kind = data.pop("kind")
+        if not isinstance(data, dict):
+            raise ValueError(f"expected a JSON object, got {type(data).__name__}")
+        time = data.pop("t", None)
+        if (
+            not isinstance(time, (int, float))
+            or isinstance(time, bool)
+            or not math.isfinite(time)
+        ):
+            raise ValueError(f"'t' must be a finite number, got {time!r}")
+        kind = data.pop("kind", None)
+        if not isinstance(kind, str) or not kind:
+            raise ValueError(f"'kind' must be a non-empty string, got {kind!r}")
         key = _tuple_key(data.pop("key", None))
         return cls(time=time, kind=kind, key=key, payload=data)
 
@@ -189,13 +202,17 @@ class JsonlSink(TraceSink):
 
 
 def read_jsonl(path: str | Path) -> list[TraceEvent]:
-    """Load a JSONL trace back into events (keys re-tupled)."""
+    """Load a JSONL trace back into events (keys re-tupled).  A
+    malformed record raises ``ValueError`` naming its line number."""
     out = []
     with Path(path).open(encoding="ascii") as fh:
-        for line in fh:
+        for number, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
-                out.append(TraceEvent.from_json(line))
+                try:
+                    out.append(TraceEvent.from_json(line))
+                except ValueError as exc:
+                    raise ValueError(f"line {number}: {exc}") from None
     return out
 
 

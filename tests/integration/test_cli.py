@@ -249,6 +249,39 @@ class TestNonFiniteObjectives:
         assert "must be finite" in capsys.readouterr().err
 
 
+class TestMalformedTraceLines:
+    """``report``, ``slo`` and ``analyze`` reject a malformed trace line
+    with exit 2 and the line's number, never a traceback or a NaN."""
+
+    CASES = [
+        ('{"t": 1.0, "key": 1}', "line 2: 'kind' must be a non-empty string"),
+        ('{"t": "x", "kind": "submit", "key": 1}', "line 2: 't' must be a finite number"),
+        ('{"t": NaN, "kind": "submit", "key": 1}', "line 2: 't' must be a finite number"),
+    ]
+
+    @pytest.mark.parametrize("command", ["report", "slo", "analyze"])
+    @pytest.mark.parametrize("line, message", CASES)
+    def test_exit_2(self, tmp_path, capsys, command, line, message):
+        from repro.sim.telemetry import TelemetryRegistry
+
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text(
+            '{"t": 0.0, "kind": "submit", "key": 0}\n' + line + "\n",
+            encoding="ascii",
+        )
+        if command == "report":
+            telemetry = tmp_path / "t.json"
+            TelemetryRegistry().write_json(telemetry)
+            argv = ["report", str(telemetry), str(trace),
+                    "-o", str(tmp_path / "r.html")]
+        else:
+            argv = [command, str(trace)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"repro {command}: error:" in err
+        assert message in err and "Traceback" not in err
+
+
 class TestChaos:
     def test_recovery_table(self, capsys):
         assert main(["chaos", "--tasks", "20", "--seed", "3",

@@ -278,11 +278,7 @@ def test_arithmetic_pricing_matches_fresh_quotes(grid, fields, data):
 
     # Inside a plan: every memoized estimate, and the chosen placement,
     # equal fresh quotes.
-    strategies = STRATEGIES
-    if task.exec_req.node_type is PEClass.GPU:
-        # BestFitAreaScheduler reads a GPU candidate as an RPE (KeyError).
-        strategies = tuple(s for s in STRATEGIES if s is not BestFitAreaScheduler)
-    recorder = Recording(draw(st.sampled_from(strategies))())
+    recorder = Recording(draw(st.sampled_from(STRATEGIES))())
     grid.scheduler = recorder
     try:
         placement = grid.plan_placement(task, data_sites=data_sites)

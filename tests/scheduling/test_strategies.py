@@ -9,6 +9,7 @@ from repro.grid.rms import ResourceManagementSystem
 from repro.hardware.bitstream import Bitstream
 from repro.hardware.catalog import device_by_model
 from repro.hardware.gpp import GPPSpec
+from repro.hardware.gpu import GPUSpec
 from repro.hardware.taxonomy import PEClass
 from repro.scheduling import (
     ALL_STRATEGIES,
@@ -120,6 +121,24 @@ class TestBestFitArea:
     def test_defers_when_nothing_fits(self):
         scheduler = BestFitAreaScheduler()
         assert scheduler.choose(hw_task(), [], None) is None
+
+    def test_picks_fastest_gpu(self):
+        """A GPU candidate is ranked by peak GFLOPS, not read as an RPE
+        (which raised KeyError: the node has no RPE with its id)."""
+        rms = ResourceManagementSystem(scheduler=BestFitAreaScheduler())
+        for node_id, cores in ((0, 240), (1, 480), (2, 120)):
+            node = Node(node_id=node_id, name=f"Node_{node_id}")
+            node.add_gpp(GPPSpec(cpu_model="cpu", mips=2_000))
+            node.add_gpu(GPUSpec(model=f"gpu{cores}", shader_cores=cores))
+            rms.register_node(node)
+        task = simple_task(
+            0,
+            ExecReq(node_type=PEClass.GPU, artifacts=Artifacts(application_code="x")),
+            1.0,
+        )
+        placement = rms.plan_placement(task)
+        assert placement.candidate.kind is PEClass.GPU
+        assert placement.candidate.node_id == 1  # 480 shader cores
 
 
 class TestHybridCost:

@@ -433,6 +433,71 @@ def chaos_tenant_spec(engine="heap"):
     )
 
 
+def flash_crowd_spec(seed=2, tasks=400):
+    """A 4x surge against a brownout controller, with a queue-depth
+    objective the surge breaches."""
+    from repro.sim.admission import AdmissionSpec, BrownoutSpec, QueueBoundSpec
+    from repro.sim.experiment import ExperimentSpec, NodeSpec
+
+    return ExperimentSpec(
+        tasks=tasks,
+        nodes=(
+            NodeSpec(gpps=1, gpp_mips=2_000, rpe_models=("XC5VLX330",),
+                     regions_per_rpe=3),
+            NodeSpec(gpps=1, gpp_mips=1_500, rpe_models=("XC5VLX155",),
+                     regions_per_rpe=2),
+        ),
+        gpp_fraction=0.4,
+        seed=seed,
+        flash_crowd=(20.0, 400.0, 4.0),
+        low_priority_fraction=0.3,
+        tenants=3,
+        admission=AdmissionSpec(
+            queue=QueueBoundSpec(max_pending=256),
+            brownout=BrownoutSpec(enter_pending=128, exit_pending=32, dwell_s=1.0),
+        ),
+        slo=SLOSpec(objectives=(
+            SLOObjective("latency", 1.5, percentile=95.0, window_s=10.0),
+            SLOObjective("queue-depth", 64.0, window_s=10.0),
+            SLOObjective("availability", 0.99, window_s=10.0),
+            SLOObjective("latency", 2.0, percentile=90.0, window_s=10.0,
+                         tenant="tenant0"),
+        )),
+    )
+
+
+class TestReplayMatchesLive:
+    """``evaluate_trace`` over a run's trace reaches the live monitor's
+    breach counts and breach seconds, objective by objective: the
+    replay samples the queue depth once per instant, as the live
+    monitor samples it once per dispatch pass."""
+
+    @pytest.mark.parametrize("scenario", ["chaos", "flash-crowd"])
+    def test_breaches_agree(self, scenario):
+        from repro.sim.experiment import _build
+        from repro.sim.tracing import InMemorySink, Tracer
+
+        spec = (
+            chaos_tenant_spec().with_(slo=SLOSpec(objectives=ARMED_SPEC_OBJECTIVES))
+            if scenario == "chaos"
+            else flash_crowd_spec()
+        )
+        sink = InMemorySink()
+        sim, workload = _build(spec, tracer=Tracer(sink))
+        sim.submit_workload_columns(workload.generate_columns())
+        sim.run()
+        replayed, _ = evaluate_trace(list(sink.events), spec.slo)
+        live = sim.metrics.slo_results
+        assert [r.name for r in replayed] == [r.name for r in live]
+        queue = next(r for r in live if r.kind == "queue-depth")
+        assert queue.breach_count > 0  # the case the replay used to over-count
+        for ours, theirs in zip(replayed, live):
+            assert ours.breach_count == theirs.breach_count, ours.name
+            assert ours.breach_seconds == pytest.approx(
+                theirs.breach_seconds, abs=1e-9
+            ), ours.name
+
+
 class TestSimulatorIntegration:
     def test_report_and_telemetry_carry_slo_results(self):
         from repro.sim.experiment import run_experiment

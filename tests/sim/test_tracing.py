@@ -1,5 +1,7 @@
 """Tests for the structured trace layer: events, sinks, invariants."""
 
+import re
+
 import pytest
 
 from repro.core.node import Node
@@ -54,6 +56,41 @@ class TestTraceEvent:
                            payload={"function": "f", "pe_class": "RPE"})
         assert event.to_json() == event.to_json()
         assert '"kind": "submit"' in event.to_json()
+
+
+MALFORMED_RECORDS = [
+    ('[1, 2]', "expected a JSON object, got list"),
+    ('{"t": 1.0, "key": 1}', "'kind' must be a non-empty string, got None"),
+    ('{"t": 1.0, "kind": ""}', "'kind' must be a non-empty string, got ''"),
+    ('{"t": 1.0, "kind": 7}', "'kind' must be a non-empty string, got 7"),
+    ('{"kind": "submit"}', "'t' must be a finite number, got None"),
+    ('{"t": "x", "kind": "submit"}', "'t' must be a finite number, got 'x'"),
+    ('{"t": NaN, "kind": "submit"}', "'t' must be a finite number, got nan"),
+    ('{"t": Infinity, "kind": "submit"}', "'t' must be a finite number, got inf"),
+    ('{"t": true, "kind": "submit"}', "'t' must be a finite number, got True"),
+]
+
+
+class TestMalformedRecords:
+    """A trace line that is not an event fails with ValueError, never a
+    KeyError, a TypeError later on, or a silent NaN timestamp."""
+
+    @pytest.mark.parametrize("line, message", MALFORMED_RECORDS)
+    def test_from_json_rejects(self, line, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TraceEvent.from_json(line)
+
+    def test_integer_time_accepted(self):
+        assert TraceEvent.from_json('{"t": 2, "kind": "submit"}').time == 2
+
+    @pytest.mark.parametrize("line, message", MALFORMED_RECORDS)
+    def test_read_jsonl_names_the_line(self, tmp_path, line, message):
+        path = tmp_path / "bad.jsonl"
+        good = TraceEvent(time=0.0, kind="submit", key=1).to_json()
+        path.write_text(f"{good}\n\n{line}\n", encoding="ascii")
+        with pytest.raises(ValueError) as exc:
+            read_jsonl(path)
+        assert str(exc.value) == f"line 3: {message}"
 
 
 class TestSinks:
