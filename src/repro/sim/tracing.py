@@ -317,8 +317,9 @@ class TraceInvariantChecker(TraceSink):
       device capacity, frees match their allocs, and a departing node
       has no live allocations left (its victims were requeued first).
     * **Reuse accounting** -- a dispatch flagged ``reused`` pays zero
-      reconfiguration time and names a function previously placed (and
-      not since evicted) in that exact region.
+      reconfiguration time and names a function previously loaded (by a
+      non-reused dispatch or a ``reconfigure``, and not since evicted)
+      in that exact region.
     * **Fault lifecycle** -- ``fault`` only hits a dispatched/started
       task; ``retry`` / ``fallback`` / ``task-failed`` only follow a
       fault; terminal states (completed / discarded / failed) are never
@@ -462,6 +463,15 @@ class TraceInvariantChecker(TraceSink):
                     )
             elif function:
                 self._resident[place] = function
+
+    def _on_reconfigure(self, event: TraceEvent) -> None:
+        # A load makes its function resident even without a dispatch
+        # event: a speculative replica emits none.
+        payload = event.payload
+        function = payload.get("function", "")
+        if payload.get("region") is not None and function:
+            place = (payload.get("node"), payload.get("resource"), payload["region"])
+            self._resident[place] = function
 
     def _on_start(self, event: TraceEvent) -> None:
         self._expect_state(event, _DISPATCHED)

@@ -330,7 +330,7 @@ FOLDED = {
 def _telemetry_crc(spec, *, traced: bool = False) -> tuple[str, dict]:
     """CRC-32 of a run's registry dump without ``meta``, and the dump."""
     telemetry = TelemetryRegistry()
-    tracer = Tracer(InMemorySink()) if traced else None
+    tracer = Tracer.with_invariants() if traced else None
     run_experiment(spec, tracer=tracer, telemetry=telemetry)
     dump = {k: v for k, v in telemetry.to_json().items() if k != "meta"}
     return f"{zlib.crc32(json.dumps(dump, sort_keys=True).encode()):08x}", dump
@@ -363,9 +363,6 @@ class TestTelemetryPins:
 
     @pytest.mark.parametrize("scenario", ["chaos", "flash"])
     def test_registry_identical_with_and_without_tracer(self, scenario):
-        # No invariant checker: a speculative replica that loads its
-        # region emits no ``reconfigure`` event, so the checker rejects
-        # a later reuse of that region on the chaos spec.
         spec = self.SPECS[scenario]
         assert _telemetry_crc(spec)[1] == _telemetry_crc(spec, traced=True)[1]
 
