@@ -1417,6 +1417,19 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"--rate must be finite and positive, got {rate:g}")
     if getattr(args, "tenants", None) is not None and args.tenants < 1:
         parser.error("--tenants must be >= 1")
+    # The sequence generators and the gates would otherwise fail deep in
+    # the run (a traceback) or quietly (a gate that can never pass, a
+    # table that silently drops its last row).
+    if getattr(args, "family_size", None) is not None and args.family_size < 2:
+        parser.error("--family-size must be >= 2")
+    if getattr(args, "length", None) is not None and args.length < 1:
+        parser.error("--length must be >= 1")
+    if getattr(args, "fasta", None) and not Path(args.fasta).is_file():
+        parser.error(f"--fasta file does not exist: {args.fasta}")
+    for count in ("top", "exemplars", "max_lost", "max_queue"):
+        value = getattr(args, count, None)
+        if value is not None and value < 0:
+            parser.error(f"--{count.replace('_', '-')} must be >= 0")
     if hasattr(args, "breaker"):
         args.resilience = _resilience_from_args(parser, args)
     if hasattr(args, "admission"):

@@ -136,6 +136,32 @@ class TestRunSizeValidation:
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["casestudy", "--family-size", "0"], "--family-size must be >= 2"),
+        (["casestudy", "--family-size", "1"], "--family-size must be >= 2"),
+        (["casestudy", "--length", "-1"], "--length must be >= 1"),
+        (["clustalw", "--family-size", "0"], "--family-size must be >= 2"),
+        (["clustalw", "--family-size", "1"], "--family-size must be >= 2"),
+        (["clustalw", "--length", "0"], "--length must be >= 1"),
+        (["clustalw", "--fasta", "/nonexistent/in.fasta"], "--fasta file does not exist"),
+        (["analyze", "t.jsonl", "--top", "-1"], "--top must be >= 0"),
+        (["analyze", "t.jsonl", "--exemplars", "-1"], "--exemplars must be >= 0"),
+        (["chaos", "--max-lost", "-1"], "--max-lost must be >= 0"),
+        (["overload", "--max-queue", "-1"], "--max-queue must be >= 0"),
+    ],
+)
+def test_bad_sizes_and_gates_exit_2(capsys, argv, message):
+    """Values a generator would reject with a traceback, or a gate or
+    table would take silently, die at the parser."""
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "field, values",
     [("discard_after_s", "1.0,nan"), ("discard_after_s", "inf"),
      ("seed", "-1"), ("configurations", "0")],
