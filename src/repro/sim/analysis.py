@@ -281,9 +281,6 @@ class RunAnalysis:
                 totals[p] += ledger.phases[p]
         return totals
 
-    def bucket_keys(self, bucket: str) -> list[object]:
-        return [l.key for l in self.exemplar_pool(bucket)]
-
     def exemplar_pool(self, bucket: str) -> list[TaskLedger]:
         """Every completed task inside a percentile bucket (the
         exemplars are the k worst of this pool)."""
