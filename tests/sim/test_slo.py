@@ -14,6 +14,7 @@ workload -> trace -> metrics -> report, pinned reports), and the
 
 import json
 import math
+import struct
 import zlib
 from dataclasses import asdict
 from pathlib import Path
@@ -299,6 +300,50 @@ class TestWindowValueCache:
                 if state.window_value is not _STALE:
                     assert state.window_value == expected
                 assert state.current_value(clock["now"]) == expected
+
+
+class TestSortedLatencyWindow:
+    """A latency window keeps its values sorted across adds and prunes,
+    so its percentile is bit-equal to sorting the live samples again."""
+
+    @staticmethod
+    def bits(value):
+        return None if value is None else struct.pack("<d", value)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        percentile=st.floats(0.0, 100.0, exclude_min=True, exclude_max=True),
+        window=st.sampled_from([0.5, 1.0, 3.0]),
+        stream=st.lists(
+            st.tuples(
+                st.floats(min_value=0.0, max_value=2.0),
+                # Few distinct values: ties (and a signed zero) are the
+                # cases a sorted window can get wrong.
+                st.one_of(
+                    st.sampled_from([0.0, -0.0, 1.0, 2.5]),
+                    st.floats(allow_nan=False, allow_infinity=False),
+                ),
+                st.booleans(),
+            ),
+            max_size=60,
+        ),
+    )
+    def test_window_value_is_the_sorted_percentile(self, percentile, window, stream):
+        from repro.sim.slo import _ObjectiveState
+
+        state = _ObjectiveState(
+            SLOObjective("latency", 1.0, percentile=percentile, window_s=window)
+        )
+        now = 0.0
+        for gap, value, prune in stream:
+            now += gap
+            state.add((now, value))
+            if prune:
+                state._prune(now)
+            live = [v for _, v in state.samples]
+            assert state.ordered == sorted(live)
+            expected = _percentile(sorted(live), percentile)
+            assert self.bits(state.current_value(now)) == self.bits(expected)
 
 
 class TestSettledQueueSamples:
