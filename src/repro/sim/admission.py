@@ -337,15 +337,11 @@ class AdmissionController:
     # ------------------------------------------------------------------
     # Placement gate (called by the RMS ahead of matchmaking)
     # ------------------------------------------------------------------
-    def gates_placement(self, nodes) -> bool:
-        """True when the utilization policy vetoes matchmaking now."""
+    def saturated(self, nodes) -> bool:
+        """True when the utilization policy vetoes matchmaking now (the
+        RMS counts each vetoed request in ``placements_gated``)."""
         util = self.spec.utilization
-        if util is None:
-            return False
-        if grid_occupancy(nodes) >= util.threshold:
-            self.placements_gated += 1
-            return True
-        return False
+        return util is not None and grid_occupancy(nodes) >= util.threshold
 
     # ------------------------------------------------------------------
     # Brownout controller

@@ -1,14 +1,17 @@
 """Matchmaking work gate: a seeded flash crowd matches each blocked
-requirement once per dispatch round.
+requirement once per dispatch round, and a pass looks only at what the
+grid can place.
 
 Under a surge the pending queue holds hundreds of tasks that share a
-handful of requirements, and every dispatch pass re-offers all of them.
-The RMS's round memo answers a requirement that already found no
-candidate in this pass without matching it again, until the next
-commit changes the grid.  This test counts the work on a seeded
-flash-crowd run; a count is deterministic, so the gate cannot flake
-the way a wall-clock tolerance does, and it fails as soon as per-task
-rescans or per-entry placement requests come back.
+handful of requirements.  The RMS's round memo answers a requirement
+that already found no candidate in this pass without matching it
+again, until the next commit changes the grid.  The pending queue
+groups entries by that requirement, skips a declined group at once,
+and after a pass in which nothing was released offers only the
+newcomers.  This test counts the work on a seeded flash-crowd run; a
+count is deterministic, so the gate cannot flake the way a wall-clock
+tolerance does, and it fails as soon as per-task rescans, per-entry
+placement requests or per-entry visits come back.
 """
 
 import json
@@ -60,10 +63,11 @@ def requirement(task, exclude_nodes) -> tuple:
 
 @pytest.fixture
 def work(monkeypatch):
-    """Counts placement requests and candidate scans, and logs
-    (round epoch, match key) for every scan that found nothing; the
+    """Counts placement requests, candidate scans and what the pass
+    examines (offers, round-memo lookups, brownout rewrite checks), and
+    logs (round epoch, match key) for every scan that found nothing; the
     epoch advances on every dispatch pass and every commit."""
-    counts = {"plans": 0, "scans": 0}
+    counts = {"plans": 0, "scans": 0, "offers": 0, "lookups": 0, "rewrites": 0}
     empty: list[tuple[int, tuple]] = []
     epoch = [0]
     excluded = [None]
@@ -71,6 +75,8 @@ def work(monkeypatch):
     real_scan = ResourceManagementSystem.find_candidates
     real_commit = ResourceManagementSystem.commit
     real_pass = DReAMSim._dispatch_pending
+    real_offer = DReAMSim._try_dispatch
+    real_rewrite = DReAMSim._degrade_low_priority
 
     def plan(self, task, **kwargs):
         counts["plans"] += 1
@@ -92,10 +98,42 @@ def work(monkeypatch):
         epoch[0] += 1
         return real_pass(self)
 
+    def offer(self, entry):
+        counts["offers"] += 1
+        return real_offer(self, entry)
+
+    def rewrite(self, entry):
+        counts["rewrites"] += 1
+        return real_rewrite(self, entry)
+
+    class CountingMemo:
+        """The round memo, counting membership tests."""
+
+        def __init__(self, rms):
+            self.rms = rms
+
+        def _keys(self):
+            return self.rms._infeasible or frozenset()
+
+        def __contains__(self, key):
+            counts["lookups"] += 1
+            return key in self._keys()
+
+        def __bool__(self):
+            return bool(self._keys())
+
+        def __len__(self):
+            return len(self._keys())
+
     monkeypatch.setattr(ResourceManagementSystem, "plan_placement", plan)
     monkeypatch.setattr(ResourceManagementSystem, "find_candidates", scan)
     monkeypatch.setattr(ResourceManagementSystem, "commit", commit)
     monkeypatch.setattr(DReAMSim, "_dispatch_pending", dispatch_pass)
+    monkeypatch.setattr(DReAMSim, "_try_dispatch", offer)
+    monkeypatch.setattr(DReAMSim, "_degrade_low_priority", rewrite)
+    monkeypatch.setattr(
+        ResourceManagementSystem, "declined_keys", property(CountingMemo)
+    )
     return counts, empty
 
 
@@ -107,12 +145,15 @@ def test_flash_crowd_matches_each_blocked_requirement_once_per_round(work):
     assert empty  # some requirements really were blocked
     # No requirement came back empty twice between two grid changes.
     assert len(empty) == len(set(empty))
-    # The queue is re-offered every pass.  An entry whose requirement
-    # the memo already declined never reaches plan_placement (38.6
-    # requests per task before that skip, 3.5 with it), and the memo
-    # holds the scans to 1,410.
-    assert counts["plans"] <= 4 * 400
+    # The memo holds the scans to 1,410.
     assert counts["scans"] <= 1_410
+    # Re-offering every entry on every pass made 38.6 visits, 36.5 memo
+    # lookups, 6.4 brownout rewrite checks and 3.5 placement requests
+    # per task.  Group skips and newcomer-only passes after nothing was
+    # released make 2.2 requests, 1.4 lookups and 0.2 checks.
+    assert counts["plans"] <= 3 * 400
+    examined = counts["offers"] + counts["lookups"] + counts["rewrites"]
+    assert examined <= 8 * 400
 
 
 def test_skipped_declines_move_the_counters_they_would_have():
