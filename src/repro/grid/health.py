@@ -153,7 +153,10 @@ class HealthTracker:
     def register_node(self, node_id: int) -> NodeHealth:
         """Idempotent: a rejoining node keeps its history (a node that
         crashed its way into quarantine stays quarantined)."""
-        return self._nodes.setdefault(node_id, NodeHealth(node_id))
+        health = self._nodes.get(node_id)
+        if health is None:
+            health = self._nodes[node_id] = NodeHealth(node_id)
+        return health
 
     def node(self, node_id: int) -> NodeHealth:
         return self.register_node(node_id)
@@ -194,9 +197,14 @@ class HealthTracker:
 
     def blocked_nodes(self, now: float) -> set[int]:
         """Nodes excluded from matchmaking at *now* (OPEN breakers plus
-        HALF_OPEN breakers whose probe quota is exhausted)."""
+        HALF_OPEN breakers whose probe quota is exhausted).  A CLOSED
+        breaker neither blocks nor moves lazily, so it is skipped before
+        any per-node call."""
+        closed = BreakerState.CLOSED
         return {
-            node_id for node_id in self._nodes if self.is_blocked(node_id, now)
+            node_id
+            for node_id, health in self._nodes.items()
+            if health.state is not closed and self.is_blocked(node_id, now)
         }
 
     # ------------------------------------------------------------------

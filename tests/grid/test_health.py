@@ -140,6 +140,43 @@ class TestTripAndQuarantine:
         assert tracker.state(0, 10.5) is BreakerState.HALF_OPEN
 
 
+class TestBlockedNodes:
+    def test_open_breaker_half_opens_through_blocked_nodes(self):
+        """``blocked_nodes`` skips CLOSED breakers without per-node
+        work, but an OPEN one past its window still turns HALF_OPEN
+        there and samples the breaker gauge exactly once."""
+        samples = []
+
+        class Gauge:
+            def __init__(self, node):
+                self.node = node
+
+            def set(self, value):
+                samples.append((self.node, value))
+
+        class Telemetry:
+            def gauge(self, name, help, *, node):
+                assert name == "node_breaker_state"
+                return Gauge(node)
+
+        tracker = make_tracker(open_duration_s=10.0)
+        tracker.register_node(1)
+        trip(tracker, node_id=0, now=0.0)
+        trip(tracker, node_id=2, now=5.0)
+        tracker.telemetry = Telemetry()
+        assert tracker.blocked_nodes(9.0) == {0, 2}
+        assert samples == []
+        # Node 0's window is over: half-open with a free probe slot.
+        assert tracker.blocked_nodes(10.0) == {2}
+        assert tracker.node(0).state is BreakerState.HALF_OPEN
+        half_open = HealthTracker.STATE_VALUES[BreakerState.HALF_OPEN]
+        assert samples == [(0, half_open)]
+        tracker.note_probe(0)
+        assert list(tracker.blocked_nodes(11.0)) == [0, 2]
+        assert samples == [(0, half_open)]
+        assert tracker.node(1).state is BreakerState.CLOSED
+
+
 class TestAccounting:
     def test_quarantine_time_spans_open_and_half_open(self):
         tracker = make_tracker(open_duration_s=10.0, close_after=1)
