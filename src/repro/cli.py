@@ -1120,9 +1120,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rate", type=float, default=2.0, help="Poisson arrivals/s")
     p.add_argument("--configurations", type=int, default=8)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--engine", choices=("heap", "calendar"), default="heap",
+    p.add_argument("--engine", choices=("heap", "calendar"), default="calendar",
                    help="event-queue implementation (identical behavior; "
-                        "calendar is faster at scale)")
+                        "heap is the reference the tests compare against)")
     p.add_argument("--energy", action="store_true", help="print the energy audit")
     p.add_argument("--replications", type=int, default=1, help="run N seeds and report mean +/- std")
     p.add_argument("--trace", metavar="PATH",
@@ -1333,7 +1333,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tasks", type=int, default=200)
     p.add_argument("--rate", type=float, default=2.0, help="Poisson arrivals/s")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--engine", choices=("heap", "calendar"), default="heap")
+    p.add_argument("--engine", choices=("heap", "calendar"), default="calendar",
+                   help="event-queue implementation (live mode; "
+                        "identical behavior, heap is the reference)")
     p.add_argument("--faults", choices=fault_presets, default=None,
                    help="inject a named fault scenario (live mode)")
     p.add_argument("--tenants", type=int, default=1, metavar="N",

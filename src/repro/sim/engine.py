@@ -29,8 +29,9 @@ Two interchangeable event loops live here:
   golden byte-identity lock pin this.
 
 Both engines expose the same API; :func:`make_engine` picks one by
-name.  The heap engine stays the default until a spec opts in via
-``ExperimentSpec(engine="calendar")``.
+name.  The calendar engine runs every simulation by default; the heap
+engine is selected only with ``engine="heap"`` and serves as the
+oracle the differential tests compare the calendar engine against.
 """
 
 from __future__ import annotations
@@ -62,8 +63,10 @@ class EventHandle:
 
 
 class SimulationEngine:
-    """The reference binary-heap event loop.
+    """The reference binary-heap event loop: the differential oracle.
 
+    Runs select it only with ``engine="heap"``; the differential tests
+    replay every program on it and on :class:`CalendarQueueEngine`.
     ``now`` only moves forward; callbacks may schedule further events.
     """
 
@@ -200,8 +203,8 @@ _MAX_BUCKETS = 1 << 16
 
 
 class CalendarQueueEngine:
-    """Calendar-queue + slab event loop; drop-in replacement for
-    :class:`SimulationEngine`.
+    """Calendar-queue + slab event loop; the default engine, firing
+    events in exactly :class:`SimulationEngine`'s order.
 
     An event at time *t* has absolute day number ``int(t / width)`` and
     lives in bucket ``day % nbuckets``; one lap of the calendar (a

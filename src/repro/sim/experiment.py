@@ -107,12 +107,13 @@ class ExperimentSpec:
     #: None of its mechanisms draws randomness, so enabling it never
     #: perturbs the seeded workload or fault streams.
     resilience: ResilienceSpec | None = None
-    #: Discrete-event scheduler: ``"heap"`` (the default binary heap)
-    #: or ``"calendar"`` (the O(1) calendar queue for scale runs).
-    #: Both produce identical event orders -- locked by differential
-    #: property tests and the golden byte-identity suite -- so this is
-    #: purely a performance knob.
-    engine: str = "heap"
+    #: Discrete-event scheduler: ``"calendar"`` (the default O(1)
+    #: calendar queue) or ``"heap"`` (the reference binary heap, kept
+    #: as the oracle of the differential tests).  Both produce
+    #: identical event orders -- locked by differential property tests
+    #: and the golden byte-identity suite -- so this is purely a
+    #: performance knob.
+    engine: str = "calendar"
     #: Overload protection (:mod:`repro.sim.admission`); None = the
     #: exact unprotected simulator.  No admission policy draws
     #: randomness, so arming one never perturbs the seeded streams.

@@ -209,7 +209,7 @@ class DReAMSim:
         failover: FailoverSpec | None = None,
         slo: SLOSpec | None = None,
         telemetry: TelemetryRegistry | None = None,
-        engine: str = "heap",
+        engine: str = "calendar",
     ):
         if discard_after_s is not None and discard_after_s <= 0:
             raise ValueError("discard_after_s must be positive")

@@ -616,31 +616,40 @@ class TestOverloadReportPins:
             ),
         )
 
+    #: Every pin holds on the heap oracle and on the default engine.
+    ENGINES = ("heap", "calendar")
+
     @pytest.mark.parametrize("scenario", sorted(PINNED_CRC))
     def test_overload_report_is_pinned(self, scenario):
-        report = run_experiment(self.spec(scenario)).report
-        assert report.brownout_max_stage >= 2
-        assert report.brownout_degraded > 0
-        assert report.shed > 0
-        if scenario == "brownout+gate":
-            assert report.placements_gated > 0
-        assert report_crc(report) == self.PINNED_CRC[scenario]
+        for engine in self.ENGINES:
+            report = run_experiment(self.spec(scenario).with_(engine=engine)).report
+            assert report.brownout_max_stage >= 2
+            assert report.brownout_degraded > 0
+            assert report.shed > 0
+            if scenario == "brownout+gate":
+                assert report.placements_gated > 0
+            assert report_crc(report) == self.PINNED_CRC[scenario], engine
 
     def test_overload_rms_counters_are_pinned(self):
-        telemetry = TelemetryRegistry()
-        run_experiment(self.spec("brownout"), telemetry=telemetry)
-        assert rms_counters(telemetry) == self.PINNED_COUNTERS["brownout"]
+        for engine in self.ENGINES:
+            telemetry = TelemetryRegistry()
+            spec = self.spec("brownout").with_(engine=engine)
+            run_experiment(spec, telemetry=telemetry)
+            assert rms_counters(telemetry) == self.PINNED_COUNTERS["brownout"], engine
 
     def test_chaos_defensive_rms_counters_are_pinned(self):
         from repro.sim.faults import FAULT_PRESETS
         from repro.sim.resilience import RESILIENCE_PRESETS
 
-        telemetry = TelemetryRegistry()
-        spec = ExperimentSpec(
-            tasks=200, nodes=self.NODES, gpp_fraction=0.4, seed=1,
-            faults=replace(FAULT_PRESETS["chaos"], horizon_s=100.0),
-            resilience=RESILIENCE_PRESETS["defensive"],
-        )
-        report = run_experiment(spec, telemetry=telemetry).report
-        assert report.quarantines > 0 and report.failed > 0
-        assert rms_counters(telemetry) == self.PINNED_COUNTERS["chaos-defensive"]
+        for engine in self.ENGINES:
+            telemetry = TelemetryRegistry()
+            spec = ExperimentSpec(
+                tasks=200, nodes=self.NODES, gpp_fraction=0.4, seed=1,
+                faults=replace(FAULT_PRESETS["chaos"], horizon_s=100.0),
+                resilience=RESILIENCE_PRESETS["defensive"], engine=engine,
+            )
+            report = run_experiment(spec, telemetry=telemetry).report
+            assert report.quarantines > 0 and report.failed > 0
+            assert (
+                rms_counters(telemetry) == self.PINNED_COUNTERS["chaos-defensive"]
+            ), engine

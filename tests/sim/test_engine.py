@@ -2,14 +2,27 @@
 
 Every behavioral test runs against both registered engines (heap and
 calendar queue) -- the calendar queue is a drop-in replacement, so any
-observable difference is a bug.
+observable difference is a bug.  The calendar queue is the default at
+every entry point; the heap engine stays as the oracle, and the last
+section runs benchmark-shaped simulations on both.
 """
 
+import dataclasses
+import json
 import math
 
 import pytest
 
-from repro.sim.engine import ENGINES, SimulationError, make_engine
+from repro.sim.admission import AdmissionSpec, BrownoutSpec, QueueBoundSpec
+from repro.sim.engine import ENGINES, CalendarQueueEngine, SimulationError, make_engine
+from repro.sim.experiment import ExperimentSpec, NodeSpec, run_experiment
+from repro.sim.failover import FAILOVER_PRESETS
+from repro.sim.faults import FAULT_PRESETS
+from repro.sim.metrics import report_dump
+from repro.sim.resilience import RESILIENCE_PRESETS
+from repro.sim.slo import SLOObjective, SLOSpec
+from repro.sim.telemetry import TelemetryRegistry
+from repro.sim.tracing import InMemorySink, Tracer, canonical_events
 
 
 @pytest.fixture(params=sorted(ENGINES))
@@ -210,3 +223,134 @@ class TestRunBounds:
 def test_make_engine_rejects_unknown_name():
     with pytest.raises(ValueError, match="unknown engine"):
         make_engine("fibonacci")
+
+
+# ---------------------------------------------------------------------------
+# The default engine and its oracle
+# ---------------------------------------------------------------------------
+class TestDefaultEngine:
+    def test_spec_defaults_to_the_calendar_queue(self):
+        assert ExperimentSpec().engine == "calendar"
+
+    def test_simulator_defaults_to_the_calendar_queue(self):
+        from repro.grid.rms import ResourceManagementSystem
+        from repro.sim.simulator import DReAMSim
+
+        sim = DReAMSim(ResourceManagementSystem())
+        assert type(sim.engine) is CalendarQueueEngine
+
+    def test_simulate_without_engine_runs_the_calendar_queue(self, tmp_path, capsys):
+        from repro.cli import main
+
+        def run(tag, *extra):
+            trace, dump = tmp_path / f"{tag}.jsonl", tmp_path / f"{tag}.json"
+            assert main([
+                "simulate", "--tasks", "60", "--seed", "3", *extra,
+                "--trace", str(trace), "--report-json", str(dump),
+            ]) == 0
+            return trace.read_text(), dump.read_text()
+
+        default = run("default")
+        calendar = run("calendar", "--engine", "calendar")
+        heap = run("heap", "--engine", "heap")
+        capsys.readouterr()
+        assert default == calendar
+        # The dump names the engine, so it tells the two apart; the
+        # trace does not.
+        assert json.loads(default[1])["spec"]["engine"] == "calendar"
+        assert heap[0] == default[0] and heap[1] != default[1]
+
+    def test_test_helpers_keep_the_heap_side(self):
+        """Helpers whose callers compare against an explicit calendar
+        run default to the heap oracle; with the calendar default they
+        would compare the calendar engine with itself."""
+        import inspect
+
+        from tests.sim import test_failover, test_golden_traces, test_lifecycle_pins
+        from tests.sim.test_slo import chaos_tenant_spec
+
+        for helper in (
+            test_golden_traces.generate_trace_lines,
+            test_lifecycle_pins.run_scenario,
+            test_failover.build_sim,
+        ):
+            default = inspect.signature(helper).parameters["engine"].default
+            assert default == "heap", helper.__name__
+        assert chaos_tenant_spec().engine == "heap"
+
+
+_BASE = ExperimentSpec(
+    tasks=200,
+    nodes=(
+        NodeSpec(gpps=1, gpp_mips=2_000, rpe_models=("XC5VLX330",), regions_per_rpe=3),
+        NodeSpec(gpps=1, gpp_mips=1_500, rpe_models=("XC5VLX155",), regions_per_rpe=2),
+    ),
+    arrival_rate_per_s=2.0,
+    gpp_fraction=0.4,
+    area_range=(2_000, 12_000),
+    seed=1,
+)
+
+#: Shaped like the repository benchmark's workloads, at 200 tasks.
+BENCHMARK_SHAPED = {
+    "flash-crowd": _BASE.with_(
+        # An earlier, steeper surge and tighter bounds than the
+        # benchmark's, so that 200 tasks reach shedding and brownout.
+        flash_crowd=(5.0, 400.0, 6.0),
+        low_priority_fraction=0.3,
+        tenants=3,
+        admission=AdmissionSpec(
+            queue=QueueBoundSpec(max_pending=32),
+            brownout=BrownoutSpec(enter_pending=12, exit_pending=4, dwell_s=1.0),
+        ),
+        slo=SLOSpec(objectives=(
+            SLOObjective("latency", 1.5, percentile=95.0, window_s=10.0),
+            SLOObjective("queue-depth", 16.0, window_s=10.0),
+            SLOObjective("availability", 0.99, window_s=10.0),
+            SLOObjective("latency", 2.0, percentile=90.0, window_s=10.0,
+                         tenant="tenant0"),
+        )),
+    ),
+    "chaos-observed": _BASE.with_(
+        faults=dataclasses.replace(FAULT_PRESETS["chaos"], horizon_s=100.0),
+        resilience=RESILIENCE_PRESETS["defensive"],
+        failover=FAILOVER_PRESETS["replicated"],
+    ),
+}
+
+#: Event kinds that show each spec reaches the layers it is shaped for.
+BENCHMARK_KINDS = {
+    "flash-crowd": {"shed", "degrade", "brownout", "slo-breach"},
+    "chaos-observed": {"fault", "quarantine", "probe", "heartbeat-confirm", "timeout"},
+}
+
+
+def _observed_run(spec: ExperimentSpec) -> tuple[list[str], str, str]:
+    sink = InMemorySink()
+    tracer = Tracer.with_invariants(sink)
+    telemetry = TelemetryRegistry()
+    report = run_experiment(spec, tracer=tracer, telemetry=telemetry).report
+    tracer.checker.assert_no_lost_tasks()
+    series = {k: v for k, v in telemetry.to_json().items() if k != "meta"}
+    dump = report_dump(spec, report)
+    # The engine field, and the spec hash in the provenance stamp, are
+    # the only parts meant to differ between the engines.
+    dump.pop("provenance")
+    dump["spec"].pop("engine")
+    return (
+        [event.to_json() for event in canonical_events(list(sink.events))],
+        json.dumps(dump, sort_keys=True),
+        json.dumps(series, sort_keys=True),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_SHAPED))
+def test_benchmark_shaped_runs_agree_on_both_engines(name):
+    spec = BENCHMARK_SHAPED[name]
+    heap = _observed_run(spec.with_(engine="heap"))
+    calendar = _observed_run(spec.with_(engine="calendar"))
+    kinds = {json.loads(line)["kind"] for line in heap[0]}
+    missing = BENCHMARK_KINDS[name] - kinds
+    assert not missing, f"{name} no longer reaches {sorted(missing)}"
+    for part, a, b in zip(("trace", "report", "telemetry"), heap, calendar):
+        assert a == b, f"{name}: the engines disagree on the {part}"

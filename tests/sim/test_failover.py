@@ -270,6 +270,8 @@ class TestReplicatedRMS:
 # Simulator scenarios
 # ---------------------------------------------------------------------------
 def build_sim(seed=7, tasks=120, engine="heap", failover=None, faults=None):
+    """A checked two-node simulation; *engine* defaults to the heap
+    oracle, not the simulator's calendar default."""
     network = Network.fully_connected([0, 1])
     rms = ResourceManagementSystem(network=network)
     for node_id in range(2):

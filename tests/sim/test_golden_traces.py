@@ -88,7 +88,11 @@ GOLDEN = {
 
 
 def generate_trace_lines(name: str, *, engine: str = "heap") -> list[str]:
-    """Run the locked scenario and return canonical JSONL lines."""
+    """Run the locked scenario and return canonical JSONL lines.
+
+    The default is the heap oracle, not the simulator's calendar
+    default, so the tests that name ``engine="calendar"`` compare the
+    two engines."""
     spec, _ = GOLDEN[name]
     sink = InMemorySink()
     tracer = Tracer(TraceInvariantChecker(), sink)

@@ -123,7 +123,8 @@ def run_scenario(
     tracer: Tracer | None = None,
     telemetry: TelemetryRegistry | None = None,
 ):
-    """Run one scenario; returns its report."""
+    """Run one scenario; returns its report.  *engine* defaults to the
+    heap oracle, not the simulator's calendar default."""
     spec = SPECS[name].with_(engine=engine)
     sim, workload = _build(spec, tracer=tracer, telemetry=telemetry)
     sim.submit_workload_columns(workload.generate_columns())

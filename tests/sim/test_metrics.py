@@ -284,5 +284,6 @@ class TestReportPins:
                     speculation=SpeculationSpec(slowdown_factor=1.5),
                 ),
             )
-        report = run_experiment(spec).report
-        assert report_crc(report) == self.PINNED_CRC[scenario]
+        for engine in ("heap", "calendar"):
+            report = run_experiment(spec.with_(engine=engine)).report
+            assert report_crc(report) == self.PINNED_CRC[scenario], engine

@@ -464,6 +464,8 @@ ARMED_SPEC_OBJECTIVES = (
 
 
 def chaos_tenant_spec(engine="heap"):
+    """Three tenants under crashes, configuration faults and SEUs;
+    *engine* defaults to the heap oracle, not the spec's default."""
     from repro.sim.experiment import ExperimentSpec
     from repro.sim.faults import FaultSpec
 
@@ -642,12 +644,13 @@ class TestTenantRoundTrip:
         """CRC-32 over every report field, sorted by name."""
         from repro.sim.experiment import run_experiment
 
-        spec = chaos_tenant_spec().with_(slo=SLOSpec(objectives=objectives))
-        report = run_experiment(spec).report
-        assert list(report.per_tenant) == ["tenant0", "tenant1", "tenant2"]
-        assert report.slo_breaches > 0
-        text = json.dumps(asdict(report), sort_keys=True)
-        assert f"{zlib.crc32(text.encode()):08x}" == pinned_crc
+        for engine in ("heap", "calendar"):
+            spec = chaos_tenant_spec(engine).with_(slo=SLOSpec(objectives=objectives))
+            report = run_experiment(spec).report
+            assert list(report.per_tenant) == ["tenant0", "tenant1", "tenant2"]
+            assert report.slo_breaches > 0
+            text = json.dumps(asdict(report), sort_keys=True)
+            assert f"{zlib.crc32(text.encode()):08x}" == pinned_crc, engine
 
     def test_untagged_run_has_no_per_tenant_section(self):
         from repro.sim.experiment import run_experiment
