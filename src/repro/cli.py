@@ -468,7 +468,11 @@ def _cmd_report(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as exc:
             print(f"repro report: error: {args.trace}: {exc}", file=sys.stderr)
             return 2
-    html_text = render_dashboard(registry, events)
+    try:
+        html_text = render_dashboard(registry, events)
+    except KeyError as exc:
+        print(f"repro report: error: {args.trace}: event without {exc}", file=sys.stderr)
+        return 2
     Path(args.output).write_text(html_text, encoding="utf-8")
     print(f"dashboard            {len(html_text)} bytes -> {args.output}")
     if args.perfetto:
@@ -907,15 +911,14 @@ def _cmd_slo(args: argparse.Namespace) -> int:
     if args.trace_path:
         # Offline: replay a recorded trace through the monitor.
         from repro.sim.slo import evaluate_trace
-        from repro.sim.tracing import read_jsonl
+        from repro.sim.tracing import iter_jsonl
 
         try:
-            events = read_jsonl(args.trace_path)
+            results, _emitted = evaluate_trace(iter_jsonl(args.trace_path), slo_spec)
         except (OSError, ValueError, KeyError) as exc:
             print(f"repro slo: error: {args.trace_path}: {exc}",
                   file=sys.stderr)
             return 2
-        results, _emitted = evaluate_trace(events, slo_spec)
         rows = [r.to_json() for r in results]
         breaches = sum(r.breach_count for r in results)
         fired = sum(r.alerts_fired for r in results)

@@ -39,8 +39,9 @@ import json
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable
 
-from repro.sim.tracing import TraceEvent, read_jsonl
+from repro.sim.tracing import TraceEvent, iter_jsonl
 
 #: Every phase a task's turnaround decomposes into, in display order.
 PHASES = (
@@ -186,26 +187,6 @@ class _Fold:
         self.cur = "queue"
         self.reconfig_s = 0.0
         self.migrated = False
-
-
-def _brownout_windows(events: list[TraceEvent]) -> list[tuple[float, float]]:
-    """[t0, t1) intervals the admission controller held stage > 0."""
-    windows: list[tuple[float, float]] = []
-    opened: float | None = None
-    last_t = 0.0
-    for event in events:
-        last_t = event.time
-        if event.kind != "brownout":
-            continue
-        stage = event.payload.get("stage", 0)
-        if stage > 0 and opened is None:
-            opened = event.time
-        elif stage == 0 and opened is not None:
-            windows.append((opened, event.time))
-            opened = None
-    if opened is not None:
-        windows.append((opened, max(last_t, opened)))
-    return windows
 
 
 def _overlap(windows: list[tuple[float, float]],
@@ -538,17 +519,21 @@ def _extract_critical_path(
 
 
 def analyze_events(
-    events: list[TraceEvent], *, exemplars_k: int = 3, tenant: str = ""
+    events: Iterable[TraceEvent], *, exemplars_k: int = 3, tenant: str = ""
 ) -> RunAnalysis:
-    """Fold a time-ordered trace into a :class:`RunAnalysis`.
+    """Fold a time-ordered trace into a :class:`RunAnalysis` in one pass
+    (any iterable: a list, or :func:`iter_jsonl`'s stream).
 
     ``tenant`` restricts the ledger to tasks whose submit event carries
     that tenant tag -- the single-tenant drill-down behind
     ``repro analyze --tenant`` (global events like brownout windows
     still apply; other tenants' tasks are simply not folded).
     """
-    windows = _brownout_windows(events)
-    window_starts = [t0 for t0, _ in windows]
+    # Closed brownout windows [t0, t1); ``opened`` starts the open one.
+    windows: list[tuple[float, float]] = []
+    window_starts: list[float] = []
+    opened: float | None = None
+    t = 0.0
     ledgers: dict[object, TaskLedger] = {}
     folds: dict[object, _Fold] = {}
 
@@ -557,8 +542,10 @@ def analyze_events(
         f.mark = t
         if dt <= 0:
             return
-        if into == "queue" and windows:
+        if into == "queue" and (windows or opened is not None):
             degraded = _overlap(windows, window_starts, t - dt, t)
+            if opened is not None and opened < t:  # sorts, so sums, last
+                degraded += t - max(t - dt, opened)
             if degraded > 0:
                 f.ledger.phases["brownout"] += degraded
                 dt -= degraded
@@ -572,6 +559,15 @@ def analyze_events(
     for event in events:
         kind = event.kind
         key = event.key
+        t = event.time
+        if kind == "brownout":
+            stage = event.payload.get("stage", 0)
+            if stage > 0 and opened is None:
+                opened = t
+            elif stage == 0 and opened is not None:
+                windows.append((opened, t))
+                window_starts.append(opened)
+                opened = None
         if key is None:
             continue  # grid membership / control-plane / brownout events
         if kind == "submit":
@@ -594,7 +590,6 @@ def analyze_events(
             continue  # trace fragment: events before the first submit
         if kind in _CHAIN_KINDS:
             f.ledger.chain.append(_chain_entry(event))
-        t = event.time
         if kind == "defer":
             close(f, t, f.cur)
             f.cur = "admission"
@@ -664,6 +659,8 @@ def analyze_events(
         # Everything else (reconfigure, checkpoint, speculate, probe,
         # degrade, slice accounting) refines the chain, not the ledger.
 
+    if opened is not None:
+        windows.append((opened, max(t, opened)))  # cut off while browned out
     completed = [
         l for l in ledgers.values()
         if l.outcome == "complete" and l.turnaround is not None
@@ -701,9 +698,9 @@ def analyze_events(
 def analyze_trace(
     path: str | Path, *, exemplars_k: int = 3, tenant: str = ""
 ) -> RunAnalysis:
-    """Load a JSONL trace and analyze it (``repro analyze``'s core)."""
+    """Stream a JSONL trace through the fold (``repro analyze``'s core)."""
     return analyze_events(
-        read_jsonl(path), exemplars_k=exemplars_k, tenant=tenant
+        iter_jsonl(path), exemplars_k=exemplars_k, tenant=tenant
     )
 
 

@@ -44,10 +44,10 @@ Key semantics:
   online checker invariant in :mod:`repro.sim.tracing`).
 
 :func:`evaluate_trace` replays the same monitor over a recorded JSONL
-trace (``repro slo`` on a file), reconstructing observations from
-``submit`` / ``complete`` / ``shed`` / ``task-failed`` events and the
-queue-membership transitions, so live and post-hoc evaluation share one
-implementation.
+trace (``repro slo`` on a file) in one pass over the event stream,
+reconstructing observations from ``submit`` / ``complete`` / ``shed`` /
+``task-failed`` events and the queue-membership transitions, so live
+and post-hoc evaluation share one implementation.
 """
 
 from __future__ import annotations
@@ -675,16 +675,17 @@ class SLOMonitor:
 # ----------------------------------------------------------------------
 
 def evaluate_trace(events, spec: SLOSpec):
-    """Replay a recorded trace through an :class:`SLOMonitor`.
+    """Replay an iterable of trace events through an :class:`SLOMonitor`, once.
 
     Observations are reconstructed from the lifecycle events: latency
     from ``submit`` -> latest ``dispatch`` -> ``complete`` per key (tenant and
     priority from the submit payload), errors from ``shed`` /
     ``task-failed``, and queue depth from the queue-membership
-    transitions (``submit``/``admit`` enter, ``dispatch`` leaves,
-    ``shed``/``discard`` abandon, ``retry``/``fallback``/``requeue``
-    re-enter).  Returns ``(results, emitted)`` where *emitted* is the
-    list of ``(time, kind, payload)`` SLO events the replay produced.
+    transitions (``submit``/``admit`` enter, a ``defer`` at the submit
+    instant parks, ``dispatch`` leaves, ``shed``/``discard`` abandon,
+    ``retry``/``fallback``/``requeue`` re-enter).  Returns ``(results,
+    emitted)`` where *emitted* is the list of ``(time, kind, payload)``
+    SLO events the replay produced.
 
     The depth is sampled once per instant, after the last event at that
     timestamp, as the live monitor samples it once per dispatch pass:
@@ -701,9 +702,6 @@ def evaluate_trace(events, spec: SLOSpec):
         emitted.append((now[0], kind, payload))
 
     monitor = SLOMonitor(spec, clock=lambda: now[0], emit=emit)
-    # With admission armed the queue is entered at ``admit``; without,
-    # at ``submit``.  Detect once so parked (deferred) tasks don't count.
-    admission_armed = any(e.kind in ("admit", "defer") for e in events)
     submits: dict[object, tuple[float, str, int]] = {}
     dispatched_at: dict[object, float] = {}
     in_queue: set[object] = set()
@@ -737,12 +735,13 @@ def evaluate_trace(events, spec: SLOSpec):
                 event.payload.get("tenant", ""),
                 event.payload.get("priority", 0),
             )
-            if not admission_armed:
-                enter(key)
+            enter(key)
             unsampled = True
         elif kind == "admit":
             enter(key)
             unsampled = True
+        elif kind == "defer":
+            leave(key)  # parked at submit; a re-offer finds it outside
         elif kind == "dispatch":
             leave(key)
             # The latest dispatch, like the live monitor: a retried

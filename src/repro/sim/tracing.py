@@ -41,6 +41,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Iterable, Iterator
 
 #: Every event kind the simulator emits, in no particular order.
 EVENT_KINDS = frozenset(
@@ -118,7 +119,8 @@ class TraceEvent:
     @classmethod
     def from_json(cls, line: str) -> "TraceEvent":
         """Parse one JSONL record; ``ValueError`` unless it is an object
-        with a finite real ``t`` and a non-empty string ``kind``."""
+        with a finite real ``t``, a non-empty string ``kind`` and a
+        ``key`` that is null, a string, a number or a flat list of those."""
         data = json.loads(line)
         if not isinstance(data, dict):
             raise ValueError(f"expected a JSON object, got {type(data).__name__}")
@@ -132,8 +134,12 @@ class TraceEvent:
         kind = data.pop("kind", None)
         if not isinstance(kind, str) or not kind:
             raise ValueError(f"'kind' must be a non-empty string, got {kind!r}")
-        key = _tuple_key(data.pop("key", None))
-        return cls(time=time, kind=kind, key=key, payload=data)
+        key = data.pop("key", None)
+        parts = key if isinstance(key, list) else [key]
+        if not all(isinstance(part, (str, int, float, type(None))) for part in parts):
+            raise ValueError("'key' must be null, a string, a number or a flat "
+                             f"list of those, got {key!r}")
+        return cls(time=time, kind=kind, key=_tuple_key(key), payload=data)
 
 
 def _jsonable_key(key: object) -> object:
@@ -201,19 +207,23 @@ class JsonlSink(TraceSink):
             self._fh.close()
 
 
-def read_jsonl(path: str | Path) -> list[TraceEvent]:
-    """Load a JSONL trace back into events (keys re-tupled).  A
+def iter_jsonl(path: str | Path) -> Iterator[TraceEvent]:
+    """Stream a JSONL trace one event per line (keys re-tupled).  A
     malformed record raises ``ValueError`` naming its line number."""
-    out = []
     with Path(path).open(encoding="ascii") as fh:
         for number, line in enumerate(fh, start=1):
             line = line.strip()
             if line:
                 try:
-                    out.append(TraceEvent.from_json(line))
+                    event = TraceEvent.from_json(line)
                 except ValueError as exc:
                     raise ValueError(f"line {number}: {exc}") from None
-    return out
+                yield event
+
+
+def read_jsonl(path: str | Path) -> list[TraceEvent]:
+    """Load a whole JSONL trace into a list (see :func:`iter_jsonl`)."""
+    return list(iter_jsonl(path))
 
 
 def canonical_events(events: list[TraceEvent]) -> list[TraceEvent]:
@@ -853,7 +863,7 @@ class TraceInvariantChecker(TraceSink):
             )
 
 
-def verify_trace(events: list[TraceEvent]) -> int:
+def verify_trace(events: Iterable[TraceEvent]) -> int:
     """Run a fresh checker over *events*; returns the count checked.
 
     Raises :class:`InvariantViolation` on the first broken invariant.
@@ -865,5 +875,5 @@ def verify_trace(events: list[TraceEvent]) -> int:
 
 
 def verify_jsonl(path: str | Path) -> int:
-    """Validate a stored JSONL trace file."""
-    return verify_trace(read_jsonl(path))
+    """Validate a stored JSONL trace file, streaming it."""
+    return verify_trace(iter_jsonl(path))

@@ -1,5 +1,7 @@
 """Integration tests for the ``python -m repro`` CLI."""
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -283,6 +285,11 @@ class TestMalformedTraceLines:
         ('{"t": 1.0, "key": 1}', "line 2: 'kind' must be a non-empty string"),
         ('{"t": "x", "kind": "submit", "key": 1}', "line 2: 't' must be a finite number"),
         ('{"t": NaN, "kind": "submit", "key": 1}', "line 2: 't' must be a finite number"),
+        # A key must be hashable once read: no object, no nested list.
+        ('{"t": 0.0, "kind": "submit", "key": {"a": 1}}',
+         "line 2: 'key' must be null, a string, a number or a flat list"),
+        ('{"t": 0.0, "kind": "submit", "key": [[1], 2]}',
+         "line 2: 'key' must be null, a string, a number or a flat list"),
     ]
 
     @pytest.mark.parametrize("command", ["report", "slo", "analyze"])
@@ -306,6 +313,51 @@ class TestMalformedTraceLines:
         err = capsys.readouterr().err
         assert f"repro {command}: error:" in err
         assert message in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["slo", "analyze"])
+    @pytest.mark.parametrize("line", [
+        '{"t": "x", "kind": "submit", "key": 1}',
+        '{"t": 1.0, "kind": "submit", "key": {"a": 1}}',
+    ])
+    def test_mid_file_record_exits_2(self, tmp_path, capsys, command, line):
+        """The folds stream the file, so a bad record in the middle is
+        met partway through the fold, after hundreds of good events."""
+        from tests.sim.test_golden_traces import DATA_DIR
+
+        good = (DATA_DIR / "golden_trace_chaos.jsonl").read_text(
+            encoding="ascii").splitlines()
+        half = len(good) // 2
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text("\n".join(good[:half] + [line] + good[half:]) + "\n",
+                         encoding="ascii")
+        assert main([command, str(trace)]) == 2
+        err = capsys.readouterr().err
+        assert f"repro {command}: error: {trace}: line {half + 1}: " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("kind", ["slice-alloc", "slice-free"])
+    @pytest.mark.parametrize("missing", ["node", "resource", "region"])
+    def test_report_slice_event_without_place_exits_2(
+        self, tmp_path, capsys, kind, missing
+    ):
+        from repro.sim.telemetry import TelemetryRegistry
+
+        place = {"node": 0, "resource": 0, "region": 0}
+        del place[missing]
+        trace = tmp_path / "bad.jsonl"
+        trace.write_text(
+            '{"t": 0.0, "kind": "submit", "key": 0}\n'
+            + json.dumps({"t": 0.5, "kind": kind, "key": 0, **place}) + "\n",
+            encoding="ascii",
+        )
+        telemetry = tmp_path / "t.json"
+        TelemetryRegistry().write_json(telemetry)
+        argv = ["report", str(telemetry), str(trace),
+                "-o", str(tmp_path / "r.html")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert f"repro report: error: {trace}:" in err
+        assert repr(missing) in err and "Traceback" not in err
 
 
 class TestChaos:

@@ -11,15 +11,18 @@ from repro.sim.analysis import (
     analyze_events,
     analyze_trace,
 )
+from repro.sim.slo import evaluate_trace, parse_slo
 from repro.sim.tracing import (
     InMemorySink,
     TraceEvent,
     TraceInvariantChecker,
     Tracer,
     canonical_events,
+    read_jsonl,
 )
 from tests.sim.test_golden_traces import DATA_DIR, GOLDEN
 from tests.sim.test_simulator import gpp_rms, gpp_task
+from tests.sim.test_slo import backpressure_spec, flash_crowd_spec, traced_run
 
 
 def golden_path(name):
@@ -91,6 +94,24 @@ class TestLedgerSemantics:
         assert ledger.phases["compute"] == pytest.approx(1.0)
         assert analysis.conservation_violations() == []
         assert analysis.brownout_windows == [(1.0, 3.0)]
+
+    def test_queue_wait_ending_inside_an_open_window(self):
+        """A queue interval that closes while the window is still open
+        counts the overlap up to that event; a window the trace cuts off
+        ends at the last event."""
+        events = [
+            self.ev(0.0, "submit", key=1, function="f", pe_class="GPP"),
+            self.ev(1.0, "brownout", action="escalate", stage=1, depth=9),
+            self.ev(2.5, "dispatch", key=1, node=0, reconfig_time=0.0),
+            self.ev(2.5, "start", key=1, node=0),
+            self.ev(4.0, "complete", key=1, node=0),
+        ]
+        analysis = analyze_events(events)
+        ledger = analysis.ledgers[1]
+        assert ledger.phases["brownout"] == 1.5
+        assert ledger.phases["queue"] == 1.0
+        assert analysis.conservation_violations() == []
+        assert analysis.brownout_windows == [(1.0, 4.0)]
 
     def test_reconfig_split_out_of_placement(self):
         events = [
@@ -193,6 +214,81 @@ class TestCriticalPath:
     def test_synthetic_workloads_have_no_critical_path(self):
         analysis = analyze_trace(golden_path("hybrid-cost"))
         assert analysis.critical_path is None
+
+
+def brownout_spec():
+    """The flash crowd against a brownout controller that flaps: six
+    degraded windows, with queue wait inside and between them."""
+    from repro.sim.admission import AdmissionSpec, BrownoutSpec
+
+    return flash_crowd_spec().with_(admission=AdmissionSpec(
+        brownout=BrownoutSpec(enter_pending=8, exit_pending=2, dwell_s=0.2)
+    ))
+
+
+def _cut_in_brownout(events):
+    """The trace cut off 60 events after its last brownout window opened."""
+    opened = max(
+        i for i, e in enumerate(events)
+        if e.kind == "brownout" and e.payload["action"] == "escalate"
+        and e.payload["stage"] == 1
+    )
+    return events[:opened + 60]
+
+
+#: name -> callable giving the events of one trace.
+ONE_PASS_TRACES = {
+    **{
+        f"golden-{name}": (lambda name=name: read_jsonl(golden_path(name)))
+        for name in sorted(GOLDEN)
+    },
+    "backpressure": lambda: traced_run(backpressure_spec())[1],
+    "brownout": lambda: traced_run(brownout_spec())[1],
+    "cut-in-brownout": lambda: _cut_in_brownout(
+        traced_run(brownout_spec())[1]
+    ),
+}
+
+
+class TestOnePassFolds:
+    """Both offline folds read their input once: a one-shot iterator
+    gives exactly what the whole list gives."""
+
+    @pytest.mark.parametrize("name", sorted(ONE_PASS_TRACES))
+    def test_ledger_from_iterator_equals_list(self, name):
+        events = ONE_PASS_TRACES[name]()
+        for tenant in ("", "tenant1"):
+            listed = analyze_events(events, tenant=tenant).to_json()
+            streamed = analyze_events(iter(events), tenant=tenant).to_json()
+            assert json.dumps(streamed) == json.dumps(listed), tenant
+            assert listed["tasks"] > 0 or tenant
+
+    @pytest.mark.parametrize("name", sorted(ONE_PASS_TRACES))
+    def test_slo_replay_from_iterator_equals_list(self, name):
+        events = ONE_PASS_TRACES[name]()
+        spec = parse_slo(["queue:10:5", "latency-p95:0.5:5",
+                          "availability:0.99:5"])
+        assert repr(evaluate_trace(iter(events), spec)) == repr(
+            evaluate_trace(events, spec)
+        )
+
+    def test_traces_cover_the_cases(self):
+        """The backpressure run re-offers deferred submissions, and the
+        cut trace ends inside a brownout window: the open window runs
+        to the last event."""
+        deferred = ONE_PASS_TRACES["backpressure"]()
+        assert any(
+            e.kind == "defer" and e.payload["attempt"] > 1 for e in deferred
+        )
+        full = analyze_events(ONE_PASS_TRACES["brownout"]())
+        assert len(full.brownout_windows) == 6
+        assert full.phase_totals()["brownout"] > 0
+        cut = ONE_PASS_TRACES["cut-in-brownout"]()
+        windows = analyze_events(iter(cut)).brownout_windows
+        assert windows[:-1] == full.brownout_windows[:len(windows) - 1]
+        assert windows[-1][1] == cut[-1].time > windows[-1][0]
+        assert all(e.kind != "brownout" or e.payload["stage"] > 0
+                   for e in cut if e.time >= windows[-1][0])
 
 
 class TestAnalyzeCli:

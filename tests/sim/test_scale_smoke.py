@@ -6,14 +6,21 @@ quick suite locks *correctness* of the scale machinery (differential
 battery, golden byte-identity, stream-identity, bulk-metrics
 equivalence); this file locks that the machinery actually *survives*
 scale -- every task accounted for, monotone clock, memory bounded well
-below what 1e5 eager Task objects would cost, and a traced run whose
-phase ledger conserves every task.
+below what 1e5 eager Task objects would cost, a traced run whose
+phase ledger conserves every task, and offline folds that stream a
+trace instead of holding it.
 """
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.cli import main
 from repro.sim.analysis import analyze_trace
 from repro.sim.experiment import ExperimentSpec, run_experiment
 from repro.sim.tracing import JsonlSink, Tracer
@@ -84,3 +91,42 @@ def test_traced_run_conserves_the_phase_ledger(tmp_path):
     assert sum(1 for ledger in run.ledgers.values()
                if ledger.outcome == "complete") == report.completed
     assert run.conservation_violations() == []
+
+
+#: Runs ``argv[1:]`` as its one child and prints that child's peak RSS.
+_CHILD_PEAK_RSS = (
+    "import resource, subprocess, sys; "
+    "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); "
+    "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)"
+)
+
+
+def _peak_rss_kb(*args: str) -> int:
+    """Peak resident set of ``python *args``, in KB (Linux units)."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", _CHILD_PEAK_RSS, sys.executable, *args],
+        check=True, capture_output=True, text=True, env=env,
+    )
+    return int(done.stdout)
+
+
+def test_offline_folds_stream_the_trace(tmp_path, capsys):
+    """``repro slo`` and ``repro analyze`` on a 20k-task trace (109k
+    events, 13 MB) peak near a child that only loads the CLI (``repro
+    --help`` builds the parser every command builds): neither fold
+    holds the event list, about 84 MB at this size."""
+    path = tmp_path / "big.trace.jsonl"
+    assert main(["simulate", "--tasks", "20000", "--trace", str(path)]) == 0
+    capsys.readouterr()
+    baseline = _peak_rss_kb("-m", "repro", "--help")
+    slo = _peak_rss_kb("-m", "repro", "slo", str(path), "-o", "latency-p95:1000")
+    analyze = _peak_rss_kb("-m", "repro", "analyze", str(path))
+    assert slo <= 1.5 * baseline, f"repro slo {slo} KB vs CLI {baseline} KB"
+    assert analyze <= 2.0 * baseline, (
+        f"repro analyze {analyze} KB vs CLI {baseline} KB"
+    )

@@ -513,27 +513,50 @@ def flash_crowd_spec(seed=2, tasks=400):
     )
 
 
+def backpressure_spec():
+    """The flash crowd against the deferring queue bound instead of
+    brownout: parked submissions are re-offered and deferred again, and
+    a 48-deep queue objective sits under the 64-deep bound."""
+    from repro.sim.admission import ADMISSION_PRESETS
+
+    spec = flash_crowd_spec()
+    objectives = tuple(
+        SLOObjective("queue-depth", 48.0, window_s=10.0)
+        if o.kind == "queue-depth" else o
+        for o in spec.slo.objectives
+    )
+    return spec.with_(admission=ADMISSION_PRESETS["backpressure"],
+                      slo=SLOSpec(objectives=objectives))
+
+
+def traced_run(spec):
+    """Run *spec* under an in-memory tracer: (simulator, events)."""
+    from repro.sim.experiment import _build
+    from repro.sim.tracing import InMemorySink, Tracer
+
+    sink = InMemorySink()
+    sim, workload = _build(spec, tracer=Tracer(sink))
+    sim.submit_workload_columns(workload.generate_columns())
+    sim.run()
+    return sim, list(sink.events)
+
+
 class TestReplayMatchesLive:
     """``evaluate_trace`` over a run's trace reaches the live monitor's
     breach counts and breach seconds, objective by objective: the
     replay samples the queue depth once per instant, as the live
     monitor samples it once per dispatch pass."""
 
-    @pytest.mark.parametrize("scenario", ["chaos", "flash-crowd"])
+    @pytest.mark.parametrize("scenario", ["chaos", "flash-crowd", "backpressure"])
     def test_breaches_agree(self, scenario):
-        from repro.sim.experiment import _build
-        from repro.sim.tracing import InMemorySink, Tracer
-
-        spec = (
-            chaos_tenant_spec().with_(slo=SLOSpec(objectives=ARMED_SPEC_OBJECTIVES))
-            if scenario == "chaos"
-            else flash_crowd_spec()
-        )
-        sink = InMemorySink()
-        sim, workload = _build(spec, tracer=Tracer(sink))
-        sim.submit_workload_columns(workload.generate_columns())
-        sim.run()
-        replayed, _ = evaluate_trace(list(sink.events), spec.slo)
+        spec = {
+            "chaos": lambda: chaos_tenant_spec().with_(
+                slo=SLOSpec(objectives=ARMED_SPEC_OBJECTIVES)),
+            "flash-crowd": flash_crowd_spec,
+            "backpressure": backpressure_spec,
+        }[scenario]()
+        sim, events = traced_run(spec)
+        replayed, _ = evaluate_trace(events, spec.slo)
         live = sim.metrics.slo_results
         assert [r.name for r in replayed] == [r.name for r in live]
         queue = next(r for r in live if r.kind == "queue-depth")
@@ -543,6 +566,20 @@ class TestReplayMatchesLive:
             assert ours.breach_seconds == pytest.approx(
                 theirs.breach_seconds, abs=1e-9
             ), ours.name
+
+    def test_backpressure_replay_is_pinned(self):
+        """CRC-32 over the replay's results and emitted events.  Breach
+        counts cannot see a re-offer's ``defer`` adding a sampling
+        instant; the extra evaluation moved an availability alert."""
+        spec = backpressure_spec()
+        _, events = traced_run(spec)
+        assert any(
+            e.kind == "defer" and e.payload["attempt"] > 1 for e in events
+        )
+        results, emitted = evaluate_trace(events, spec.slo)
+        text = json.dumps([[asdict(r) for r in results], emitted],
+                          sort_keys=True)
+        assert f"{zlib.crc32(text.encode()):08x}" == "ddfdaa30"
 
 
 class TestSimulatorIntegration:
