@@ -376,9 +376,3 @@ class Node:
     def as_tuple(self) -> tuple:
         """The literal ``Node(NodeID, GPP Caps, RPE Caps, state)`` tuple."""
         return (self.node_id, self.gpp_caps(), self.rpe_caps(), self.state())
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"Node(id={self.node_id}, name={self.name!r}, "
-            f"gpps={len(self.gpps)}, rpes={len(self.rpes)})"
-        )

@@ -161,10 +161,6 @@ class HealthTracker:
     def node(self, node_id: int) -> NodeHealth:
         return self.register_node(node_id)
 
-    @property
-    def nodes(self) -> dict[int, NodeHealth]:
-        return dict(self._nodes)
-
     # ------------------------------------------------------------------
     # State inspection (lazy OPEN -> HALF_OPEN)
     # ------------------------------------------------------------------

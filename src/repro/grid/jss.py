@@ -89,10 +89,6 @@ class Job:
             return JobStatus.RUNNING
         return JobStatus.SUBMITTED
 
-    @property
-    def tasks(self) -> list[Task]:
-        return [r.task for r in self.records.values()]
-
     def record(self, task_id: int) -> TaskRecord:
         try:
             return self.records[task_id]

@@ -202,6 +202,3 @@ class Network:
             sum(l.latency_s for l in links),
             min(l.bandwidth_mbps for l in links),
         )
-
-    def __contains__(self, site: int) -> bool:
-        return site in self.graph

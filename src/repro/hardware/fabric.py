@@ -262,7 +262,3 @@ class Fabric:
     def _check_owned(self, region: Region) -> None:
         if region not in self.regions:
             raise FabricError(f"region {region.region_id} does not belong to this fabric")
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        states = ", ".join(f"R{r.region_id}:{r.state.value}" for r in self.regions)
-        return f"Fabric({self.device.model}, [{states}])"

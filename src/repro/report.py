@@ -1,7 +1,7 @@
-"""Plain-text reporting: tables, bar charts, and timelines.
+"""Plain-text reporting: tables and bar charts.
 
 The paper's artifacts are tables (I, II) and figures (the Figure 10
-profile bars, the Figure 8 timeline).  This module renders their
+profile bars).  This module renders their
 regenerated counterparts as alignment-stable ASCII so benches, examples
 and the CLI share one presentation layer (no plotting dependencies).
 """
@@ -187,35 +187,4 @@ def ascii_bar_chart(
     for label, value in zip(labels, values):
         bar = "#" * max(1 if value > 0 else 0, round(width * value / peak))
         lines.append(f"{label.ljust(label_width)}  {bar} {value:.2f}{unit}")
-    return "\n".join(lines)
-
-
-def ascii_timeline(
-    spans: Sequence[tuple[str, float, float]],
-    *,
-    width: int = 60,
-    title: str = "",
-) -> str:
-    """Gantt-style timeline: ``(label, start, end)`` spans on one clock.
-
-    The Figure 8 renderer: each task is a row of ``=`` between its start
-    and finish columns.
-    """
-    if not spans:
-        raise ValueError("a timeline needs at least one span")
-    for label, start, end in spans:
-        if end < start:
-            raise ValueError(f"span {label!r} ends before it starts")
-    horizon = max(end for _, _, end in spans) or 1.0
-    label_width = max(len(l) for l, _, _ in spans)
-
-    def col(t: float) -> int:
-        return min(width, round(width * t / horizon))
-
-    lines = [title] if title else []
-    for label, start, end in spans:
-        a, b = col(start), max(col(start) + 1, col(end))
-        row = " " * a + "=" * (b - a)
-        lines.append(f"{label.ljust(label_width)} |{row.ljust(width)}| {start:.2f}-{end:.2f}")
-    lines.append(f"{' ' * label_width} 0{' ' * (width - 2)}{horizon:.2f} s")
     return "\n".join(lines)

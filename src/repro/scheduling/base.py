@@ -74,6 +74,3 @@ class Scheduler(ABC):
         have no candidates, so a strategy must not rely on side effects
         of being handed an empty list.
         """
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}()"

@@ -26,122 +26,3 @@ This package is that simulator, rebuilt in Python:
 * :mod:`repro.sim.runner` -- parallel experiment execution across
   worker processes with spec-hash result caching.
 """
-
-from repro.sim.engine import SimulationEngine, EventHandle
-from repro.sim.workload import (
-    ArrivalProcess,
-    PoissonArrivals,
-    UniformArrivals,
-    DeterministicArrivals,
-    TraceArrivals,
-    ConfigurationPool,
-    SyntheticWorkload,
-    WorkloadSpec,
-    independent_rng,
-)
-from repro.sim.metrics import MetricsCollector, SimulationReport, TaskMetrics
-from repro.sim.energy import EnergyAuditor, EnergyReport
-from repro.sim.faults import FAULT_PRESETS, FaultInjector, FaultSpec, RetryPolicy
-from repro.sim.resilience import (
-    RESILIENCE_PRESETS,
-    CheckpointSpec,
-    DeadlineSpec,
-    ResilienceSpec,
-    SpeculationSpec,
-)
-from repro.sim.trace import (
-    export_report_json,
-    export_task_records,
-    load_report_json,
-    load_task_records,
-)
-from repro.sim.experiment import (
-    ExperimentResult,
-    ExperimentSpec,
-    NodeSpec,
-    ReplicationSummary,
-    replicate,
-    run_experiment,
-    summarize_replications,
-    sweep,
-)
-from repro.sim.runner import (
-    ExperimentRunner,
-    RunnerStats,
-    parallel_map,
-    parallel_replicate,
-    parallel_sweep,
-    run_many,
-    spec_cache_key,
-)
-from repro.sim.simulator import DReAMSim
-from repro.sim.tracing import (
-    InMemorySink,
-    InvariantViolation,
-    JsonlSink,
-    TraceEvent,
-    TraceInvariantChecker,
-    Tracer,
-    canonical_events,
-    read_jsonl,
-    verify_jsonl,
-    verify_trace,
-)
-
-__all__ = [
-    "SimulationEngine",
-    "EventHandle",
-    "ArrivalProcess",
-    "PoissonArrivals",
-    "UniformArrivals",
-    "DeterministicArrivals",
-    "TraceArrivals",
-    "ConfigurationPool",
-    "SyntheticWorkload",
-    "WorkloadSpec",
-    "independent_rng",
-    "MetricsCollector",
-    "SimulationReport",
-    "TaskMetrics",
-    "EnergyAuditor",
-    "EnergyReport",
-    "FAULT_PRESETS",
-    "FaultInjector",
-    "FaultSpec",
-    "RetryPolicy",
-    "RESILIENCE_PRESETS",
-    "ResilienceSpec",
-    "DeadlineSpec",
-    "CheckpointSpec",
-    "SpeculationSpec",
-    "export_report_json",
-    "export_task_records",
-    "load_report_json",
-    "load_task_records",
-    "DReAMSim",
-    "ExperimentSpec",
-    "ExperimentResult",
-    "NodeSpec",
-    "run_experiment",
-    "sweep",
-    "ReplicationSummary",
-    "replicate",
-    "summarize_replications",
-    "ExperimentRunner",
-    "RunnerStats",
-    "parallel_map",
-    "parallel_replicate",
-    "parallel_sweep",
-    "run_many",
-    "spec_cache_key",
-    "TraceEvent",
-    "Tracer",
-    "InMemorySink",
-    "JsonlSink",
-    "TraceInvariantChecker",
-    "InvariantViolation",
-    "canonical_events",
-    "read_jsonl",
-    "verify_trace",
-    "verify_jsonl",
-]

@@ -123,10 +123,6 @@ class SimulationEngine:
         out = [self.schedule_at(float(t), cb) for t, cb in zip(times, callbacks)]
         return out if handles else None
 
-    @property
-    def pending_events(self) -> int:
-        return sum(1 for h in self._heap if not h.cancelled)
-
     def peek_time(self) -> float | None:
         """Time of the next live event, or None if the queue is dry."""
         while self._heap and self._heap[0].cancelled:
@@ -408,16 +404,6 @@ class CalendarQueueEngine:
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
-    @property
-    def pending_events(self) -> int:
-        bucketed = sum(
-            1
-            for bucket in self._buckets
-            for _, _, h, _ in bucket
-            if h is None or not h.cancelled
-        )
-        return bucketed + (self._run_len - self._run_i)
-
     def peek_time(self) -> float | None:
         """Time of the next live event, or None if the queue is dry."""
         bucket = self._advance_to_next()

@@ -464,9 +464,6 @@ class _TaskView(Mapping):
     def __getitem__(self, key: object) -> TaskMetrics:
         return self._c._snapshot(key, self._c._index[key])
 
-    def __contains__(self, key: object) -> bool:
-        return key in self._c._index
-
     def __iter__(self):
         return iter(self._c._index)
 

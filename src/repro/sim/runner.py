@@ -10,7 +10,7 @@ description of one run, so runs share no state and their reports are
 identical whether executed serially or across worker processes.  This
 module exploits that:
 
-* :class:`ExperimentRunner` / :func:`run_many` -- execute a list of
+* :class:`ExperimentRunner` -- execute a list of
   specs across a ``ProcessPoolExecutor``, falling back to in-process
   serial execution when worker processes are unavailable (restricted
   sandboxes, ``jobs=1``, single-spec batches).  Results always come
@@ -20,8 +20,8 @@ module exploits that:
   run is stored as JSON keyed by a SHA-256 of the spec's canonical
   form; re-running the same spec is a file read, which makes iterating
   on wide sweeps cheap.
-* :func:`parallel_sweep` / :func:`parallel_replicate` -- drop-in wide
-  versions of :func:`~repro.sim.experiment.sweep` and
+  Its ``sweep`` and ``replicate`` are wide versions of
+  :func:`~repro.sim.experiment.sweep` and
   :func:`~repro.sim.experiment.replicate`.
 * :func:`parallel_map` -- the bare order-preserving process map, for
   benchmarks and examples whose scenarios are built in code rather
@@ -305,41 +305,3 @@ class ExperimentRunner:
         seeds = list(seeds)
         results = self.run([base.with_(seed=s) for s in seeds])
         return summarize_replications(seeds, [r.report for r in results])
-
-
-def run_many(
-    specs: Sequence[ExperimentSpec],
-    *,
-    jobs: int | None = None,
-    cache_dir: str | Path | None = None,
-    audit_energy: bool = False,
-) -> list[ExperimentResult]:
-    """One-shot :class:`ExperimentRunner` over *specs*."""
-    return ExperimentRunner(
-        jobs=jobs, cache_dir=cache_dir, audit_energy=audit_energy
-    ).run(specs)
-
-
-def parallel_sweep(
-    base: ExperimentSpec,
-    field_name: str,
-    values: Sequence,
-    *,
-    jobs: int | None = None,
-    cache_dir: str | Path | None = None,
-) -> list[ExperimentResult]:
-    """Wide :func:`~repro.sim.experiment.sweep` (one knob, many values)."""
-    return ExperimentRunner(jobs=jobs, cache_dir=cache_dir).sweep(
-        base, field_name, values
-    )
-
-
-def parallel_replicate(
-    base: ExperimentSpec,
-    seeds: Sequence[int],
-    *,
-    jobs: int | None = None,
-    cache_dir: str | Path | None = None,
-) -> ReplicationSummary:
-    """Wide :func:`~repro.sim.experiment.replicate` (many seeds)."""
-    return ExperimentRunner(jobs=jobs, cache_dir=cache_dir).replicate(base, seeds)

@@ -171,9 +171,6 @@ class InMemorySink(TraceSink):
     def emit(self, event: TraceEvent) -> None:
         self.events.append(event)
 
-    def __len__(self) -> int:
-        return len(self.events)
-
 
 class JsonlSink(TraceSink):
     """Streams events to a JSONL file, one object per line.
@@ -272,9 +269,6 @@ class Tracer:
                 return sink
         return None
 
-    def add_sink(self, sink: TraceSink) -> None:
-        self.sinks.append(sink)
-
     def emit(self, time: float, kind: str, key: object = None, **payload) -> None:
         if kind not in EVENT_KINDS:
             raise ValueError(f"unknown event kind {kind!r}")
@@ -286,12 +280,6 @@ class Tracer:
     def close(self) -> None:
         for sink in self.sinks:
             sink.close()
-
-    def __enter__(self) -> "Tracer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
 
 class InvariantViolation(RuntimeError):

@@ -348,9 +348,6 @@ class ConfigurationPool:
             for i in range(size)
         ]
 
-    def __len__(self) -> int:
-        return len(self.entries)
-
     def entry(self, function: str) -> PoolEntry:
         for e in self.entries:
             if e.function == function:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.report import ascii_bar_chart, ascii_table, ascii_timeline
+from repro.report import ascii_bar_chart, ascii_table
 
 
 class TestTable:
@@ -56,27 +56,3 @@ class TestBarChart:
 
     def test_unit_appended(self):
         assert "%" in ascii_bar_chart(["a"], [42.0], unit="%")
-
-
-class TestTimeline:
-    def test_spans_positioned(self):
-        out = ascii_timeline(
-            [("T2", 0.0, 1.0), ("T5", 1.0, 2.0)], width=20, title="Fig8"
-        )
-        lines = out.splitlines()
-        assert lines[0] == "Fig8"
-        first = lines[1].split("|")[1]
-        second = lines[2].split("|")[1]
-        assert first.strip().startswith("=")
-        assert second.lstrip(" ").startswith("=")
-        assert second.index("=") >= 9  # second half of a 20-col axis
-
-    def test_axis_annotated(self):
-        out = ascii_timeline([("a", 0.0, 4.0)])
-        assert out.splitlines()[-1].strip().endswith("4.00 s")
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            ascii_timeline([])
-        with pytest.raises(ValueError, match="ends before"):
-            ascii_timeline([("a", 2.0, 1.0)])

@@ -69,7 +69,7 @@ class TestTopology:
         net = Network.fully_connected([0, 1])
         net.remove_site(1)
         assert not net.has_route(0, 1)
-        assert 1 not in net
+        assert 1 not in net.graph
 
     def test_user_site_cannot_be_removed(self):
         with pytest.raises(ValueError):

@@ -64,8 +64,10 @@ def test_run_until_is_a_clean_cut(engine_name, delays, until):
         engine.schedule(d, lambda d=d: fired.append(d))
     engine.run(until=until)
     assert all(d <= until for d in fired)
-    assert engine.pending_events == sum(1 for d in delays if d > until)
     assert engine.now == until or (engine.now <= until and not delays)
+    cut = len(fired)
+    engine.run()
+    assert len(fired) - cut == sum(1 for d in delays if d > until)
 
 
 # ----------------------------------------------------------------------
@@ -128,18 +130,17 @@ def _execute(engine_name: str, program):
         elif kind == "step":
             eng.step()
     eng.run()
-    return fired, eng.now, eng.processed_events, eng.pending_events
+    return fired, eng.now, eng.processed_events
 
 
 @settings(max_examples=200, deadline=None)
 @given(program=st.lists(_OP, min_size=1, max_size=25))
 def test_engines_agree_on_random_programs(engine_name, program):
     """THE differential lock: every engine replays any program with
-    the exact firing order, final clock, and event counts of the
+    the exact firing order, final clock, and event count of the
     reference heap engine."""
     got = _execute(engine_name, program)
     want = _execute("heap", program)
     assert got[0] == want[0], "firing order diverged"
     assert got[1] == want[1], "final clock diverged"
     assert got[2] == want[2], "processed_events diverged"
-    assert got[3] == want[3], "pending_events diverged"

@@ -88,19 +88,19 @@ class TestNonFiniteRejection:
     def test_schedule_at_rejects_non_finite(self, engine, bad):
         with pytest.raises(SimulationError):
             engine.schedule_at(bad, lambda: None)
-        assert engine.pending_events == 0
+        assert engine.peek_time() is None
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_schedule_rejects_non_finite_delay(self, engine, bad):
         with pytest.raises(SimulationError):
             engine.schedule(bad, lambda: None)
-        assert engine.pending_events == 0
+        assert engine.peek_time() is None
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_schedule_batch_rejects_non_finite(self, engine, bad):
         with pytest.raises(SimulationError):
             engine.schedule_batch([1.0, bad], [lambda: None, lambda: None])
-        assert engine.pending_events == 0
+        assert engine.peek_time() is None
 
     def test_engine_still_usable_after_rejection(self, engine):
         with pytest.raises(SimulationError):
@@ -155,7 +155,7 @@ class TestBatchScheduling:
     def test_empty_batch_is_a_no_op(self, engine):
         assert engine.schedule_batch([], []) == []
         assert engine.schedule_batch([], [], handles=False) is None
-        assert engine.pending_events == 0
+        assert engine.peek_time() is None
 
     def test_batch_interleaves_with_singles(self, engine):
         fired = []
@@ -178,10 +178,13 @@ class TestCancellation:
         assert fired == []
 
     def test_pending_events_excludes_cancelled(self, engine):
-        h1 = engine.schedule(1.0, lambda: None)
-        engine.schedule(2.0, lambda: None)
+        fired = []
+        h1 = engine.schedule(1.0, lambda: fired.append(1))
+        engine.schedule(2.0, lambda: fired.append(2))
         h1.cancel()
-        assert engine.pending_events == 1
+        engine.run()
+        assert fired == [2]
+        assert engine.processed_events == 1
 
     def test_peek_skips_cancelled(self, engine):
         h1 = engine.schedule(1.0, lambda: None)
@@ -198,7 +201,7 @@ class TestRunBounds:
         engine.run(until=5.0)
         assert fired == [1]
         assert engine.now == 5.0
-        assert engine.pending_events == 1
+        assert engine.peek_time() == 10.0
 
     def test_until_past_everything_advances_clock(self, engine):
         engine.schedule(1.0, lambda: None)

@@ -6,14 +6,7 @@ from dataclasses import asdict
 import pytest
 
 from repro.sim.experiment import ExperimentSpec, replicate, run_experiment, sweep
-from repro.sim.runner import (
-    ExperimentRunner,
-    parallel_map,
-    parallel_replicate,
-    parallel_sweep,
-    run_many,
-    spec_cache_key,
-)
+from repro.sim.runner import ExperimentRunner, parallel_map, spec_cache_key
 
 BASE = ExperimentSpec(tasks=40, configurations=4, seed=9)
 STRATEGIES = ["fcfs", "first-fit", "hybrid-cost", "best-fit-area"]
@@ -74,16 +67,16 @@ class TestParallelMatchesSerial:
 
     def test_parallel_sweep_matches_sweep(self):
         serial = sweep(BASE, "strategy", STRATEGIES)
-        wide = parallel_sweep(BASE, "strategy", STRATEGIES, jobs=2)
+        wide = ExperimentRunner(jobs=2).sweep(BASE, "strategy", STRATEGIES)
         assert [report_bytes(r) for r in serial] == [report_bytes(r) for r in wide]
 
     def test_parallel_replicate_matches_replicate(self):
         seeds = [5, 6, 7]
-        assert parallel_replicate(BASE, seeds, jobs=2) == replicate(BASE, seeds)
+        assert ExperimentRunner(jobs=2).replicate(BASE, seeds) == replicate(BASE, seeds)
 
     def test_results_in_submission_order(self):
         specs = [BASE.with_(seed=s) for s in (30, 10, 20)]
-        results = run_many(specs, jobs=3)
+        results = ExperimentRunner(jobs=3).run(specs)
         assert [r.spec.seed for r in results] == [30, 10, 20]
 
 

@@ -98,7 +98,7 @@ class TestSinks:
         sink = InMemorySink(capacity=3)
         for i in range(10):
             sink.emit(TraceEvent(time=float(i), kind="submit", key=i))
-        assert len(sink) == 3
+        assert len(sink.events) == 3
         assert [e.key for e in sink.events] == [7, 8, 9]
 
     def test_ring_capacity_must_be_positive(self):
@@ -108,9 +108,8 @@ class TestSinks:
     def test_jsonl_roundtrip(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         sink = JsonlSink(path)
-        tracer = Tracer(sink)
         spec_sink = InMemorySink()
-        tracer.add_sink(spec_sink)
+        tracer = Tracer(sink, spec_sink)
         run_experiment(SPEC, tracer=tracer)
         tracer.close()
         loaded = read_jsonl(path)
@@ -394,8 +393,7 @@ class TestResilienceRoundTrip:
     def test_kinds_survive_disk_roundtrip(self, tmp_path):
         path = tmp_path / "resilient.jsonl"
         memory = InMemorySink()
-        tracer = Tracer(TraceInvariantChecker(), JsonlSink(path))
-        tracer.add_sink(memory)
+        tracer = Tracer(TraceInvariantChecker(), JsonlSink(path), memory)
         run_experiment(self._resilient_spec(), tracer=tracer)
         tracer.close()
 
