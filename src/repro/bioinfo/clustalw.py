@@ -74,12 +74,21 @@ def clustalw(
         :mod:`repro.bioinfo.weights`).
     """
     if len(sequences) < 2:
-        raise ValueError("ClustalW needs at least two sequences")
+        raise ValueError(f"ClustalW needs at least two sequences, got {len(sequences)}")
     ids = [s.seq_id for s in sequences]
     if len(set(ids)) != len(ids):
-        raise ValueError("sequence ids must be unique")
+        repeated = sorted({i for i in ids if ids.count(i) > 1})
+        raise ValueError(f"sequence ids must be unique; repeated: {', '.join(repeated)}")
     matrix = matrix or blosum62()
     gap = gap or GapPenalty(10.0, 0.5)
+    for seq in sequences:
+        bad = "".join(sorted(set(seq.residues.upper()) - set(matrix.alphabet)))
+        if bad:
+            hint = " (gaps: is the input already aligned?)" if "-" in bad else ""
+            raise ValueError(
+                f"sequence {seq.seq_id!r}: residue(s) {bad!r} not in the "
+                f"{matrix.name} alphabet{hint}"
+            )
 
     if quick_distances:
         distance_method = "score"

@@ -768,10 +768,15 @@ def _cmd_clustalw(args: argparse.Namespace) -> int:
     from repro.bioinfo.sequences import read_fasta, synthetic_family, write_fasta
 
     if args.fasta:
-        sequences = read_fasta(args.fasta)
+        try:
+            sequences = read_fasta(args.fasta)
+            result = clustalw(sequences, tree_method=args.tree)
+        except ValueError as exc:  # malformed or unalignable input
+            print(f"repro clustalw: error: {args.fasta}: {exc}", file=sys.stderr)
+            return 2
     else:
         sequences = synthetic_family(args.family_size, args.length, seed=args.seed)
-    result = clustalw(sequences, tree_method=args.tree)
+        result = clustalw(sequences, tree_method=args.tree)
     print(f"; {len(sequences)} sequences, alignment length {result.length}, "
           f"SP score {result.sp_score:.1f}")
     print(f"; guide tree: {result.tree.newick([s.seq_id for s in sequences])}")

@@ -408,3 +408,28 @@ class TestClustalw:
     def test_nj_tree_option(self, capsys):
         assert main(["clustalw", "--family-size", "3", "--length", "30", "--tree", "nj"]) == 0
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "text, names",
+        [
+            (None, ("seq000", "'-'", "already aligned")),  # its own --out file
+            (">a\nARNZ\n>b\nARND\n", ("'a'", "'Z'")),
+            ("", ("at least two sequences, got 0",)),
+            (">a\nARND\n>a\nARNE\n", ("repeated: a",)),
+        ],
+        ids=["aligned-output", "unknown-residue", "empty-file", "duplicate-id"],
+    )
+    def test_bad_fasta_exits_2_naming_file_and_record(self, tmp_path, capsys, text, names):
+        path = tmp_path / "in.fasta"
+        if text is None:
+            assert main(["clustalw", "--family-size", "3", "--length", "30",
+                         "--out", str(path)]) == 0
+        else:
+            path.write_text(text)
+        capsys.readouterr()
+        assert main(["clustalw", "--fasta", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"repro clustalw: error: {path}: ")
+        assert "Traceback" not in err
+        for name in names:
+            assert name in err
