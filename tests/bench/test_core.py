@@ -144,3 +144,18 @@ class TestRealCase:
         assert result.metrics["specimens"] > 0
         assert result.metrics["rounds"] == 20  # quick workload selected
         assert result.quick
+
+    def test_scale_cases_run_the_scale_spec(self, monkeypatch):
+        from repro.bench import cases
+
+        # The path itself, at a size tier-1 can afford.
+        metrics = cases._scale_metrics(300)
+        assert metrics["tasks"] == 300
+        assert cases.scale_spec(tasks=300).engine == "calendar"
+        # The registered cases only choose the size.
+        sizes = []
+        monkeypatch.setattr(cases, "_scale_metrics", lambda n: sizes.append(n) or {})
+        for name in ("sim-scale-1e5", "sim-scale-1e6"):
+            for quick in (True, False):
+                get_case(name).fn(quick)
+        assert sizes == [10_000, 100_000, 50_000, 1_000_000]

@@ -65,6 +65,9 @@ class TestConstraints:
     def test_describe_is_readable(self):
         assert "slices >= 18707" in MinValue("slices", 18_707).describe()
         assert "virtex-5" in Equals("device_family", "virtex-5").describe()
+        assert MaxValue("slices", 30_000).describe() == "slices <= 30000"
+        assert OneOf("os", ("Linux", "Solaris")).describe() == "os in {'Linux', 'Solaris'}"
+        assert Exists("partial_reconfig").describe() == "partial_reconfig present"
 
 
 class TestExecReq:

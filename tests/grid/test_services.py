@@ -86,6 +86,8 @@ class TestSubmitExecuteQuery:
         assert response.status is JobStatus.COMPLETED
         assert response.completed_tasks == response.total_tasks == 1
         assert response.accrued_cost > 0
+        assert svc.accrued_cost(job.job_id) == response.accrued_cost
+        assert svc.accrued_cost(job.job_id + 1) == 0.0  # nothing charged
         kinds = [e.kind for e in response.events]
         assert kinds == [
             EventKind.SUBMITTED,

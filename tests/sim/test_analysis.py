@@ -14,6 +14,7 @@ from repro.sim.analysis import (
 from repro.sim.slo import evaluate_trace, parse_slo
 from repro.sim.tracing import (
     InMemorySink,
+    JsonlSink,
     TraceEvent,
     TraceInvariantChecker,
     Tracer,
@@ -210,6 +211,28 @@ class TestCriticalPath:
         cp = analysis.critical_path
         assert cp is not None
         assert [k[1] for k in cp.keys] == [0, 1, 3]
+
+    def test_analyze_json_carries_the_critical_path(self, tmp_path, capsys):
+        from repro.sim.simulator import DReAMSim
+
+        trace = tmp_path / "graph.trace.jsonl"
+        rms, _ = gpp_rms(gpps=3)
+        sim = DReAMSim(rms, tracer=Tracer(TraceInvariantChecker(), JsonlSink(trace)))
+        sim.submit_graph([
+            gpp_task(0),
+            gpp_task(1, sources=(0,), in_bytes=8),
+            gpp_task(2, sources=(1,), in_bytes=8),
+        ])
+        sim.run()
+        sim.tracer.close()
+        out = tmp_path / "phases.json"
+        assert main(["analyze", str(trace), "--json", str(out)]) == 0
+        capsys.readouterr()
+        cp = json.loads(out.read_text())["traces"][str(trace)]["critical_path"]
+        assert [key[1] for key in cp["keys"]] == [0, 1, 2]
+        assert cp["share_of_makespan"] == pytest.approx(1.0, rel=1e-6)
+        assert cp["total_s"] == pytest.approx(cp["makespan_s"], rel=1e-6)
+        assert [node["dominant_phase"] in PHASES for node in cp["nodes"]] == [True] * 3
 
     def test_synthetic_workloads_have_no_critical_path(self):
         analysis = analyze_trace(golden_path("hybrid-cost"))

@@ -7,11 +7,14 @@ cold restart orphaning, replicated failover, heartbeat-driven node
 crash detection, and the zero-cost-when-disabled report equality.
 """
 
+import dataclasses
+import itertools
 import math
 
 import pytest
 
 from repro.core.node import Node
+from repro.grid.jss import JobStatus
 from repro.grid.network import Network
 from repro.grid.rms import ResourceManagementSystem
 from repro.hardware.catalog import device_by_model
@@ -28,6 +31,7 @@ from repro.sim.failover import (
 )
 from repro.sim.faults import FaultInjector, FaultSpec, RetryPolicy
 from repro.sim.simulator import DReAMSim
+from repro.sim.telemetry import TelemetryRegistry
 from repro.sim.tracing import (
     InMemorySink,
     TraceInvariantChecker,
@@ -269,7 +273,8 @@ class TestReplicatedRMS:
 # ---------------------------------------------------------------------------
 # Simulator scenarios
 # ---------------------------------------------------------------------------
-def build_sim(seed=7, tasks=120, engine="heap", failover=None, faults=None):
+def build_sim(seed=7, tasks=120, engine="heap", failover=None, faults=None,
+              telemetry=None):
     """A checked two-node simulation; *engine* defaults to the heap
     oracle, not the simulator's calendar default."""
     network = Network.fully_connected([0, 1])
@@ -303,6 +308,7 @@ def build_sim(seed=7, tasks=120, engine="heap", failover=None, faults=None):
         faults=FaultInjector(faults, seed=seed) if faults else None,
         retry=RetryPolicy(backoff_base_s=0.2),
         failover=failover,
+        telemetry=telemetry,
     )
     sim.submit_workload(workload.generate())
     return sim, checker, sink
@@ -314,21 +320,27 @@ RMS_CHAOS = FaultSpec(
     rms_gray_rate_per_s=0.02,
     horizon_s=40.0,
 )
+#: RMS_CHAOS with outages shorter than a task: a cold restart then finds
+#: a placement still in flight and orphans it (RMS_CHAOS's 4-8 s
+#: outages outlast every task, so nothing is left to orphan).
+ORPHANING = dataclasses.replace(RMS_CHAOS, rms_downtime_range_s=(0.5, 1.0))
 
 
 class TestSimulatorFailover:
     def test_cold_restart_conserves_and_recovers_orphans(self):
-        sim, checker, _ = build_sim(failover=None, faults=RMS_CHAOS)
-        report = sim.run()
-        checker.assert_quiescent()
-        checker.assert_conservation()
-        assert report.rms_crashes >= 1
-        assert report.control_plane_downtime_s > 0
-        assert report.pending == 0
-        assert report.completed + report.failed + report.discarded == 120
-        # Orphans, when any placement was in flight at the crash, are
-        # recovered -- never lost.
-        assert report.orphans_recovered == report.orphaned_tasks
+        for faults, engine in itertools.product((RMS_CHAOS, ORPHANING), ("heap", "calendar")):
+            sim, checker, _ = build_sim(engine=engine, failover=None, faults=faults)
+            report = sim.run()
+            checker.assert_quiescent()
+            checker.assert_conservation()
+            assert report.rms_crashes >= 1
+            assert report.control_plane_downtime_s > 0
+            assert report.pending == 0
+            assert report.completed + report.failed + report.discarded == 120
+            # Orphans are recovered -- never lost.
+            assert report.orphans_recovered == report.orphaned_tasks
+            if faults is ORPHANING:
+                assert report.orphaned_tasks > 0, engine
 
     def test_replicated_preset_fails_over_with_finite_latency(self):
         sim, checker, _ = build_sim(
@@ -394,14 +406,32 @@ class TestSimulatorFailover:
     def test_orphaned_jss_records_requeue(self):
         """The JSS view agrees with the simulator: an orphaned task's
         record is rewound, counted, and eventually completes."""
-        sim, _, _ = build_sim(failover=None, faults=RMS_CHAOS)
-        report = sim.run()
-        orphaned = sum(
-            record.orphaned
-            for job in sim.jss.jobs.values()
-            for record in job.records.values()
-        )
-        assert orphaned == report.orphaned_tasks
+        for engine in ("heap", "calendar"):
+            telemetry = TelemetryRegistry()
+            sim, _, sink = build_sim(
+                engine=engine, failover=None, faults=ORPHANING, telemetry=telemetry
+            )
+            report = sim.run()
+            orphans = [
+                (job.job_id, record)
+                for job in sim.jss.jobs.values()
+                for record in job.records.values()
+                if record.orphaned
+            ]
+            assert report.orphaned_tasks > 0, engine
+            assert sum(r.orphaned for _, r in orphans) == report.orphaned_tasks
+            counter = telemetry.counter("jss_tasks_orphaned_total")
+            assert counter.value == report.orphaned_tasks
+            for job_id, record in orphans:
+                assert record.status is JobStatus.COMPLETED
+                # Rewound: the task was dispatched again after its
+                # orphan was recovered, and that second run completed.
+                kinds = [
+                    e.kind for e in sink.events if e.key == (job_id, record.task.task_id)
+                ]
+                recovered = kinds.index("orphan-recovered")
+                assert "dispatch" in kinds[recovered:]
+                assert kinds[-1] == "complete"
 
 
 class TestAbortAfterUnregister:
