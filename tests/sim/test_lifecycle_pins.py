@@ -168,8 +168,8 @@ def branches(events) -> set[str]:
 #: The branches each scenario exists to reach.
 REACHED = {
     "chaos": {
-        "node-leave{crash,detected}", "node-join{rejoin}", "failover-begin",
-        "lease-expire", "orphan-recovered", "rms-restore:cold-restart",
+        "node-dead", "node-leave{crash,detected}", "node-join{rejoin}",
+        "failover-begin", "lease-expire", "orphan-recovered", "rms-restore:cold-restart",
         "fallback", "speculate:launch", "speculate:lose", "timeout:fail-queued",
     },
     "flash": {"shed", "degrade", "defer", "brownout"},
@@ -179,7 +179,7 @@ REACHED = {
         "speculate:win", "speculate:lose", "speculate:abort",
     },
     "detected": {
-        "node-leave{crash,detected}", "node-join{rejoin}", "fault:rebooted",
+        "node-dead", "node-leave{crash,detected}", "node-join{rejoin}", "fault:rebooted",
         "heartbeat-rejoin", "rms-restore:gray-recovered", "speculate:win",
         "speculate:abort",
     },
@@ -189,10 +189,10 @@ REACHED = {
 #: name -> CRC-32 of (the canonical trace lines, the report, the
 #: telemetry registry dump).
 PINNED = {
-    "chaos": ("f32a060a", "55724178", "d03970fd"),
+    "chaos": ("85b31555", "55724178", "d03970fd"),
     "flash": ("1fe9abb2", "813f2a23", "ad368dde"),
     "churn": ("e8e7adf0", "4738e508", "4c5ffe49"),
-    "detected": ("f7c0316c", "8446a26f", "fea79a73"),
+    "detected": ("1597bcba", "8446a26f", "fea79a73"),
     "scripted": ("b526f0f3", "07e7cf8b", "8118eca5"),
 }
 
