@@ -929,17 +929,11 @@ def _case_engine_calendar(quick: bool) -> dict[str, float]:
     return {"events": events, "final_clock_s": now}
 
 
-def scale_spec(*, tasks: int):
-    """The million-task scale scenario: the canonical two-node grid,
-    calendar engine, columnar workload."""
-    return baseline_spec(tasks=tasks).with_(engine="calendar")
-
-
 def run_scale(tasks: int):
-    """One end-to-end scale run through the streaming hot path."""
+    """One end-to-end scale run of the canonical two-node grid."""
     from repro.sim.experiment import run_experiment
 
-    return run_experiment(scale_spec(tasks=tasks)).report
+    return run_experiment(baseline_spec(tasks=tasks)).report
 
 
 def _scale_metrics(tasks: int) -> dict[str, float]:
@@ -952,13 +946,13 @@ def _scale_metrics(tasks: int) -> dict[str, float]:
 @register("sim-scale-1e5", "scale", quick_eligible=False,
           description="100k-task end-to-end run through the scale path")
 def _case_scale_1e5(quick: bool) -> dict[str, float]:
-    return _scale_metrics(10_000 if quick else 100_000)
+    return _scale_metrics(100_000)
 
 
 @register("sim-scale-1e6", "scale", quick_eligible=False,
           description="1e6-task end-to-end run through the scale path")
 def _case_scale_1e6(quick: bool) -> dict[str, float]:
-    return _scale_metrics(50_000 if quick else 1_000_000)
+    return _scale_metrics(1_000_000)
 
 
 @register("parallel-runner", "harness", quick_eligible=False,

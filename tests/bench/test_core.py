@@ -151,11 +151,12 @@ class TestRealCase:
         # The path itself, at a size tier-1 can afford.
         metrics = cases._scale_metrics(300)
         assert metrics["tasks"] == 300
-        assert cases.scale_spec(tasks=300).engine == "calendar"
-        # The registered cases only choose the size.
+        assert cases.baseline_spec(tasks=300).engine == "calendar"
+        # The registered cases only choose the size; neither is quick
+        # eligible, so no quick size exists.
         sizes = []
         monkeypatch.setattr(cases, "_scale_metrics", lambda n: sizes.append(n) or {})
         for name in ("sim-scale-1e5", "sim-scale-1e6"):
-            for quick in (True, False):
-                get_case(name).fn(quick)
-        assert sizes == [10_000, 100_000, 50_000, 1_000_000]
+            assert not get_case(name).quick_eligible
+            get_case(name).fn(False)
+        assert sizes == [100_000, 1_000_000]
