@@ -46,7 +46,6 @@ def clustalw(
     matrix: SubstitutionMatrix | None = None,
     gap: GapPenalty | None = None,
     tree_method: str = "upgma",
-    quick_distances: bool = False,
     distance_method: str = "full",
     ktuple_k: int = 2,
     use_weights: bool = False,
@@ -60,8 +59,6 @@ def clustalw(
         open 10 / extend 0.5 penalties.
     tree_method:
         ``"upgma"`` or ``"nj"``.
-    quick_distances:
-        Back-compat alias for ``distance_method="score"``.
     distance_method:
         ``"full"`` (accurate: full pairwise alignments), ``"score"``
         (score-only DP), or ``"ktuple"`` (Wilbur-Lipman word matching,
@@ -90,8 +87,6 @@ def clustalw(
                 f"{matrix.name} alphabet{hint}"
             )
 
-    if quick_distances:
-        distance_method = "score"
     if distance_method == "ktuple":
         from repro.bioinfo.ktuple import ktuple_distances
 

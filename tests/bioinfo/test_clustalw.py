@@ -25,7 +25,7 @@ class TestPipeline:
 
     def test_nj_and_quick_variants(self):
         fam = synthetic_family(5, 50, seed=2)
-        result = clustalw(fam, tree_method="nj", quick_distances=True)
+        result = clustalw(fam, tree_method="nj", distance_method="score")
         assert len(result.alignment) == 5
 
     def test_dna_sequences(self):

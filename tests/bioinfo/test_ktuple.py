@@ -116,8 +116,3 @@ class TestClustalWIntegration:
         fam = synthetic_family(3, 30, seed=9)
         with pytest.raises(ValueError, match="distance method"):
             clustalw(fam, distance_method="psychic")
-
-    def test_quick_flag_still_works(self):
-        fam = synthetic_family(3, 40, seed=10)
-        result = clustalw(fam, quick_distances=True)
-        assert len(result.alignment) == 3
