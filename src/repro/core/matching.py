@@ -129,6 +129,30 @@ def _rpe_slices(task: Task) -> int:
     return 0
 
 
+def _interned(
+    node: Node,
+    kind: PEClass,
+    resource_id: int,
+    resource_index: int,
+    reuses_resident: bool = False,
+    region_id: int | None = None,
+) -> Candidate:
+    """*node*'s one :class:`Candidate` with these fields.  A candidate
+    is a frozen value of its node and these five fields, so the node
+    keeps each one it was asked for and matching builds it once, not
+    once per scan.  ``resource_index`` is in the key because removing a
+    PE shifts the indices of the PEs after it."""
+    key = (kind, resource_id, resource_index, reuses_resident, region_id)
+    interned = node._candidates
+    candidate = interned.get(key)
+    if candidate is None:
+        candidate = interned[key] = Candidate(
+            node.node_id, node.name, kind, resource_id, resource_index,
+            reuses_resident, region_id,
+        )
+    return candidate
+
+
 def _match_node(
     task: Task, node: Node, require_available: bool, needed: int, table: dict
 ) -> list[Candidate]:
@@ -152,15 +176,7 @@ def _match_node(
                 continue
             if require_available and gpp.state is not PEState.IDLE:
                 continue
-            candidates.append(
-                Candidate(
-                    node_id=node.node_id,
-                    node_name=node.name,
-                    kind=PEClass.GPP,
-                    resource_id=gpp.resource_id,
-                    resource_index=index,
-                )
-            )
+            candidates.append(_interned(node, PEClass.GPP, gpp.resource_id, index))
         # Section III-A fallback: soft cores hosted on RPEs can serve
         # GPP-class (and SOFTCORE-class) requirements.  A hosted core's
         # descriptor carries its resource and region ids, so it is
@@ -170,16 +186,10 @@ def _match_node(
                 continue
             for caps in rpe.softcore_capabilities():
                 if req.matches(caps):
-                    candidates.append(
-                        Candidate(
-                            node_id=node.node_id,
-                            node_name=node.name,
-                            kind=PEClass.SOFTCORE,
-                            resource_id=rpe.resource_id,
-                            resource_index=index,
-                            region_id=caps.get("region_id"),  # type: ignore[arg-type]
-                        )
-                    )
+                    candidates.append(_interned(
+                        node, PEClass.SOFTCORE, rpe.resource_id, index,
+                        region_id=caps.get("region_id"),  # type: ignore[arg-type]
+                    ))
 
     if wanted is PEClass.RPE:
         function = task.function
@@ -204,16 +214,9 @@ def _match_node(
                     fabric.can_place(needed) if needed else fabric.available_slices > 0
                 ):
                     continue
-            candidates.append(
-                Candidate(
-                    node_id=node.node_id,
-                    node_name=node.name,
-                    kind=PEClass.RPE,
-                    resource_id=rpe.resource_id,
-                    resource_index=index,
-                    reuses_resident=resident is not None,
-                )
-            )
+            candidates.append(_interned(
+                node, PEClass.RPE, rpe.resource_id, index, resident is not None
+            ))
 
     if wanted is PEClass.SOFTCORE and req.artifacts.softcore is not None:
         # Pre-determined hardware configuration (Section III-B1): the
@@ -235,15 +238,7 @@ def _match_node(
                 continue
             if require_available and not rpe.fabric.can_place(spec.required_slices()):
                 continue
-            candidates.append(
-                Candidate(
-                    node_id=node.node_id,
-                    node_name=node.name,
-                    kind=PEClass.SOFTCORE,
-                    resource_id=rpe.resource_id,
-                    resource_index=index,
-                )
-            )
+            candidates.append(_interned(node, PEClass.SOFTCORE, rpe.resource_id, index))
 
     if wanted is PEClass.GPU:
         # The Section III extension class: nodes may carry GPUs; they
@@ -259,15 +254,7 @@ def _match_node(
                 continue
             if require_available and gpu.state is not PEState.IDLE:
                 continue
-            candidates.append(
-                Candidate(
-                    node_id=node.node_id,
-                    node_name=node.name,
-                    kind=PEClass.GPU,
-                    resource_id=gpu.resource_id,
-                    resource_index=index,
-                )
-            )
+            candidates.append(_interned(node, PEClass.GPU, gpu.resource_id, index))
 
     return candidates
 

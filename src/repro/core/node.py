@@ -276,6 +276,9 @@ class Node:
         self.rpes: list[RPEResource] = []
         self.gpus: list[GPUResource] = []
         self._next_resource_id = itertools.count(0)
+        #: Matchmaking's interned candidates on this node
+        #: (:func:`repro.core.matching._interned`).
+        self._candidates: dict[tuple, object] = {}
 
     # ------------------------------------------------------------------
     # Runtime add/remove (Section IV-A's adaptivity claim)

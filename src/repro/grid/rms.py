@@ -31,7 +31,7 @@ from repro.core.node import Node
 from repro.core.state import NodeStateSnapshot
 from repro.core.task import Task
 from repro.grid.network import Network, NetworkError, USER_SITE
-from repro.grid.virtualizer import ConfigurationPlan, VirtualizationError, VirtualizationLayer
+from repro.grid.virtualizer import VirtualizationError, VirtualizationLayer
 from repro.hardware.bitstream import Bitstream
 from repro.hardware.fabric import RegionState
 from repro.hardware.softcore import SoftcoreSpec
@@ -135,6 +135,10 @@ class ResourceManagementSystem:
         #: while the strategy chooses), so each candidate is priced at
         #: most once and only the chosen one becomes a Placement.
         self._quotes: dict[int, tuple] | None = None
+        #: The price classes and staging times of the same call
+        #: (:meth:`_components`); ``None`` outside it, like _quotes.
+        self._classes: dict[tuple, tuple] | None = None
+        self._staging: dict[tuple[int, int], float] | None = None
         #: Static feasibility of each requirement on each PE spec
         #: (:data:`repro.core.matching.StaticMemo`); specs are frozen,
         #: so it stays valid for the grid's lifetime.
@@ -189,14 +193,12 @@ class ResourceManagementSystem:
             memo=self._static,
         )
 
-    def _transfer_time(
-        self, size_bytes: int, node_id: int, *, from_node: int | None = None
-    ) -> float:
+    def _transfer_time(self, size_bytes: int, dst: int, src: int = USER_SITE) -> float:
+        """Seconds to move *size_bytes* from site *src* to site *dst*."""
         if self.network is None or size_bytes == 0:
             return 0.0
-        src = USER_SITE if from_node is None else self.site_of(from_node)
         try:
-            return self.network.transfer_time(size_bytes, src, self.site_of(node_id))
+            return self.network.transfer_time(size_bytes, src, dst)
         except NetworkError:
             # Partitioned: the placement is currently unreachable, not
             # an error.  An infinite price keeps the task pending until
@@ -204,13 +206,14 @@ class ResourceManagementSystem:
             # finite candidate; the simulator defers inf-cost choices).
             return float("inf")
 
-    def _input_transfer_time(self, task: Task, node_id: int) -> float:
-        """Time to stage *task*'s inputs on *node_id*.
+    def _staging_time(self, task: Task, site: int, bitstream_bytes: int) -> float:
+        """Time to stage *task*'s inputs, and *bitstream_bytes* of a
+        user-shipped bitstream, on *site*.
 
         Inputs whose producer's location is known (``_data_sites``, set
         by the simulator per dispatch) ship producer-node -> consumer-
         node; everything else ships from the user's site.  Streams move
-        concurrently, so the staging time is the slowest single input --
+        concurrently, so the staging time is the slowest single stream --
         which makes the cost model *data-locality aware*: a candidate on
         the producer's node pays nothing for that edge.
         """
@@ -220,59 +223,9 @@ class ResourceManagementSystem:
         slowest = 0.0
         for data in task.data_in:
             producer_node = sites.get(data.source_task_id)
-            slowest = max(
-                slowest,
-                self._transfer_time(
-                    data.size_bytes, node_id, from_node=producer_node
-                ),
-            )
-        return slowest
-
-    def _exec_time(self, task: Task, candidate: Candidate) -> float:
-        node = self.node(candidate.node_id)
-        if candidate.kind is PEClass.GPP:
-            return node.gpp(candidate.resource_id).spec.execution_time_s(
-                task.effective_workload_mi
-            )
-        if candidate.kind is PEClass.GPU:
-            return node.gpu(candidate.resource_id).spec.execution_time_s(
-                task.effective_workload_mi
-            )
-        if candidate.kind is PEClass.SOFTCORE:
-            rpe = node.rpe(candidate.resource_id)
-            spec = task.exec_req.artifacts.softcore
-            if candidate.region_id is not None:
-                spec = rpe.hosted_softcores.get(candidate.region_id, spec)
-            if spec is None:
-                spec = self.virtualization.provisioner.default_core
-            mips = spec.effective_mips(rpe.device)
-            return task.effective_workload_mi / mips
-        # RPE accelerator: t_estimated is defined for the ExecReq-matched
-        # PE (Section IV-B); scale by the accelerator speedup when the
-        # bitstream declares one and the task also carries a workload.
-        return task.t_estimated
-
-    def _plan_rpe(
-        self, task: Task, candidate: Candidate, rpe
-    ) -> tuple[ConfigurationPlan, int]:
-        """Configuration plan + target region for an RPE candidate
-        (*rpe* is its resource)."""
-        plan = self.virtualization.plan_rpe_configuration(task, rpe)
-        if not plan.needs_reconfiguration:
-            region = rpe.fabric.find_resident(task.function)
-            if region is None:  # pragma: no cover - defensive
-                raise SchedulingError(
-                    f"task {task.task_id}: resident configuration vanished"
-                )
-            return plan, region.region_id
-        assert plan.bitstream is not None
-        region = rpe.fabric.find_placeable(plan.bitstream.required_slices)
-        if region is None:
-            raise SchedulingError(
-                f"task {task.task_id}: no placeable region on RPE "
-                f"{candidate.resource_id} of node {candidate.node_id}"
-            )
-        return plan, region.region_id
+            src = USER_SITE if producer_node is None else self.site_of(producer_node)
+            slowest = max(slowest, self._transfer_time(data.size_bytes, site, src))
+        return max(slowest, self._transfer_time(bitstream_bytes, site))
 
     def estimate_cost_s(self, task: Task, candidate: Candidate) -> float:
         """Dispatch-to-completion time if *task* ran on *candidate* --
@@ -288,7 +241,7 @@ class ResourceManagementSystem:
 
     def _quote(self, task: Task, candidate: Candidate) -> Placement:
         """A freshly priced placement, never memoized."""
-        _, _, fields = self._components(task, candidate)
+        _, _, fields = self._components(task, candidate, {}, {})
         return Placement(task, candidate, *fields)
 
     def _quoted(self, task: Task, candidate: Candidate) -> tuple:
@@ -297,54 +250,109 @@ class ResourceManagementSystem:
         candidate, so its id is not reused while the memo lives."""
         quotes = self._quotes
         if quotes is None:
-            return self._components(task, candidate)
+            return self._components(task, candidate, {}, {})
         quote = quotes.get(id(candidate))
         if quote is None:
-            quote = quotes[id(candidate)] = self._components(task, candidate)
+            quote = quotes[id(candidate)] = self._components(
+                task, candidate, self._classes, self._staging
+            )
         return quote
 
-    def _components(self, task: Task, candidate: Candidate) -> tuple:
+    def _components(
+        self, task: Task, candidate: Candidate, classes: dict, staging: dict
+    ) -> tuple:
         """Price *candidate*: ``(candidate, total seconds, fields)``,
         where *fields* are :class:`Placement`'s fields after ``task``
-        and ``candidate``, in declaration order."""
-        exec_time_s = self._exec_time(task, candidate)
+        and ``candidate``, in declaration order.
+
+        Most of an RPE's price depends only on its price class: the
+        device and whether *task*'s function is resident on it
+        (``reuses_resident``).  *classes* keeps, per class, the
+        configuration plan's bitstream, the synthesis and
+        reconfiguration times, the bytes of a user-shipped bitstream and
+        the execution time; *staging* keeps the staging time per (site,
+        bitstream bytes).  The region is found per candidate, and
+        :class:`~repro.grid.virtualizer.VirtualizationError` or
+        :class:`SchedulingError` means the candidate cannot be priced.
+        Both memos hold for one task on one grid state only.
+        """
+        node = self.node(candidate.node_id)
+        kind = candidate.kind
         region_id = candidate.region_id
         bitstream = provision_softcore = None
         synthesis_time_s = reconfig_time_s = 0.0
         reused = False
         bitstream_bytes = 0
 
-        if candidate.kind is PEClass.RPE:
-            rpe = self.node(candidate.node_id).rpe(candidate.resource_id)
-            plan, region_id = self._plan_rpe(task, candidate, rpe)
-            bitstream = plan.bitstream
-            synthesis_time_s = plan.synthesis_time_s
-            reused = bitstream is None
-            if bitstream is not None:
-                reconfig_time_s = rpe.fabric.reconfiguration_time_s(
-                    bitstream, partial=self.partial_reconfiguration
+        if kind is PEClass.RPE:
+            rpe = node.rpe(candidate.resource_id)
+            key = (id(rpe.device), candidate.reuses_resident)
+            price_class = classes.get(key)
+            if price_class is None:
+                plan = self.virtualization.plan_rpe_configuration(task, rpe)
+                bitstream = plan.bitstream
+                if plan.needs_reconfiguration:
+                    reconfig_time_s = rpe.fabric.reconfiguration_time_s(
+                        bitstream, partial=self.partial_reconfiguration
+                    )
+                    # Only user-shipped bitstreams traverse the network.
+                    if task.exec_req.artifacts.bitstream is bitstream:
+                        bitstream_bytes = bitstream.size_bytes
+                # An accelerator runs for t_estimated, which is defined
+                # for the ExecReq-matched PE (Section IV-B).
+                price_class = classes[key] = (
+                    bitstream, plan.synthesis_time_s, reconfig_time_s,
+                    bitstream_bytes, task.t_estimated,
                 )
-                # Only user-shipped bitstreams traverse the network.
-                if task.exec_req.artifacts.bitstream is bitstream:
-                    bitstream_bytes = bitstream.size_bytes
-        elif candidate.kind is PEClass.SOFTCORE and region_id is None:
-            # Soft core must be provisioned first (Section III-B1/III-A);
-            # a hosted one executes in its region (``region_id``).
-            rpe = self.node(candidate.node_id).rpe(candidate.resource_id)
-            provision_softcore = (
-                task.exec_req.artifacts.softcore
-                or self.virtualization.provisioner.default_core
+            (bitstream, synthesis_time_s, reconfig_time_s,
+             bitstream_bytes, exec_time_s) = price_class
+            if bitstream is None:
+                reused = True
+                region = rpe.fabric.find_resident(task.function)
+                if region is None:  # pragma: no cover - defensive
+                    raise SchedulingError(
+                        f"task {task.task_id}: resident configuration vanished"
+                    )
+            else:
+                region = rpe.fabric.find_placeable(bitstream.required_slices)
+                if region is None:
+                    raise SchedulingError(
+                        f"task {task.task_id}: no placeable region on RPE "
+                        f"{candidate.resource_id} of node {candidate.node_id}"
+                    )
+            region_id = region.region_id
+        elif kind is PEClass.GPP:
+            exec_time_s = node.gpp(candidate.resource_id).spec.execution_time_s(
+                task.effective_workload_mi
             )
-            reconfig_time_s = rpe.device.reconfiguration_time_s(
-                provision_softcore.required_slices()
+        elif kind is PEClass.GPU:
+            exec_time_s = node.gpu(candidate.resource_id).spec.execution_time_s(
+                task.effective_workload_mi
             )
+        else:
+            rpe = node.rpe(candidate.resource_id)
+            spec = task.exec_req.artifacts.softcore
+            if region_id is not None:
+                spec = rpe.hosted_softcores.get(region_id, spec)
+            if spec is None:
+                spec = self.virtualization.provisioner.default_core
+            exec_time_s = task.effective_workload_mi / spec.effective_mips(rpe.device)
+            if region_id is None:
+                # Soft core must be provisioned first (Section III-B1/III-A);
+                # a hosted one executes in its region (``region_id``).
+                provision_softcore = spec
+                reconfig_time_s = rpe.device.reconfiguration_time_s(
+                    spec.required_slices()
+                )
 
         # Input streams and the user's bitstream move concurrently; the
         # staging delay is the slowest of them.
-        transfer_time_s = max(
-            self._input_transfer_time(task, candidate.node_id),
-            self._transfer_time(bitstream_bytes, candidate.node_id),
-        )
+        site = self.site_of(candidate.node_id)
+        transfer_time_s = staging.get((site, bitstream_bytes))
+        if transfer_time_s is None:
+            transfer_time_s = staging[site, bitstream_bytes] = self._staging_time(
+                task, site, bitstream_bytes
+            )
         # Placement.total_time_s's expression order, so the floats match.
         cost = (transfer_time_s + synthesis_time_s + reconfig_time_s) + exec_time_s
         return candidate, cost, (
@@ -488,7 +496,7 @@ class ResourceManagementSystem:
                 return None
 
         self._data_sites = data_sites
-        self._quotes = {}
+        self._quotes, self._classes, self._staging = {}, {}, {}
         try:
             candidates = filter_excluded(
                 self.find_candidates(task, require_available=True), exclude_nodes
@@ -513,7 +521,7 @@ class ResourceManagementSystem:
                 ) from exc
         finally:
             self._data_sites = None
-            self._quotes = None
+            self._quotes = self._classes = self._staging = None
 
     # ------------------------------------------------------------------
     # Placement lifecycle (driven by the simulator through time)

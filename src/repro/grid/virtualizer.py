@@ -53,7 +53,11 @@ class SynthesisService:
         self.cache_hits = 0
 
     def synthesize(self, design: HDLDesign, device: FPGADevice) -> SynthesisResult:
-        """Produce (or reuse) a bitstream of *design* for *device*."""
+        """Produce (or reuse) a bitstream of *design* for *device*.
+
+        Raises :class:`VirtualizationError` when the provider has no CAD
+        tools or the design does not fit the device (slices, BRAM or
+        DSP): either way this device cannot run the design."""
         if not self.has_cad_tools:
             raise VirtualizationError(
                 "this provider has no CAD tools; submit a device-specific "
@@ -63,7 +67,10 @@ class SynthesisService:
         if key in self._cache:
             self.cache_hits += 1
             return self._cache[key]
-        result = synthesize(design, device)
+        try:
+            result = synthesize(design, device)
+        except ValueError as exc:
+            raise VirtualizationError(str(exc)) from exc
         self._cache[key] = result
         self.synthesis_runs += 1
         return result

@@ -279,10 +279,7 @@ def svg_span_timeline(
     ``legend_items`` overrides the default task-lifecycle legend with
     ``(label, color)`` pairs (used by the SLO objective timeline).
     """
-    tracks: list[str] = []
-    for span in spans:
-        if span.track not in tracks:
-            tracks.append(span.track)
+    tracks = list(dict.fromkeys(span.track for span in spans))
     dropped = max(0, len(tracks) - MAX_TIMELINE_TRACKS)
     tracks = tracks[:MAX_TIMELINE_TRACKS]
     shown = set(tracks)

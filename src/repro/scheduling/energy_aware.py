@@ -17,11 +17,14 @@ from __future__ import annotations
 
 from repro.core.matching import Candidate, task_required_slices
 from repro.core.task import Task
+from repro.grid.rms import SchedulingError
+from repro.grid.virtualizer import VirtualizationError
 from repro.hardware.power import (
     energy_per_task_j,
     fpga_active_power,
     fpga_reconfig_power,
     gpp_power,
+    gpu_power,
     softcore_power,
 )
 from repro.hardware.taxonomy import PEClass
@@ -45,6 +48,9 @@ class EnergyAwareScheduler(Scheduler):
         if candidate.kind is PEClass.GPP:
             spec = node.gpp(candidate.resource_id).spec
             return energy_per_task_j(gpp_power(spec, load=1.0), placement.exec_time_s)
+        if candidate.kind is PEClass.GPU:
+            spec = node.gpu(candidate.resource_id).spec
+            return energy_per_task_j(gpu_power(spec, load=1.0), placement.exec_time_s)
         rpe = node.rpe(candidate.resource_id)
         if candidate.kind is PEClass.SOFTCORE:
             spec = task.exec_req.artifacts.softcore
@@ -72,8 +78,8 @@ class EnergyAwareScheduler(Scheduler):
             try:
                 joules = self._candidate_energy_j(task, candidate, rms)
                 seconds = rms.estimate_cost_s(task, candidate)
-            except Exception:
-                continue
+            except (SchedulingError, VirtualizationError):
+                continue  # unpriceable candidate (e.g. synthesis refused)
             cost = joules + self.deadline_weight * seconds
             if cost < best_cost:
                 best, best_cost = candidate, cost

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 from repro.core.matching import Candidate, task_required_slices
 from repro.core.task import Task
+from repro.grid.rms import SchedulingError
+from repro.grid.virtualizer import VirtualizationError
 from repro.hardware.taxonomy import PEClass
 from repro.scheduling.base import Scheduler
 
@@ -42,7 +44,7 @@ class HybridCostScheduler(Scheduler):
         for candidate in candidates:
             try:
                 cost = rms.estimate_cost_s(task, candidate)
-            except Exception:
+            except (SchedulingError, VirtualizationError):
                 continue  # unpriceable candidate (e.g. synthesis refused)
             if self.area_weight and candidate.kind is PEClass.RPE:
                 rpe = rms.node(candidate.node_id).rpe(candidate.resource_id)

@@ -273,9 +273,12 @@ class TestQuoteMemo:
         monkeypatch.setattr(Network, "transfer_time", counting)
         placement = rms.plan_placement(task, data_sites={7: 1})
         assert placement is not None
-        # Two input streams per candidate, each candidate priced once --
-        # the winner included.
-        assert len(calls) == 2 * len(candidates)
+        # Two input streams per candidate site, each site staged once per
+        # plan -- the winner included: 6 calls for 6 candidates on 3 sites.
+        sites = {rms.site_of(candidate.node_id) for candidate in candidates}
+        assert len(sites) == 3
+        assert len(calls) == 2 * len(sites)
+        assert len(set(calls)) == len(calls)
 
     def test_memo_cleared_after_plan(self):
         rms = build_wide_rms()

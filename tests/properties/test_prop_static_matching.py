@@ -10,7 +10,11 @@ Two families of properties pin both shortcuts to their references:
   returns, and its static answers agree with the ClassAd substrate;
 * pricing -- ``estimate_cost_s`` equals a fresh quote's
   ``total_time_s`` bit for bit, and ``plan_placement``'s placement
-  equals a fresh quote of the same candidate, field by field.
+  equals a fresh quote of the same candidate, field by field, also
+  where candidates of two nodes share a price class.
+
+Matching also interns candidates: an unchanged grid answers with the
+same objects, and a removed PE shifts the index its successors carry.
 """
 
 import dataclasses
@@ -19,13 +23,14 @@ from dataclasses import replace
 
 from hypothesis import event, given, settings, strategies as st
 
+from repro.core.execreq import Artifacts, ExecReq
 from repro.core.matching import find_candidates, task_required_slices
 from repro.core.node import Node
 from repro.core.state import PEState
-from repro.core.task import DataIn, EXTERNAL_SOURCE
+from repro.core.task import DataIn, EXTERNAL_SOURCE, simple_task
 from repro.grid.classad_bridge import classad_candidates
 from repro.grid.network import USER_SITE, Network
-from repro.grid.rms import Placement, SchedulingError
+from repro.grid.rms import Placement, ResourceManagementSystem, SchedulingError
 from repro.grid.virtualizer import VirtualizationError
 from repro.hardware.bitstream import Bitstream, HDLDesign
 from repro.hardware.catalog import device_by_model
@@ -228,6 +233,24 @@ def test_arithmetic_pricing_matches_fresh_quotes(grid, fields, data):
     fields = widened(draw, fields)
     if draw(st.booleans()):
         fields["constraints"] = ()  # more candidates to price
+    task = task_from(1, fields)
+    shared = ()
+    if task.exec_req.node_type is PEClass.RPE and task.function and draw(st.booleans()):
+        # One device model on RPEs of two more nodes, the task's function
+        # resident on the first only: two price classes of one device.
+        model = draw(st.sampled_from(MODELS))
+        shared = (10, 11)
+        for node_id in shared:
+            node = Node(node_id=node_id, name=f"Node_{node_id}")
+            rpe = node.add_rpe(device_by_model(model), regions=2)
+            if node_id == shared[0]:
+                region = rpe.fabric.regions[0]
+                rpe.fabric.begin_reconfiguration(region, Bitstream(
+                    98, model, 1_000, draw(st.integers(1_000, region.slices)),
+                    implements=task.function,
+                ))
+                rpe.fabric.finish_reconfiguration(region)
+            grid.register_node(node)
     site_ids = [node.node_id for node in grid.nodes]
     grid.network = Network.fully_connected(site_ids, bandwidth_mbps=50.0, latency_s=0.02)
     if site_ids and draw(st.booleans()):
@@ -244,7 +267,6 @@ def test_arithmetic_pricing_matches_fresh_quotes(grid, fields, data):
             99, draw(st.sampled_from(MODELS)), 2_000, draw(st.integers(1_000, 9_000)),
             implements=draw(st.sampled_from(FUNCTIONS[1:])),
         ))
-    task = task_from(1, fields)
     data_sites = None
     if site_ids and draw(st.booleans()):
         # One input from a producer with a known location, one from the user.
@@ -254,6 +276,12 @@ def test_arithmetic_pricing_matches_fresh_quotes(grid, fields, data):
         ))
         data_sites = {PRODUCER: draw(st.sampled_from(site_ids))}
         event("data_sites")
+    reusing = {
+        c.reuses_resident for c in grid.find_candidates(task)
+        if c.kind is PEClass.RPE and c.node_id in shared
+    }
+    if reusing == {True, False}:
+        event("shared price class")
 
     # Outside a plan: the number equals the fresh placement's total.
     for candidate in grid.find_candidates(task):
@@ -299,3 +327,42 @@ def test_arithmetic_pricing_matches_fresh_quotes(grid, fields, data):
             assert bits(planned) == bits(fresh), field.name
         else:
             assert planned == fresh, field.name
+
+
+@settings(max_examples=150, deadline=None)
+@given(grid=grid_states(), fields=task_fields(), data=st.data())
+def test_unchanged_grid_returns_the_same_candidates(grid, fields, data):
+    """Matching interns candidates: a second scan of an unchanged grid,
+    memoized or not, returns the very objects of the first."""
+    task = task_from(1, widened(data.draw, fields))
+    for require_available in (True, False):
+        first = grid.find_candidates(task, require_available=require_available)
+        for again in (
+            grid.find_candidates(task, require_available=require_available),
+            find_candidates(task, grid.nodes, require_available=require_available),
+        ):
+            assert len(again) == len(first)
+            assert all(a is b for a, b in zip(again, first))
+
+
+def test_removed_gpp_shifts_the_next_candidates_index():
+    """``resource_index`` is part of an interned candidate's key: after
+    ``remove_gpp`` the next GPP's candidate carries its new index."""
+    rms = ResourceManagementSystem()
+    node = Node(node_id=0, name="Node_0")
+    gpps = [node.add_gpp(GPPSpec(cpu_model="x", mips=1_000)) for _ in range(3)]
+    rms.register_node(node)
+    task = simple_task(
+        1, ExecReq(node_type=PEClass.GPP, artifacts=Artifacts(application_code="x")), 1.0
+    )
+    before = rms.find_candidates(task)
+    assert [(c.resource_id, c.resource_index) for c in before] == [
+        (gpp.resource_id, index) for index, gpp in enumerate(gpps)
+    ]
+    node.remove_gpp(gpps[0].resource_id)
+    after = rms.find_candidates(task)
+    assert [(c.resource_id, c.resource_index) for c in after] == [
+        (gpps[1].resource_id, 0), (gpps[2].resource_id, 1)
+    ]
+    assert after[0].label == "GPP_0 <-> Node_0"
+    assert after[0] == replace(before[1], resource_index=0)

@@ -6,7 +6,8 @@ from repro.core.execreq import Artifacts, ExecReq, MinValue
 from repro.core.node import Node
 from repro.core.task import simple_task
 from repro.grid.rms import ResourceManagementSystem
-from repro.hardware.bitstream import Bitstream
+from repro.grid.virtualizer import VirtualizationLayer
+from repro.hardware.bitstream import Bitstream, HDLDesign
 from repro.hardware.catalog import device_by_model
 from repro.hardware.gpp import GPPSpec
 from repro.hardware.gpu import GPUSpec
@@ -14,6 +15,7 @@ from repro.hardware.taxonomy import PEClass
 from repro.scheduling import (
     ALL_STRATEGIES,
     BestFitAreaScheduler,
+    EnergyAwareScheduler,
     FCFSScheduler,
     FirstFitScheduler,
     GPPOnlyScheduler,
@@ -50,8 +52,6 @@ def hw_task(task_id=0, slices=5_000, function="fft", model=None):
         bs = Bitstream(300 + task_id, model, 1_000_000, slices, implements=function)
         artifacts["bitstream"] = bs
     else:
-        from repro.hardware.bitstream import HDLDesign
-
         artifacts["hdl_design"] = HDLDesign(
             name=function, language="VHDL", source_lines=200,
             estimated_slices=slices, implements=function,
@@ -164,6 +164,56 @@ class TestHybridCost:
         rms = build_rms(HybridCostScheduler(area_weight=10.0))
         placement = rms.plan_placement(hw_task(slices=5_000))
         assert placement.candidate.node_id == 1  # tight fit preferred
+
+
+class TestUnpriceable:
+    """A candidate the RMS cannot price (SchedulingError or
+    VirtualizationError) is skipped; any other error is a bug and
+    propagates instead of silently dropping candidates."""
+
+    COST_STRATEGIES = (HybridCostScheduler, EnergyAwareScheduler)
+
+    @pytest.mark.parametrize("strategy", COST_STRATEGIES)
+    def test_pricing_bug_propagates(self, monkeypatch, strategy):
+        def broken(self, task, rpe):
+            raise TypeError("pricing bug")
+
+        monkeypatch.setattr(VirtualizationLayer, "plan_rpe_configuration", broken)
+        rms = build_rms(strategy())
+        with pytest.raises(TypeError, match="pricing bug"):
+            rms.plan_placement(hw_task())
+
+    @pytest.mark.parametrize("strategy", COST_STRATEGIES)
+    def test_design_over_a_devices_bram_is_skipped_there(self, strategy):
+        # 5,000 slices fit both devices; 500 KB of BRAM fits the
+        # XC5VLX330 (1,152 KB) but not the XC5VLX50 (216 KB).
+        design = HDLDesign("fat", "VHDL", 200, 5_000, estimated_bram_kb=500, implements="fat")
+        task = simple_task(
+            0,
+            ExecReq(node_type=PEClass.RPE, artifacts=Artifacts(application_code="x", hdl_design=design)),
+            1.0,
+            function="fat",
+        )
+        rms = build_rms(strategy())
+        assert {c.node_id for c in rms.find_candidates(task)} == {0, 1}
+        placement = rms.plan_placement(task)
+        assert placement.candidate.node_id == 0
+
+    def test_energy_aware_prices_a_gpu(self):
+        """A GPU candidate is priced with the GPU power model, not read
+        as an RPE (which raised KeyError: the node has no RPE with its
+        id)."""
+        rms = ResourceManagementSystem(scheduler=EnergyAwareScheduler())
+        node = Node(node_id=0, name="Node_0")
+        node.add_gpu(GPUSpec(model="Tesla-C1060", shader_cores=240))
+        rms.register_node(node)
+        task = simple_task(
+            0,
+            ExecReq(node_type=PEClass.GPU, artifacts=Artifacts(application_code="x")),
+            1.0,
+        )
+        placement = rms.plan_placement(task)
+        assert placement.candidate.kind is PEClass.GPU
 
 
 class TestGPPOnly:

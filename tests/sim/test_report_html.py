@@ -1,10 +1,11 @@
 """Tests for the self-contained HTML dashboard renderer."""
 
+import time
 import xml.etree.ElementTree as ET
 
 from repro.sim.experiment import ExperimentSpec, run_experiment
 from repro.sim.faults import FaultSpec
-from repro.sim.telemetry import TelemetryRegistry, build_task_spans
+from repro.sim.telemetry import Span, TelemetryRegistry, build_task_spans
 from repro.sim.tracing import (
     InMemorySink,
     TraceInvariantChecker,
@@ -91,6 +92,15 @@ class TestSpanTimeline:
 
     def test_empty_spans_yield_placeholder(self):
         assert "no spans" in svg_span_timeline([], [], title="Empty")
+
+    def test_track_count_is_linear(self):
+        """100k one-span tracks: collecting the tracks by list
+        membership took minutes here; it must stay linear."""
+        spans = [Span(f"task-{i}", "execute", 0.0, 1.0) for i in range(100_000)]
+        start = time.perf_counter()
+        svg = svg_span_timeline(spans, [], title="Wide")
+        assert time.perf_counter() - start < 5.0
+        assert "task-39<" in svg and "task-40<" not in svg
 
 
 class TestPhaseBars:
