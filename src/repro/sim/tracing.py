@@ -120,7 +120,7 @@ class TraceEvent:
     @classmethod
     def from_json(cls, line: str) -> "TraceEvent":
         """Parse one JSONL record; ``ValueError`` unless it is an object
-        with a finite real ``t``, a non-empty string ``kind`` and a
+        with a finite real ``t``, a ``kind`` in ``EVENT_KINDS`` and a
         ``key`` that is null, a string, a number or a flat list of those."""
         data = json.loads(line)
         if not isinstance(data, dict):
@@ -135,6 +135,8 @@ class TraceEvent:
         kind = data.pop("kind", None)
         if not isinstance(kind, str) or not kind:
             raise ValueError(f"'kind' must be a non-empty string, got {kind!r}")
+        if kind not in EVENT_KINDS:
+            raise ValueError(f"unknown event kind {kind!r}")
         key = data.pop("key", None)
         parts = key if isinstance(key, list) else [key]
         if not all(isinstance(part, (str, int, float, type(None))) for part in parts):

@@ -290,6 +290,8 @@ class TestMalformedTraceLines:
          "line 2: 'key' must be null, a string, a number or a flat list"),
         ('{"t": 0.0, "kind": "submit", "key": [[1], 2]}',
          "line 2: 'key' must be null, a string, a number or a flat list"),
+        # A kind the simulator never emits.
+        ('{"t": 1.0, "kind": "bogus", "key": 1}', "line 2: unknown event kind 'bogus'"),
     ]
 
     @pytest.mark.parametrize("command", ["report", "slo", "analyze"])

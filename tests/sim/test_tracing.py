@@ -68,6 +68,7 @@ MALFORMED_RECORDS = [
     ('{"t": NaN, "kind": "submit"}', "'t' must be a finite number, got nan"),
     ('{"t": Infinity, "kind": "submit"}', "'t' must be a finite number, got inf"),
     ('{"t": true, "kind": "submit"}', "'t' must be a finite number, got True"),
+    ('{"t": 1.0, "kind": "bogus"}', "unknown event kind 'bogus'"),
 ]
 
 
