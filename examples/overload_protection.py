@@ -13,9 +13,9 @@ surge, :class:`repro.sim.workload.FlashCrowdArrivals`) four times:
 * **backpressure** -- the same bound, but rejected submissions are
   parked and re-offered (defer) before being shed;
 * **brownout** -- bounded queue plus the staged degradation
-  controller: sustained pressure disables speculation, forces
-  low-priority work onto GPPs, then sheds down to the recovery
-  watermark -- and recovers with hysteresis once the surge passes.
+  controller: sustained pressure forces low-priority work onto GPPs,
+  then sheds down to the recovery watermark -- and recovers with
+  hysteresis once the surge passes.
 
 All four runs share one seed, and admission decisions never draw
 randomness, so the arrival stream is identical everywhere -- the runs

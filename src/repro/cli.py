@@ -17,8 +17,8 @@ Commands map to the paper's artifacts and the library's experiments:
 * ``chaos``      -- compare scheduling strategies under a fault preset
   and report the recovery metrics (availability, MTTR, wasted work,
   goodput).  Both ``simulate`` and ``chaos`` accept the resilience
-  flags ``--breaker``, ``--deadlines``, ``--checkpoint-interval`` and
-  ``--speculative`` (see :mod:`repro.sim.resilience`).
+  flags ``--breaker``, ``--deadlines`` and ``--checkpoint-interval``
+  (see :mod:`repro.sim.resilience`).
 * ``clustalw``   -- align a FASTA file (or a generated family) and
   print the MSA; optionally profile it (Figure 10).
 * ``bench``      -- run the registered benchmark cases through the
@@ -120,18 +120,13 @@ def _resilience_from_args(
     parser: argparse.ArgumentParser, args: argparse.Namespace
 ):
     """Build a ResilienceSpec from ``--breaker``/``--deadlines``/
-    ``--checkpoint-interval``/``--speculative``; None when all are off.
+    ``--checkpoint-interval``; None when all are off.
 
     Malformed values become ``parser.error`` (usage + exit code 2)
     rather than tracebacks.
     """
     from repro.grid.health import HealthPolicy
-    from repro.sim.resilience import (
-        CheckpointSpec,
-        DeadlineSpec,
-        ResilienceSpec,
-        SpeculationSpec,
-    )
+    from repro.sim.resilience import CheckpointSpec, DeadlineSpec, ResilienceSpec
 
     deadlines = None
     if args.deadlines is not None:
@@ -152,17 +147,10 @@ def _resilience_from_args(
             checkpoint = CheckpointSpec(interval_s=args.checkpoint_interval)
         except ValueError as exc:
             parser.error(f"--checkpoint-interval: {exc}")
-    speculation = None
-    if args.speculative is not None:
-        try:
-            speculation = SpeculationSpec(slowdown_factor=args.speculative)
-        except ValueError as exc:
-            parser.error(f"--speculative: {exc}")
     spec = ResilienceSpec(
         breaker=HealthPolicy() if args.breaker else None,
         deadlines=deadlines,
         checkpoint=checkpoint,
-        speculation=speculation,
     )
     return spec if spec.enabled else None
 
@@ -175,10 +163,6 @@ def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
                         "t_estimated (default 4:12)")
     p.add_argument("--checkpoint-interval", type=float, default=None, metavar="S",
                    help="checkpoint fabric tasks every S simulated seconds")
-    p.add_argument("--speculative", nargs="?", const=2.0, type=float,
-                   metavar="FACTOR",
-                   help="replicate a task once it runs FACTOR x its expected "
-                        "time (default 2.0)")
 
 
 def _add_failover_flags(p: argparse.ArgumentParser) -> None:

@@ -291,8 +291,8 @@ class HealthTracker:
 
     def abort_probe(self, node_id: int) -> None:
         """A probe placement was torn down for a reason that says
-        nothing about the node (speculation loss, graceful departure):
-        return the slot without judging the probe."""
+        nothing about the node (a graceful departure): return the slot
+        without judging the probe."""
         health = self.register_node(node_id)
         if health.probes_in_flight > 0:
             health.probes_in_flight -= 1

@@ -73,7 +73,7 @@ RECOVERY_METRICS: tuple[tuple[str, str, str], ...] = (
 )
 
 #: Same, for the adaptive resilience layer (breakers, deadlines,
-#: checkpoints, speculation).  All-zero across every report = the layer
+#: checkpoints).  All-zero across every report = the layer
 #: was disabled, and :func:`recovery_table` omits the block.
 RESILIENCE_METRICS: tuple[tuple[str, str, str], ...] = (
     ("soft deadline misses", "deadline_soft_misses", "d"),
@@ -85,9 +85,6 @@ RESILIENCE_METRICS: tuple[tuple[str, str, str], ...] = (
     ("checkpoint overhead s", "checkpoint_overhead_s", ".3f"),
     ("wasted work saved s", "wasted_work_saved_s", ".2f"),
     ("migrations", "migrations", "d"),
-    ("speculative launches", "speculative_launches", "d"),
-    ("speculative wins", "speculative_wins", "d"),
-    ("speculative wasted s", "speculative_wasted_s", ".2f"),
 )
 
 #: Same, for the control-plane fault-tolerance layer (heartbeat

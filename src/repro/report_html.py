@@ -67,7 +67,6 @@ INSTANT_COLORS = {
     "timeout": CRITICAL,
     "checkpoint": "#1baf7a",
     "migrate": "#4a3aa7",
-    "speculate": "#e87ba4",
     "retry": "#eda100",
     "fallback": "#eda100",
     # Control-plane fault tolerance (PR 8): detector verdicts in

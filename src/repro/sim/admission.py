@@ -22,7 +22,9 @@ simulator gains a front door:
 * :class:`BrownoutSpec` -- staged graceful degradation under
   *sustained* overload, with hysteretic recovery:
 
-  - stage 1: speculative replicas are disabled;
+  - stage 1: no action of its own (it disabled speculative replicas,
+    which the simulator no longer has; the stage numbers stay because
+    reports record ``max_stage``);
   - stage 2: additionally, low-priority tasks (``Task.priority < 0``)
     are forced onto GPP execution at dispatch (cheapest placement);
   - stage 3: additionally, the newest lowest-priority pending work is
@@ -138,8 +140,8 @@ class BrownoutSpec:
     threshold for ``dwell_s`` of simulated time.  ``exit_pending`` must
     be strictly below ``enter_pending`` so a steady queue depth between
     the two holds the current stage forever (no oscillation).
-    ``max_stage`` caps how far degradation goes (1 = speculation off,
-    2 = + low-priority GPP forcing, 3 = + shedding).
+    ``max_stage`` caps how far degradation goes (1 = no action,
+    2 = low-priority GPP forcing, 3 = + shedding).
     """
 
     enter_pending: int = 48

@@ -71,7 +71,7 @@ _CHAIN_KINDS = frozenset({
     "submit", "admit", "defer", "shed", "degrade", "dispatch", "start",
     "reconfigure", "complete", "discard", "requeue", "fault", "retry",
     "fallback", "task-failed", "timeout", "checkpoint", "migrate",
-    "speculate", "probe", "lease-expire", "orphan-recovered",
+    "probe", "lease-expire", "orphan-recovered",
 })
 
 #: Payload fields worth echoing in a chain entry, in display order.
@@ -656,7 +656,7 @@ def analyze_events(
         elif kind == "orphan-recovered":
             close(f, t, "orphan")
             f.cur = "orphan"
-        # Everything else (reconfigure, checkpoint, speculate, probe,
+        # Everything else (reconfigure, checkpoint, probe,
         # degrade, slice accounting) refines the chain, not the ledger.
 
     if opened is not None:

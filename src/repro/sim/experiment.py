@@ -103,7 +103,7 @@ class ExperimentSpec:
     #: Recovery policy; None uses :class:`RetryPolicy`'s defaults.
     retry: RetryPolicy | None = None
     #: Adaptive resilience layer (circuit breakers, deadlines,
-    #: checkpointing, speculation); None = the exact PR 2 behavior.
+    #: checkpointing); None = the exact PR 2 behavior.
     #: None of its mechanisms draws randomness, so enabling it never
     #: perturbs the seeded workload or fault streams.
     resilience: ResilienceSpec | None = None

@@ -61,10 +61,6 @@ class TaskMetrics:
     wasted_work_saved_s: float = 0.0
     #: Checkpoint resumes re-placed on a (possibly different) node.
     migrations: int = 0
-    #: A speculative replica was launched for this task.
-    speculated: bool = False
-    #: ... and the replica finished first.
-    speculative_win: bool = False
     # --- overload-protection observables (zero when admission is off) ---
     #: Terminal rejection by the admission controller / load shedder.
     shed: bool = False
@@ -157,11 +153,6 @@ class SimulationReport:
     wasted_work_saved_s: float = 0.0
     #: Checkpoint resumes re-placed after a fault or timeout.
     migrations: int = 0
-    #: Speculative replicas: launched, won, and the loser-side waste.
-    speculative_launches: int = 0
-    speculative_wins: int = 0
-    speculative_win_rate: float = 0.0
-    speculative_wasted_s: float = 0.0
     # --- latency percentiles (defaults keep stored reports from
     # earlier runs loadable; ``p95_wait_s`` above predates these) ---
     p50_wait_s: float = 0.0
@@ -266,7 +257,6 @@ class SimulationReport:
             or self.deadline_hard_misses
             or self.quarantines
             or self.checkpoints
-            or self.speculative_launches
         ):
             lines += [
                 f"deadline misses      soft {self.deadline_soft_misses} / "
@@ -275,9 +265,6 @@ class SimulationReport:
                 f"checkpoints          {self.checkpoints:6d}  "
                 f"(overhead {self.checkpoint_overhead_s:.3f} s, saved {self.wasted_work_saved_s:.3f} s)",
                 f"migrations           {self.migrations:6d}",
-                f"speculation          {self.speculative_launches} launched / "
-                f"{self.speculative_wins} won  (win rate {self.speculative_win_rate:.2%}, "
-                f"wasted {self.speculative_wasted_s:.3f} s)",
             ]
         if (
             self.shed
@@ -436,8 +423,6 @@ _COLUMNS: dict[str, tuple[type, object]] = {
     "checkpoint_overhead_s": (np.float64, 0.0),
     "wasted_work_saved_s": (np.float64, 0.0),
     "migrations": (np.int32, 0),
-    "speculated": (np.bool_, False),
-    "speculative_win": (np.bool_, False),
     "shed": (np.bool_, False),
     "defers": (np.int32, 0),
     "degraded_to_gpp": (np.bool_, False),
@@ -509,9 +494,6 @@ class MetricsCollector:
         self.checkpoint_overhead_s = 0.0
         self.wasted_work_saved_s = 0.0
         self.migration_events = 0
-        self.speculative_launches = 0
-        self.speculative_wins = 0
-        self.speculative_wasted_s = 0.0
         #: Pushed by the simulator from its HealthTracker at report time.
         self.quarantines = 0
         self.quarantine_time_s = 0.0
@@ -722,35 +704,6 @@ class MetricsCollector:
     def record_migration(self, key: object, time: float) -> None:
         self._col["migrations"][self._index[key]] += 1
         self.migration_events += 1
-
-    def record_speculation(self, key: object, time: float) -> None:
-        self._col["speculated"][self._index[key]] = True
-        self.speculative_launches += 1
-
-    def record_speculation_result(
-        self,
-        key: object,
-        time: float,
-        *,
-        win: bool,
-        wasted_s: float,
-        node_id: int | None = None,
-        resource_index: int | None = None,
-    ) -> None:
-        """First finisher decided: *win* means the replica beat the
-        primary; *wasted_s* is the loser's burned placement time.  On a
-        win the task's placement attribution moves to the replica's
-        node/resource (where it actually completed)."""
-        if win:
-            i = self._index[key]
-            self._col["speculative_win"][i] = True
-            if node_id is not None:
-                self._col["node_id"][i] = node_id
-                self._col["resource_index"][i] = (
-                    -1 if resource_index is None else resource_index
-                )
-            self.speculative_wins += 1
-        self.speculative_wasted_s += max(0.0, wasted_s)
 
     def record_orphan(
         self,
@@ -995,14 +948,6 @@ class MetricsCollector:
             checkpoint_overhead_s=self.checkpoint_overhead_s,
             wasted_work_saved_s=self.wasted_work_saved_s,
             migrations=self.migration_events,
-            speculative_launches=self.speculative_launches,
-            speculative_wins=self.speculative_wins,
-            speculative_win_rate=(
-                self.speculative_wins / self.speculative_launches
-                if self.speculative_launches
-                else 0.0
-            ),
-            speculative_wasted_s=self.speculative_wasted_s,
             shed=int(shed.sum()),
             admission_deferrals=self.defer_events,
             placements_gated=self.placements_gated,

@@ -1,17 +1,15 @@
-"""Declarative resilience policies: deadlines, checkpoints, speculation.
+"""Declarative resilience policies: deadlines and checkpoints.
 
 Companion to :mod:`repro.grid.health` (node health scoring + circuit
 breakers): where the health tracker adapts *placement*, these specs
-adapt *task lifecycles*.  All four mechanisms are bundled into one
+adapt *task lifecycles*.  All three mechanisms are bundled into one
 frozen, hashable :class:`ResilienceSpec` that lands on
 ``ExperimentSpec`` and flows through the CLI -- ``None`` (the default)
 is the exact PR 2 behavior, byte-for-byte.
 
 Determinism contract: none of these mechanisms draws random numbers.
 Deadlines and checkpoints are pure functions of task estimates and
-placement timings; speculative replicas reuse the primary's already
-planned task and skip the fault model's per-dispatch draws entirely.
-Enabling them therefore never perturbs the seeded workload stream or
+placement timings.  Enabling them therefore never perturbs the seeded workload stream or
 the fault injector's independent RNG streams (the PR 2 stream-splitting
 scheme) -- runs differ only where the mechanisms actually act.
 """
@@ -91,26 +89,6 @@ class CheckpointSpec:
 
 
 @dataclass(frozen=True)
-class SpeculationSpec:
-    """Straggler mitigation by speculative replicas.
-
-    When a dispatched task exceeds ``slowdown_factor`` times its
-    placement's expected total time without finishing, a duplicate is
-    launched on a healthy node (the primary's node, its faulted nodes,
-    and quarantined nodes are excluded).  First finisher wins; the
-    loser's placement is aborted.  Replicas are shadows: they draw no
-    fault-model randomness and keep the seeded streams unperturbed.
-    """
-
-    slowdown_factor: float = 2.0
-
-    def __post_init__(self) -> None:
-        require_finite("slowdown_factor", self.slowdown_factor)
-        if self.slowdown_factor <= 1.0:
-            raise ValueError("slowdown_factor must be > 1")
-
-
-@dataclass(frozen=True)
 class ResilienceSpec:
     """The adaptive resilience layer, as one declarative bundle.
 
@@ -122,13 +100,11 @@ class ResilienceSpec:
     breaker: HealthPolicy | None = None
     deadlines: DeadlineSpec | None = None
     checkpoint: CheckpointSpec | None = None
-    speculation: SpeculationSpec | None = None
 
     @property
     def enabled(self) -> bool:
         return any(
-            v is not None
-            for v in (self.breaker, self.deadlines, self.checkpoint, self.speculation)
+            v is not None for v in (self.breaker, self.deadlines, self.checkpoint)
         )
 
     def describe(self) -> dict[str, object]:
@@ -156,10 +132,6 @@ class ResilienceSpec:
                 "interval_s": self.checkpoint.interval_s,
                 "overhead_s": self.checkpoint.overhead_s,
             }
-        if self.speculation is not None:
-            out["speculation"] = {
-                "slowdown_factor": self.speculation.slowdown_factor,
-            }
         return out
 
 
@@ -175,6 +147,5 @@ RESILIENCE_PRESETS: dict[str, ResilienceSpec] = {
         breaker=HealthPolicy(min_events=2, open_threshold=0.4, open_duration_s=5.0),
         deadlines=DeadlineSpec(soft_factor=3.0, hard_factor=8.0, slack_s=0.5),
         checkpoint=CheckpointSpec(interval_s=0.25),
-        speculation=SpeculationSpec(slowdown_factor=1.5),
     ),
 }

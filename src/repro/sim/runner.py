@@ -52,7 +52,7 @@ from repro.sim.metrics import SimulationReport
 
 #: Bump when the cached JSON layout changes; stale entries then miss.
 #: 2: fault-injection fields on ExperimentSpec and SimulationReport.
-#: 3: resilience fields (breakers/deadlines/checkpoints/speculation).
+#: 3: resilience fields (breakers/deadlines/checkpoints/replicas).
 #: 4: wait/turnaround percentile fields (p50/p99 wait, p50/p95/p99 turnaround).
 #: 5: ``engine`` field on ExperimentSpec (heap vs calendar queue).
 #: 6: overload protection (admission/brownout spec + flash-crowd knobs
@@ -67,7 +67,8 @@ from repro.sim.metrics import SimulationReport
 #:     SimulationReport.
 #: 11: run_experiment draws the columnar workload, so a spec and seed
 #:     describe a different run than before.
-_CACHE_FORMAT = 11
+#: 12: SimulationReport and ResilienceSpec lost the straggler-replica fields.
+_CACHE_FORMAT = 12
 
 
 def default_jobs() -> int:

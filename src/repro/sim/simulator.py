@@ -22,17 +22,15 @@ the simulator of refs [20][21]:
   (:class:`~repro.sim.faults.RetryPolicy`);
 * an adaptive resilience layer (:mod:`repro.sim.resilience` +
   :mod:`repro.grid.health`): per-node EWMA health scores with
-  circuit-breaker quarantine, a soft/hard deadline watchdog,
-  checkpoint/restart with migration for fabric tasks, and speculative
-  replicas for stragglers.  ``resilience=None`` (the default) keeps
+  circuit-breaker quarantine, a soft/hard deadline watchdog and
+  checkpoint/restart with migration for fabric tasks.  ``resilience=None`` (the default) keeps
   every one of these paths byte-for-byte identical to the
   pre-resilience simulator.
 * overload protection (:mod:`repro.sim.admission`): bounded-queue
   admission with reject-or-defer backpressure, token-bucket rate
   limiting, a utilization gate ahead of RMS matchmaking, and a
   hysteretic brownout controller that degrades in stages under
-  sustained queue pressure (speculation off -> low-priority GPP
-  forcing -> shedding) and recovers when pressure drops.
+  sustained queue pressure (low-priority GPP forcing -> shedding) and recovers when pressure drops.
   ``admission=None`` (the default) is byte-identical to the
   unprotected simulator, same contract as ``resilience``.
 * online SLO monitoring (:mod:`repro.sim.slo`): declarative
@@ -101,8 +99,6 @@ class _Entry:
     #: a requeued task keeps its last dispatch time until the next one).
     arrival: float = 0.0
     dispatched_at: float | None = None
-    #: Reached execution at least once (on any placement).
-    started: bool = False
     # --- fault-recovery state (untouched in fault-free runs) ---
     #: Placement attempts lost to faults since the last fresh budget.
     attempts: int = 0
@@ -115,14 +111,10 @@ class _Entry:
     #: Already degraded to GPP execution once.
     fell_back: bool = False
     # --- resilience state (inert while resilience is None) ---
-    #: Terminal success; watchdog / speculation timers check this.
+    #: Terminal success; the watchdog timers check this.
     completed: bool = False
     #: This placement is a probationary probe on a half-open breaker.
     is_probe: bool = False
-    #: Set on a speculative replica: the entry it shadows.
-    primary: "_Entry | None" = None
-    #: When a replica's placement was committed (waste accounting).
-    launched_at: float = 0.0
     #: Watchdog timers; unlike ``events`` they survive placement loss.
     deadline_events: list[EventHandle] = field(default_factory=list)
     #: Progress fraction preserved by the newest checkpoint of the
@@ -164,15 +156,6 @@ def _movable(entry: _Entry) -> bool:
         and task.exec_req.node_type is not PEClass.GPP
         and task.effective_workload_mi > 0
     )
-
-
-def _placed_on(entries, node_id: int) -> list[_Entry]:
-    """The entries (a snapshot) whose live placement is on *node_id*."""
-    return [
-        e
-        for e in list(entries)
-        if e.placement is not None and e.placement.candidate.node_id == node_id
-    ]
 
 
 def _power_cycle(node: Node) -> None:
@@ -246,8 +229,6 @@ class DReAMSim:
             for node in rms.nodes:
                 self.health.register_node(node.node_id)
         rms.health = self.health
-        #: key -> live speculative replica shadowing the active entry.
-        self._replicas: dict[object, _Entry] = {}
         for node in rms.nodes:
             self.metrics.register_node(node.node_id)
         #: Control-plane fault tolerance (None = the exact pre-failover
@@ -443,25 +424,6 @@ class DReAMSim:
             slices=slices,
             capacity=capacity,
         )
-
-    def _emit_load(self, entry: _Entry) -> None:
-        """``slice-alloc`` for *entry*'s fresh placement, then
-        ``reconfigure`` when it loads a configuration (a dispatch and a
-        speculative replica both go through here)."""
-        if not self._listening:
-            return
-        self._emit_slice("slice-alloc", entry)
-        placement = entry.placement
-        if placement.reconfig_time_s > 0:
-            self._emit(
-                "reconfigure",
-                entry.key,
-                node=placement.candidate.node_id,
-                resource=placement.candidate.resource_id,
-                region=placement.region_id,
-                function=entry.task.function,
-                duration=placement.reconfig_time_s,
-            )
 
     # ------------------------------------------------------------------
     # Submission APIs
@@ -701,14 +663,13 @@ class DReAMSim:
         )
         self._dispatch_pending()
 
-    def _evacuate(
-        self, node_id: int, victim: Callable[[_Entry], None], *, crash: bool
-    ) -> None:
-        """Scrap the speculative replicas on *node_id* (a crash wipes
-        their regions) and hand each entry placed there to *victim*."""
-        for replica in _placed_on(self._replicas.values(), node_id):
-            self._abort_replica(replica, action="abort", clear_configuration=crash)
-        for entry in _placed_on(self.active.values(), node_id):
+    def _evacuate(self, node_id: int, victim: Callable[[_Entry], None]) -> None:
+        """Hand each active entry placed on *node_id* to *victim*."""
+        for entry in [
+            e
+            for e in self.active.values()
+            if e.placement is not None and e.placement.candidate.node_id == node_id
+        ]:
             victim(entry)
 
     def _node_down(
@@ -720,7 +681,7 @@ class DReAMSim:
         and a ``detected`` one counts against the node's health.  The
         caller runs the dispatch pass."""
         crash = flags.get("crash", False)
-        self._evacuate(node_id, victim, crash=crash)
+        self._evacuate(node_id, victim)
         node = self.rms.unregister_node(node_id)
         if crash:
             _power_cycle(node)
@@ -977,7 +938,7 @@ class DReAMSim:
         reboot_at = None if rejoin_after_s is None else now + rejoin_after_s
         self._emit("node-dead", node=node_id, reboot_at=reboot_at)
         # The work stalls: nothing it scheduled will ever fire.
-        self._evacuate(node_id, lambda entry: _cancel_all(entry.events), crash=True)
+        self._evacuate(node_id, lambda entry: _cancel_all(entry.events))
 
     def _rejoin(self, node: Node, site: int) -> None:
         """A crashed node comes back up.  Evicted (its loss was seen),
@@ -992,7 +953,7 @@ class DReAMSim:
             return  # still registered and never died: nothing reboots
         del self._dead_nodes[node_id]
         reason = f"node {node_id} rebooted"
-        self._evacuate(node_id, lambda e: self._fault(e, reason), crash=True)
+        self._evacuate(node_id, lambda e: self._fault(e, reason))
         _power_cycle(node)
         self.metrics.record_node_up(node_id, self.engine.now)
         if self.monitor is not None:
@@ -1400,9 +1361,6 @@ class DReAMSim:
             # so the requeue lands elsewhere when anywhere else exists.
             self._schedule_requeue(entry, kind="retry")
         elif hard:
-            replica = self._replicas.get(entry.key)
-            if replica is not None:
-                self._abort_replica(replica, action="abort")
             entry.failure_reason = reason
             self._fail_terminally(entry)
 
@@ -1431,38 +1389,24 @@ class DReAMSim:
     def _tear_down(
         self, entry: _Entry, placement: Placement, *, clear_configuration: bool
     ) -> tuple[float, float, float]:
-        """Release the live *placement* of a primary *entry* (fault,
-        watchdog or orphan): scrap its replica, cancel its pending
-        events and free its resources.  Returns ``(preserved, wasted,
+        """Release the live *placement* of *entry* (fault, watchdog or
+        orphan): cancel its pending events and free its resources.  Returns ``(preserved, wasted,
         slice_seconds)``: the seconds of progress the newest checkpoint
         kept, the seconds thrown away since dispatch, and that waste
         weighted by the occupied fabric slices."""
-        replica = self._replicas.get(entry.key)
-        if replica is not None:
-            # Speculation targets stragglers, not crashes: the primary
-            # recovers through its own path and the replica is scrapped
-            # (the replica's node is fine, so its fabric state stays).
-            self._abort_replica(replica, action="abort")
         preserved = self._checkpoint_credit(entry, placement)
         wasted = max(0.0, self.engine.now - entry.dispatched_at - preserved)
         slice_seconds = 0.0
         if placement.region_id is not None:
             slices, _ = self._region_slices(placement)
             slice_seconds = wasted * slices
-        self._vacate(entry, placement, clear_configuration=clear_configuration)
-        return preserved, wasted, slice_seconds
-
-    def _vacate(
-        self, entry: _Entry, placement: Placement, *, clear_configuration: bool
-    ) -> None:
-        """Cancel what *entry*'s live *placement* still had scheduled and
-        hand its resources back to the RMS."""
         _cancel_all(entry.events)
         self._emit_slice("slice-free", entry)
         if self.rms.abort_placement(
             placement, clear_configuration=clear_configuration
         ):
             self._freed(placement)
+        return preserved, wasted, slice_seconds
 
     def _freed(self, placement: Placement) -> None:
         """*placement*'s processing element is free again: the queue
@@ -1576,133 +1520,6 @@ class DReAMSim:
             )
 
         return take
-
-    # ------------------------------------------------------------------
-    # Adaptive resilience: speculative replicas
-    # ------------------------------------------------------------------
-    def _data_sites_for(self, entry: _Entry) -> dict[int, int] | None:
-        sites = {
-            data.source_task_id: self._output_sites[(entry.job_id, data.source_task_id)]
-            for data in entry.task.data_in
-            if (entry.job_id, data.source_task_id) in self._output_sites
-        }
-        return sites or None
-
-    def _maybe_speculate(self, entry: _Entry) -> None:
-        """The straggler timer fired: the primary has exceeded its
-        expected cost by the configured factor and still runs.  Launch
-        a shadow replica on a different, unsuspected node -- first
-        finisher wins.  It launches like a primary (:meth:`_launch`)."""
-        if (
-            entry.completed
-            or entry.failed
-            or entry.discarded
-            or self.active.get(entry.key) is not entry
-            or entry.placement is None
-            or entry.key in self._replicas
-            # Brownout stage 1+: speculation is the first luxury cut.
-            or (self.admission is not None and self.admission.stage >= 1)
-            # A dark control plane cannot make placement decisions.
-            or (self.control_plane is not None and not self.control_plane.dispatchable)
-        ):
-            return
-        primary_node = entry.placement.candidate.node_id
-        try:
-            placement = self.rms.plan_placement(
-                entry.task,
-                data_sites=self._data_sites_for(entry),
-                exclude_nodes={primary_node} | self._exclusions(entry),
-                now=self.engine.now,
-            )
-        except SchedulingError:
-            return
-        if placement is None or not math.isfinite(placement.total_time_s):
-            return
-        self.rms.commit(placement)
-        replica = _Entry(
-            key=entry.key,
-            task=entry.task,
-            job_id=entry.job_id,
-            silent=True,
-            primary=entry,
-            launched_at=self.engine.now,
-            dispatched=True,
-            placement=placement,
-        )
-        self._replicas[entry.key] = replica
-        self.metrics.record_speculation(entry.key, self.engine.now)
-        self._emit(
-            "speculate",
-            entry.key,
-            action="launch",
-            node=placement.candidate.node_id,
-            primary_node=primary_node,
-        )
-        self._emit_load(replica)
-        self._launch(replica)
-
-    def _replica_finish(self, replica: _Entry) -> None:
-        """The replica beat the primary: tear the straggler down and
-        complete the task on the replica's placement."""
-        entry = replica.primary
-        assert entry is not None
-        self._replicas.pop(entry.key, None)
-        if self.active.get(entry.key) is not entry or entry.placement is None:
-            # The primary vanished between scheduling and firing
-            # (faults kill replicas, so this cannot normally happen).
-            self._abort_replica(replica, action="abort")  # pragma: no cover
-            return
-        loser, won = entry.placement, replica.placement
-        self._vacate(entry, loser, clear_configuration=False)
-        # Slow, not faulty.
-        self._return_probe(entry, loser.candidate.node_id)
-        self.metrics.record_speculation_result(
-            entry.key,
-            self.engine.now,
-            win=True,
-            wasted_s=max(0.0, self.engine.now - entry.dispatched_at),
-            node_id=won.candidate.node_id,
-            resource_index=won.candidate.resource_id,
-        )
-        self._emit(
-            "speculate",
-            entry.key,
-            action="win",
-            node=won.candidate.node_id,
-            loser=loser.candidate.node_id,
-        )
-        if not entry.started:
-            # The primary never reached execution (long setup): the
-            # task-level lifecycle still needs its start transition.
-            self._mark_started(entry, won.candidate.node_id)
-        # Complete on the replica's placement through the normal path.
-        entry.placement = won
-        self._finish(entry)
-
-    def _abort_replica(
-        self, replica: _Entry, *, action: str, clear_configuration: bool = False
-    ) -> None:
-        """Destroy a replica (lost the race, primary faulted, or its
-        node died).  Replicas never retry; the primary's lifecycle is
-        untouched."""
-        self._replicas.pop(replica.key, None)
-        placement = replica.placement
-        if placement is None:  # pragma: no cover - defensive
-            return
-        self._vacate(replica, placement, clear_configuration=clear_configuration)
-        self.metrics.record_speculation_result(
-            replica.key,
-            self.engine.now,
-            win=False,
-            wasted_s=max(0.0, self.engine.now - replica.launched_at),
-        )
-        self._emit(
-            "speculate",
-            replica.key,
-            action=action,
-            node=placement.candidate.node_id,
-        )
-        replica.placement = None
 
     # ------------------------------------------------------------------
     # Core event handlers
@@ -1944,6 +1761,14 @@ class DReAMSim:
         self.metrics.record_degrade(entry.key, self.engine.now)
         self._emit("degrade", entry.key, stage=admission.stage)
 
+    def _data_sites_for(self, entry: _Entry) -> dict[int, int] | None:
+        sites = {
+            data.source_task_id: self._output_sites[(entry.job_id, data.source_task_id)]
+            for data in entry.task.data_in
+            if (entry.job_id, data.source_task_id) in self._output_sites
+        }
+        return sites or None
+
     def _exclusions(self, entry: _Entry) -> set[int]:
         """The nodes a new placement of *entry* avoids: those it faulted
         on, and those the detector already suspects."""
@@ -2026,7 +1851,17 @@ class DReAMSim:
                 synthesis_time=placement.synthesis_time_s,
                 reconfig_time=placement.reconfig_time_s,
             )
-            self._emit_load(entry)
+            self._emit_slice("slice-alloc", entry)
+            if placement.reconfig_time_s > 0:
+                self._emit(
+                    "reconfigure",
+                    entry.key,
+                    node=placement.candidate.node_id,
+                    resource=placement.candidate.resource_id,
+                    region=placement.region_id,
+                    function=entry.task.function,
+                    duration=placement.reconfig_time_s,
+                )
         if entry.resumed_from is not None:
             # This dispatch resumes checkpointed work lost to a fault
             # or timeout: the task migrated (possibly back, under the
@@ -2045,39 +1880,28 @@ class DReAMSim:
         return True
 
     def _launch(self, entry: _Entry) -> None:
-        """The tail of every committed placement, primary or replica.
-        On a node that already died silently, the launch stalls: nothing
-        will ever come back from it, so nothing is scheduled until the
-        detector confirms the loss or the node reboots, and either one
-        scraps it.  Otherwise the start fires once setup is done.  A
-        primary first arms its straggler timer and may draw a
-        configuration fault; a replica (``entry.primary`` set) does
-        neither, so speculation never perturbs the seeded streams."""
+        """The tail of every committed placement.  On a node that
+        already died silently, the launch stalls: nothing will ever come
+        back from it, so nothing is scheduled until the detector
+        confirms the loss or the node reboots, and either one scraps
+        it.  Otherwise the start fires once setup is done, unless the
+        placement draws a configuration fault."""
         placement = entry.placement
         assert placement is not None
         if placement.candidate.node_id in self._dead_nodes:
             return
         start = self._start
-        if entry.primary is None:
-            speculation = self.resilience and self.resilience.speculation
-            if speculation is not None and placement.total_time_s > 0:
-                straggler_at = speculation.slowdown_factor * placement.total_time_s
-                entry.events.append(
-                    self.engine.schedule(
-                        straggler_at, lambda: self._maybe_speculate(entry)
-                    )
-                )
-            # A configuration-port load (fresh bitstream or soft-core
-            # provisioning) may fail: the fault surfaces when the load
-            # would have completed, scrapping the setup work.
-            if (
-                self.faults is not None
-                and placement.reconfig_time_s > 0
-                and placement.candidate.kind is not PEClass.GPP
-                and placement.candidate.kind is not PEClass.GPU
-                and self.faults.config_should_fail()
-            ):
-                start = self._configuration_failed
+        # A configuration-port load (fresh bitstream or soft-core
+        # provisioning) may fail: the fault surfaces when the load
+        # would have completed, scrapping the setup work.
+        if (
+            self.faults is not None
+            and placement.reconfig_time_s > 0
+            and placement.candidate.kind is not PEClass.GPP
+            and placement.candidate.kind is not PEClass.GPU
+            and self.faults.config_should_fail()
+        ):
+            start = self._configuration_failed
         entry.events.append(
             self.engine.schedule(placement.setup_time_s, lambda: start(entry))
         )
@@ -2104,16 +1928,14 @@ class DReAMSim:
         placement = entry.placement
         assert placement is not None
         self.rms.begin_execution(placement)
-        if entry.primary is not None:
-            # A replica runs bare: no start transition, checkpoints or
-            # SEU draw; it finishes by racing its primary.
-            entry.events.append(
-                self.engine.schedule(
-                    placement.exec_time_s, lambda: self._replica_finish(entry)
-                )
+        node_id = placement.candidate.node_id
+        self.metrics.record_start(entry.key, self.engine.now)
+        if self._listening:
+            self._emit("start", entry.key, node=node_id)
+        if entry.job_id is not None:
+            self.jss.mark_started(
+                entry.job_id, entry.task.task_id, time=self.engine.now, node_id=node_id
             )
-            return
-        self._mark_started(entry, placement.candidate.node_id)
         # Progress snapshots for fabric tasks; overhead stretches the
         # execution.  Scheduled before the SEU branch so snapshots
         # taken ahead of the strike survive it (the fault cancels any
@@ -2135,25 +1957,9 @@ class DReAMSim:
             )
         )
 
-    def _mark_started(self, entry: _Entry, node_id: int) -> None:
-        """The task-level start transition, on the primary's placement
-        or on the replica that won before the primary started."""
-        entry.started = True
-        self.metrics.record_start(entry.key, self.engine.now)
-        if self._listening:
-            self._emit("start", entry.key, node=node_id)
-        if entry.job_id is not None:
-            self.jss.mark_started(
-                entry.job_id, entry.task.task_id, time=self.engine.now, node_id=node_id
-            )
-
     def _finish(self, entry: _Entry) -> None:
         placement = entry.placement
         assert placement is not None
-        replica = self._replicas.get(entry.key)
-        if replica is not None:
-            # The primary finished first: the speculative copy lost.
-            self._abort_replica(replica, action="lose")
         self.rms.finish_execution(placement)
         self._freed(placement)
         label = (

@@ -21,7 +21,7 @@ scalars; this module adds the time dimension:
   :func:`build_node_spans` fold a :class:`~repro.sim.tracing.TraceEvent`
   stream into task-lifecycle spans (queued -> setup -> execute, one
   cycle per placement attempt, annotated with fault / timeout /
-  checkpoint / migrate / speculate instants) and node-occupancy spans
+  checkpoint / migrate instants) and node-occupancy spans
   (one per fabric-region allocation).
 * **Exporters** -- :func:`to_chrome_trace` renders spans as Chrome
   trace-event JSON (the format ``chrome://tracing`` and Perfetto load);
@@ -347,8 +347,7 @@ class Series(NamedTuple):
     label: str | None = None
 
 
-#: Event kind -> the counter each event moves by one (``speculate``
-#: only on ``action="launch"``).
+#: Event kind -> the counter each event moves by one.
 EVENT_COUNTERS: dict[str, Series] = {
     "defer": Series("sim_deferrals_total", "submissions deferred by backpressure"),
     "shed": Series("sim_sheds_total", "submissions shed by overload protection", "reason"),
@@ -359,7 +358,6 @@ EVENT_COUNTERS: dict[str, Series] = {
     "fault": Series("sim_faults_total", "placements destroyed by injected faults"),
     "timeout": Series("sim_deadline_misses_total", "deadline watchdog firings", "deadline"),
     "checkpoint": Series("sim_checkpoints_total", "progress snapshots taken"),
-    "speculate": Series("sim_speculations_total", "speculative replicas launched"),
     "heartbeat-suspect": Series("sim_suspicions_total", "heartbeat suspicions raised"),
     "rms-crash": Series("sim_rms_crashes_total", "primary RMS process crashes"),
     "rms-gray": Series("sim_rms_gray_total", "primary RMS gray-failure episodes"),
@@ -432,7 +430,7 @@ class TelemetryFold:
             self._get(registry.histogram, TASK_TURNAROUND).observe(turnaround)
         elif kind in FOLDED_KINDS:
             counter = EVENT_COUNTERS.get(kind)
-            if counter is not None and (kind != "speculate" or payload["action"] == "launch"):
+            if counter is not None:
                 label = payload[counter.label] if counter.label is not None else None
                 self._get(registry.counter, counter, label).inc()
             if kind in CONTROL_PLANE_EVENTS:
@@ -484,7 +482,7 @@ class Instant:
 #: Event kinds rendered as instant annotations on the task's track.
 ANNOTATION_KINDS = frozenset(
     {"fault", "retry", "fallback", "task-failed", "timeout", "checkpoint",
-     "migrate", "speculate", "probe", "discard", "requeue",
+     "migrate", "probe", "discard", "requeue",
      "lease-expire", "orphan-recovered"}
 )
 
@@ -508,9 +506,9 @@ def build_task_spans(
     -> start; the transfer + synthesis + reconfigure window) and
     ``execute`` (start -> complete, or until the placement is destroyed
     by a fault / timeout / requeue).  Faults, retries, checkpoints,
-    migrations, speculation and watchdog timeouts become
-    :class:`Instant` annotations, so a trace viewer shows *why* a span
-    ended where it did.
+    migrations and watchdog timeouts become :class:`Instant`
+    annotations, so a trace viewer shows *why* a span ended where it
+    did.
     """
     spans: list[Span] = []
     instants: list[Instant] = []

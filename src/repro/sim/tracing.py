@@ -71,7 +71,6 @@ EVENT_KINDS = frozenset(
         "timeout",      # the deadline watchdog fired for this task
         "checkpoint",   # a fabric task snapshotted its progress
         "migrate",      # a checkpointed task resumed on another node
-        "speculate",    # replica lifecycle: launch / win / lose / abort
         # Overload protection (sim/admission.py):
         "admit",        # the admission controller accepted a submission
         "defer",        # backpressure: submission parked for re-offer
@@ -348,10 +347,9 @@ class TraceInvariantChecker(TraceSink):
       suspicion; ``orphan-recovered`` returns an in-flight task to the
       queue exactly like ``requeue`` does, keeping conservation intact.
     * **Liveness** -- after a ``node-dead`` (a silent death the RMS
-      has not seen yet), no ``start``, ``complete`` or ``speculate``
-      ``win`` happens on that node until its ``reboot_at`` time, its
-      ``node-leave`` (``detected``) or a ``node-join``: a dead node
-      produces nothing.
+      has not seen yet), no ``start`` or ``complete`` happens on that
+      node until its ``reboot_at`` time, its ``node-leave``
+      (``detected``) or a ``node-join``: a dead node produces nothing.
     * **SLO lifecycle** -- ``slo-breach`` begin/end pairs per objective
       (no double begin, no unmatched end) and ``slo-alert-fire`` /
       ``slo-alert-resolve`` pairs likewise; after a finalized run
@@ -478,8 +476,7 @@ class TraceInvariantChecker(TraceSink):
                 self._resident[place] = function
 
     def _on_reconfigure(self, event: TraceEvent) -> None:
-        # A load makes its function resident even without a dispatch
-        # event: a speculative replica emits none.
+        # Every load makes its function resident in the region it names.
         payload = event.payload
         function = payload.get("function", "")
         if payload.get("region") is not None and function:
@@ -694,19 +691,6 @@ class TraceInvariantChecker(TraceSink):
         # Emitted immediately after the resumed task's dispatch.
         self._expect_state(event, _DISPATCHED)
 
-    def _on_speculate(self, event: TraceEvent) -> None:
-        action = event.payload.get("action")
-        if action == "launch":
-            self._expect_state(event, _DISPATCHED, _STARTED)
-        elif action == "win":
-            self._expect_state(event, _DISPATCHED, _STARTED)
-            self._expect_alive(event)
-        elif action in ("lose", "abort"):
-            if event.key not in self._task_state:
-                self._fail(event, "replica event for an unknown task")
-        else:
-            self._fail(event, f"unknown speculate action {action!r}")
-
     def _on_link_fault(self, event: TraceEvent) -> None:
         pair = (event.payload.get("a"), event.payload.get("b"))
         if pair in self._degraded_links:
@@ -813,10 +797,9 @@ class TraceInvariantChecker(TraceSink):
         exactly once -- as completed, failed, or discarded -- no matter
         what faults hit it, and no matter how the resilience layer moved
         it around (quarantine deferrals, watchdog timeouts, checkpoint
-        migrations, speculative replicas).  (Exactly-once is enforced
-        online: the state machine rejects any transition out of a
-        terminal state, and replica events never create a second
-        lifecycle for a task.)  Call after a fully drained run.
+        migrations).  (Exactly-once is enforced online: the state
+        machine rejects any transition out of a terminal state.)  Call
+        after a fully drained run.
         """
         lost = sorted(
             (key for key, state in self._task_state.items() if state not in _TERMINAL),

@@ -84,7 +84,6 @@ class TestSimulate:
         assert main([
             "simulate", "--tasks", "20", "--seed", "3", "--faults", "chaos",
             "--breaker", "--deadlines", "--checkpoint-interval", "0.25",
-            "--speculative", "1.5",
         ]) == 0
         out = capsys.readouterr().out
         assert "completed / discarded / pending" in out
@@ -103,7 +102,7 @@ class TestSimulate:
         "argv, message",
         [
             (["simulate", "--checkpoint-interval", "0"], "must be positive"),
-            (["simulate", "--speculative", "1.0"], "must be > 1"),
+            (["simulate", "--speculative", "1.5"], "unrecognized arguments"),
             (["simulate", "--deadlines", "9:3"], "SOFT:HARD"),
             (["simulate", "--deadlines", "abc"], "SOFT:HARD"),
         ],
@@ -231,8 +230,8 @@ class TestResilienceAndWorkloadValues:
         [
             (["--deadlines", "nan:4"], "soft_factor must be finite"),
             (["--deadlines", "4:inf"], "hard_factor must be finite"),
-            (["--speculative", "nan"], "--speculative: slowdown_factor must be finite"),
-            (["--speculative", "inf"], "--speculative: slowdown_factor must be finite"),
+            (["--deadlines", "inf"], "soft_factor must be finite"),
+            (["--deadlines", "4:nan"], "hard_factor must be finite"),
             (["--checkpoint-interval", "nan"], "--checkpoint-interval: interval_s must be finite"),
             (["--checkpoint-interval", "inf"], "--checkpoint-interval: interval_s must be finite"),
         ],
@@ -290,8 +289,10 @@ class TestMalformedTraceLines:
          "line 2: 'key' must be null, a string, a number or a flat list"),
         ('{"t": 0.0, "kind": "submit", "key": [[1], 2]}',
          "line 2: 'key' must be null, a string, a number or a flat list"),
-        # A kind the simulator never emits.
+        # A kind the simulator never emits, and one it no longer emits.
         ('{"t": 1.0, "kind": "bogus", "key": 1}', "line 2: unknown event kind 'bogus'"),
+        ('{"t": 1.0, "kind": "speculate", "key": 1, "action": "launch"}',
+         "line 2: unknown event kind 'speculate'"),
     ]
 
     @pytest.mark.parametrize("command", ["report", "slo", "analyze"])

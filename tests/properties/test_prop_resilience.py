@@ -7,9 +7,9 @@ Two headline invariants, whatever the seed draws:
   between a ``quarantine``/open and the matching close, the only thing
   that may lift the embargo is an explicit sanctioned ``probe``.
 * **No task is ever lost**, even with every resilience mechanism armed
-  at once -- deadlines failing tasks, checkpoints shrinking them,
-  replicas racing them.  Terminal accounting stays exact and the
-  online invariant checker stays satisfied.
+  at once -- deadlines failing tasks, checkpoints shrinking them.
+  Terminal accounting stays exact and the online invariant checker
+  stays satisfied.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -21,12 +21,7 @@ from repro.grid.rms import ResourceManagementSystem
 from repro.hardware.catalog import device_by_model
 from repro.hardware.gpp import GPPSpec
 from repro.sim.faults import FaultInjector, FaultSpec, RetryPolicy
-from repro.sim.resilience import (
-    CheckpointSpec,
-    DeadlineSpec,
-    ResilienceSpec,
-    SpeculationSpec,
-)
+from repro.sim.resilience import CheckpointSpec, DeadlineSpec, ResilienceSpec
 from repro.sim.simulator import DReAMSim
 from repro.sim.tracing import InMemorySink, TraceInvariantChecker, Tracer, canonical_events
 from repro.sim.workload import (
@@ -77,10 +72,6 @@ resilience_specs = st.builds(
             interval_s=st.floats(0.1, 1.0),
             overhead_s=st.floats(0.0, 0.05),
         ),
-    ),
-    speculation=st.one_of(
-        st.none(),
-        st.builds(SpeculationSpec, slowdown_factor=st.floats(1.2, 3.0)),
     ),
 )
 
@@ -160,7 +151,7 @@ def test_no_task_lost_and_no_dispatch_to_open_breaker(
         faults, resilience, seed, tasks
     )
     # Exact accounting: every submission reaches a terminal state, even
-    # when watchdogs fail tasks and replicas race primaries.
+    # when watchdogs fail tasks.
     assert report.completed + report.discarded + report.failed == tasks
     assert report.pending == 0
     checker.assert_quiescent()
@@ -170,7 +161,6 @@ def test_no_task_lost_and_no_dispatch_to_open_breaker(
     assert report.wasted_work_s >= 0.0
     assert report.wasted_work_saved_s >= 0.0
     assert report.checkpoint_overhead_s >= 0.0
-    assert report.speculative_wins <= report.speculative_launches
     assert 0.0 <= report.deadline_miss_rate <= 1.0
     if resilience.breaker is None:
         assert report.quarantines == 0

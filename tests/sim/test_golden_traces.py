@@ -23,7 +23,7 @@ import pytest
 from repro.grid.health import HealthPolicy
 from repro.sim.experiment import ExperimentSpec, run_experiment
 from repro.sim.faults import FaultSpec
-from repro.sim.resilience import CheckpointSpec, DeadlineSpec, ResilienceSpec, SpeculationSpec
+from repro.sim.resilience import CheckpointSpec, DeadlineSpec, ResilienceSpec
 from repro.sim.tracing import (
     InMemorySink,
     TraceInvariantChecker,
@@ -74,7 +74,6 @@ RESILIENCE_SPEC = CHAOS_SPEC.with_(
         breaker=HealthPolicy(min_events=2, open_threshold=0.4, open_duration_s=4.0),
         deadlines=DeadlineSpec(soft_factor=2.0, hard_factor=6.0, slack_s=0.25),
         checkpoint=CheckpointSpec(interval_s=0.1),
-        speculation=SpeculationSpec(slowdown_factor=1.5),
     ),
 )
 

@@ -2,8 +2,7 @@
 
 The four goldens never reach most fault paths: graceful leave/join,
 detected crashes, a reboot before the detector confirms, orphans and
-lease expiry, discard, shed, speculation win/lose/abort, gray recovery
-and cold restart.  These scenarios do.  Each one pins a CRC-32 of its
+lease expiry, discard, shed, gray recovery and cold restart.  These scenarios do.  Each one pins a CRC-32 of its
 canonical trace lines, of its report and of its telemetry registry on
 both engines, and asserts that the branches it exists for were
 actually reached (by event kind and payload flag), so a refactor of
@@ -25,12 +24,7 @@ from repro.hardware.gpp import GPPSpec
 from repro.sim.experiment import ExperimentSpec, NodeSpec, _build
 from repro.sim.failover import FailoverSpec, HeartbeatSpec
 from repro.sim.faults import FaultSpec, RetryPolicy
-from repro.sim.resilience import (
-    CheckpointSpec,
-    DeadlineSpec,
-    ResilienceSpec,
-    SpeculationSpec,
-)
+from repro.sim.resilience import CheckpointSpec, DeadlineSpec, ResilienceSpec
 from repro.sim.slo import SLO_PRESETS
 from repro.sim.telemetry import TelemetryRegistry
 from repro.sim.tracing import InMemorySink, Tracer, canonical_events
@@ -39,11 +33,9 @@ from tests.sim.test_telemetry import CHAOS_FAILOVER_SPEC, FLASH_SPEC
 
 BREAKER = HealthPolicy(min_events=2, open_threshold=0.4, open_duration_s=4.0)
 
-#: Heavy checkpoint overhead makes primaries straggle, so replicas win
-#: as well as lose.
+#: Heavy checkpoint overhead stretches every fabric execution.
 _STRAGGLERS = ResilienceSpec(
     checkpoint=CheckpointSpec(interval_s=0.25, overhead_s=0.6),
-    speculation=SpeculationSpec(slowdown_factor=1.2),
 )
 
 #: Detector-free node churn with a discard deadline, an omniscient
@@ -154,8 +146,6 @@ def branches(events) -> set[str]:
             reached.add(f"{kind}{{{','.join(flags)}}}")
         elif kind == "rms-restore":
             reached.add(f"rms-restore:{p['reason']}")
-        elif kind == "speculate":
-            reached.add(f"speculate:{p['action']}")
         elif kind == "fault" and "rebooted" in p["reason"]:
             reached.add("fault:rebooted")
         elif kind == "timeout" and p["action"] == "fail" and "node" not in p:
@@ -170,18 +160,16 @@ REACHED = {
     "chaos": {
         "node-dead", "node-leave{crash,detected}", "node-join{rejoin}",
         "failover-begin", "lease-expire", "orphan-recovered", "rms-restore:cold-restart",
-        "fallback", "speculate:launch", "speculate:lose", "timeout:fail-queued",
+        "fallback", "timeout:fail-queued",
     },
     "flash": {"shed", "degrade", "defer", "brownout"},
     "churn": {
         "slo-breach", "quarantine", "probe", "node-leave{crash}", "node-join{rejoin}", "discard", "failover-begin",
         "rms-restore:cold-restart", "rms-restore:gray-recovered",
-        "speculate:win", "speculate:lose", "speculate:abort",
     },
     "detected": {
         "node-dead", "node-leave{crash,detected}", "node-join{rejoin}", "fault:rebooted",
-        "heartbeat-rejoin", "rms-restore:gray-recovered", "speculate:win",
-        "speculate:abort",
+        "heartbeat-rejoin", "rms-restore:gray-recovered",
     },
     "scripted": {"node-leave{}", "node-join{}", "requeue", "slice-free"},
 }
@@ -225,8 +213,6 @@ def test_lifecycle_is_pinned(name, engine):
 @pytest.mark.parametrize("engine", ["heap", "calendar"])
 @pytest.mark.parametrize("name", sorted(SPECS))
 def test_lifecycle_passes_the_invariant_checker(name, engine):
-    # A speculative replica that loads its region emits ``reconfigure``,
-    # so the checker accepts a later reuse of that region.
     tracer = Tracer.with_invariants()
     run_scenario(name, engine=engine, tracer=tracer)
     tracer.checker.assert_no_lost_tasks()

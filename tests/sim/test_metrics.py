@@ -140,9 +140,8 @@ class TestCollector:
 
     def test_task_snapshot_matches_record_stream(self):
         """Every TaskMetrics field survives the columns: a faulted,
-        retried, checkpointed, migrated, speculatively-won task; a
-        deferred then shed one; and one that fell back to GPP and
-        failed.  On the win, node and resource move to the replica."""
+        retried, checkpointed and migrated task; a deferred then shed
+        one; and one that fell back to GPP and failed."""
         collector = MetricsCollector()
         hot, shed, lost = ("job", 1), ("job", 2), ("job", 3)
         collector.record_arrival(hot, 0.5, "fir", tenant="tenant1")
@@ -166,11 +165,7 @@ class TestCollector:
             resource_index=2, slices=1200,
         )
         collector.record_migration(hot, 3.25)
-        collector.record_speculation(hot, 4.0)
-        collector.record_speculation_result(
-            hot, 5.0, win=True, wasted_s=1.75, node_id=3, resource_index=1
-        )
-        collector.record_finish(hot, 5.0, "node3:RPE1")
+        collector.record_finish(hot, 5.0, "node1:RPE2")
         collector.record_arrival(shed, 0.75, "fft", tenant="tenant0")
         collector.record_defer(shed, 0.75)
         collector.record_defer(shed, 1.25)
@@ -189,15 +184,14 @@ class TestCollector:
         expected = {
             hot: TaskMetrics(
                 key=hot, function="fir", tenant="tenant1", pe_kind="RPE",
-                node_id=3, resource_index=1, slices=1200, arrival=0.5,
+                node_id=1, resource_index=2, slices=1200, arrival=0.5,
                 dispatch=3.25, start=1.5, finish=5.0, transfer_time=0.5,
                 reused_configuration=True,
                 failure_reason="SEU corrupted fir on node 0", faults=1,
                 retries=1, first_fault=2.5, wasted_time_s=1.0,
                 wasted_slice_seconds=1200.0, deadline_missed="soft",
                 checkpoints=1, checkpoint_overhead_s=0.0625,
-                wasted_work_saved_s=0.5, migrations=1, speculated=True,
-                speculative_win=True,
+                wasted_work_saved_s=0.5, migrations=1,
             ),
             shed: TaskMetrics(
                 key=shed, function="fft", tenant="tenant0", arrival=0.75,
@@ -256,12 +250,7 @@ class TestReportPins:
         from repro.grid.health import HealthPolicy
         from repro.sim.experiment import ExperimentSpec, run_experiment
         from repro.sim.faults import FaultSpec
-        from repro.sim.resilience import (
-            CheckpointSpec,
-            DeadlineSpec,
-            ResilienceSpec,
-            SpeculationSpec,
-        )
+        from repro.sim.resilience import CheckpointSpec, DeadlineSpec, ResilienceSpec
 
         spec = ExperimentSpec(
             tasks=40, configurations=4, arrival_rate_per_s=8.0,
@@ -281,7 +270,6 @@ class TestReportPins:
                     breaker=HealthPolicy(min_events=2, open_threshold=0.4, open_duration_s=4.0),
                     deadlines=DeadlineSpec(soft_factor=2.0, hard_factor=6.0, slack_s=0.25),
                     checkpoint=CheckpointSpec(interval_s=0.1),
-                    speculation=SpeculationSpec(slowdown_factor=1.5),
                 ),
             )
         for engine in ("heap", "calendar"):

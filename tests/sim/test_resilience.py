@@ -1,5 +1,5 @@
 """The adaptive resilience layer: deadlines, checkpoint/restart +
-migration, speculative replicas, and breaker-driven quarantine.
+migration, and breaker-driven quarantine.
 
 Scenario tests drive :class:`DReAMSim` directly with hand-built grids
 (the same idiom as ``test_faults.py``); the acceptance test at the
@@ -30,7 +30,6 @@ from repro.sim.resilience import (
     CheckpointSpec,
     DeadlineSpec,
     ResilienceSpec,
-    SpeculationSpec,
 )
 from repro.sim.simulator import DReAMSim
 from repro.sim.tracing import InMemorySink, TraceInvariantChecker, Tracer
@@ -95,8 +94,6 @@ class TestSpecs:
             DeadlineSpec(slack_s=-1.0)
         with pytest.raises(ValueError):
             CheckpointSpec(interval_s=0.0)
-        with pytest.raises(ValueError):
-            SpeculationSpec(slowdown_factor=1.0)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     @pytest.mark.parametrize(
@@ -107,7 +104,6 @@ class TestSpecs:
             (lambda v: DeadlineSpec(soft_factor=v), "soft_factor"),
             (lambda v: DeadlineSpec(hard_factor=v), "hard_factor"),
             (lambda v: DeadlineSpec(slack_s=v), "slack_s"),
-            (lambda v: SpeculationSpec(slowdown_factor=v), "slowdown_factor"),
         ],
     )
     def test_non_finite_fields_rejected(self, make, name, value):
@@ -320,73 +316,6 @@ class TestCheckpoints:
         res = ResilienceSpec(checkpoint=CheckpointSpec(interval_s=10.0))
         _, report, _ = self.run_hw(resilience=res, t=4.0)
         assert report.checkpoints == 0
-
-
-class TestSpeculation:
-    def stretched(self, *, overhead_s, factor=1.5, nodes=2):
-        """A fabric task whose checkpoint overhead stretches it past
-        the speculation trigger -- a deterministic straggler."""
-        res = ResilienceSpec(
-            checkpoint=CheckpointSpec(interval_s=1.0, overhead_s=overhead_s),
-            speculation=SpeculationSpec(slowdown_factor=factor),
-        )
-        rms = hybrid_rms(nodes=nodes, network=True)
-        sim, tracer = checked_sim(rms, res)
-        sim.submit_workload([(0.0, hw_task(0, t=4.0))])
-        report = sim.run()
-        tracer.close()
-        return sim, report, tracer
-
-    def test_replica_wins_against_straggler(self):
-        # Primary: 4 s exec + 3 x 3 s overhead ~= 13 s; trigger at
-        # ~1.5 x 4 s = 6 s; replica runs 4 s untaxed and wins at ~10 s.
-        sim, report, tracer = self.stretched(overhead_s=3.0)
-        assert report.completed == 1
-        assert report.speculative_launches == 1
-        assert report.speculative_wins == 1
-        assert report.speculative_win_rate == 1.0
-        tm = next(iter(sim.metrics.tasks.values()))
-        assert tm.speculative_win
-        win = next(
-            e
-            for e in tracer.sinks[1].events
-            if e.kind == "speculate" and e.payload["action"] == "win"
-        )
-        assert win.payload["node"] != win.payload["loser"]
-        # The task completed on the replica's node.
-        assert tm.node_id == win.payload["node"]
-
-    def test_replica_loses_against_recovering_primary(self):
-        # Primary: 4 s + 3 x 1 s = 7 s finish; trigger at ~6 s; the
-        # replica (4 s) would finish at ~10 s and loses.
-        sim, report, tracer = self.stretched(overhead_s=1.0)
-        assert report.completed == 1
-        assert report.speculative_launches == 1
-        assert report.speculative_wins == 0
-        assert report.speculative_wasted_s > 0
-        lose = next(
-            e
-            for e in tracer.sinks[1].events
-            if e.kind == "speculate" and e.payload["action"] == "lose"
-        )
-        assert lose.key is not None
-
-    def test_no_speculation_for_healthy_tasks(self):
-        res = ResilienceSpec(speculation=SpeculationSpec(slowdown_factor=1.5))
-        rms = hybrid_rms(nodes=2, network=True)
-        sim, tracer = checked_sim(rms, res)
-        sim.submit_workload([(0.0, hw_task(0, t=4.0)), (0.0, gpp_task(1))])
-        report = sim.run()
-        tracer.close()
-        assert report.completed == 2
-        assert report.speculative_launches == 0
-
-    def test_single_node_grid_cannot_speculate(self):
-        """No second node to host the replica: the trigger fires but
-        finds no placement, and the run completes unreplicated."""
-        sim, report, tracer = self.stretched(overhead_s=3.0, nodes=1)
-        assert report.completed == 1
-        assert report.speculative_launches == 0
 
 
 class TestQuarantineIntegration:

@@ -17,7 +17,6 @@ from repro.sim.resilience import (
     CheckpointSpec,
     DeadlineSpec,
     ResilienceSpec,
-    SpeculationSpec,
 )
 from repro.sim.telemetry import (
     ANNOTATION_KINDS,
@@ -265,7 +264,6 @@ CHAOS_FAILOVER_SPEC = ExperimentSpec(
         breaker=HealthPolicy(min_events=2, open_threshold=0.4, open_duration_s=5.0),
         deadlines=DeadlineSpec(soft_factor=3.0, hard_factor=8.0, slack_s=0.5),
         checkpoint=CheckpointSpec(interval_s=0.25, overhead_s=0.2),
-        speculation=SpeculationSpec(slowdown_factor=1.5),
     ),
     failover=FailoverSpec(
         heartbeat=HeartbeatSpec(interval_s=0.25, suspect_after=2.0, confirm_after=4.0),
@@ -306,7 +304,6 @@ FOLDED = {
         "sim_faults_total": [{}],
         "sim_deadline_misses_total": [{"deadline": "hard"}, {"deadline": "soft"}],
         "sim_checkpoints_total": [{}],
-        "sim_speculations_total": [{}],
         "sim_suspicions_total": [{}],
         "sim_rms_crashes_total": [{}],
         "sim_rms_gray_total": [{}],

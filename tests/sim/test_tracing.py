@@ -69,6 +69,7 @@ MALFORMED_RECORDS = [
     ('{"t": Infinity, "kind": "submit"}', "'t' must be a finite number, got inf"),
     ('{"t": true, "kind": "submit"}', "'t' must be a finite number, got True"),
     ('{"t": 1.0, "kind": "bogus"}', "unknown event kind 'bogus'"),
+    ('{"t": 1.0, "kind": "speculate"}', "unknown event kind 'speculate'"),
 ]
 
 
@@ -353,17 +354,12 @@ class TestResilienceRoundTrip:
     round-trip: emit -> JSONL -> read_jsonl -> canonical_events."""
 
     RESILIENCE_KINDS = ("quarantine", "probe", "timeout", "checkpoint",
-                        "migrate", "speculate")
+                        "migrate")
 
     def _resilient_spec(self):
         from repro.grid.health import HealthPolicy
         from repro.sim.faults import FaultSpec
-        from repro.sim.resilience import (
-            CheckpointSpec,
-            DeadlineSpec,
-            ResilienceSpec,
-            SpeculationSpec,
-        )
+        from repro.sim.resilience import CheckpointSpec, DeadlineSpec, ResilienceSpec
 
         return ExperimentSpec(
             tasks=14,
@@ -387,7 +383,6 @@ class TestResilienceRoundTrip:
                     soft_factor=2.0, hard_factor=6.0, slack_s=0.25
                 ),
                 checkpoint=CheckpointSpec(interval_s=0.1),
-                speculation=SpeculationSpec(slowdown_factor=1.5),
             ),
         )
 
@@ -402,9 +397,7 @@ class TestResilienceRoundTrip:
         direct = canonical_events(list(memory.events))
         assert loaded == direct
         kinds = {e.kind for e in loaded}
-        # Speculation needs a deterministic straggler this workload
-        # lacks; its round-trip is locked synthetically below.
-        for kind in ("quarantine", "probe", "timeout", "checkpoint", "migrate"):
+        for kind in self.RESILIENCE_KINDS:
             assert kind in kinds, f"run never emitted {kind!r}"
 
     def test_every_kind_roundtrips_synthetically(self, tmp_path):
@@ -422,8 +415,6 @@ class TestResilienceRoundTrip:
                        {"node": 1, "region": 0, "frac": 0.5}),
             TraceEvent(2.5, "migrate", (908, 4),
                        {"node": 0, "from_node": 1}),
-            TraceEvent(3.0, "speculate", (908, 4),
-                       {"action": "win", "node": 0, "loser": 1}),
         ]
         path = tmp_path / "synthetic.jsonl"
         sink = JsonlSink(path)
@@ -437,7 +428,7 @@ class TestResilienceRoundTrip:
         assert [e.payload for e in canon] == [e.payload for e in events]
         # Job ids remapped densely (907 -> 0, 908 -> 1), subkeys kept.
         assert [e.key for e in canon] == [
-            None, (0, 3), (0, 3), (0, 3), (1, 4), (1, 4),
+            None, (0, 3), (0, 3), (0, 3), (1, 4),
         ]
 
     def test_payloads_preserved_exactly(self, tmp_path):

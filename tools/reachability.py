@@ -156,7 +156,7 @@ def cli_invocations(tmp: Path) -> list[tuple[list[str], int]]:
         (["table2"], 0),
         (["casestudy", "--family-size", "4", "--length", "30"], 0),
         (["simulate", *small, "--faults", "chaos", "--breaker", "--deadlines",
-          "--checkpoint-interval", "0.25", "--speculative", "--energy",
+          "--checkpoint-interval", "0.25", "--energy",
           "--flash-crowd", "3:8:6", "--low-priority", "0.3", "--tenants", "3",
           "--slo", "default", "--trace", str(trace), "--telemetry", str(telemetry),
           "--report-json", str(report)], 0),
