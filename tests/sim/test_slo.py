@@ -669,11 +669,11 @@ class TestTenantRoundTrip:
     @pytest.mark.parametrize(
         "objectives, pinned_crc",
         [
-            (ARMED_SPEC_OBJECTIVES, "0de23d13"),
+            (ARMED_SPEC_OBJECTIVES, "8ee838d5"),
             # The live monitor's wait samples: dispatch - arrival, from
             # the latest dispatch after a retry.
             ((parse_objective("wait-p95:0.2:5"),
-              parse_objective("wait-p90:0.2:5:tenant1")), "332463ca"),
+              parse_objective("wait-p90:0.2:5:tenant1")), "986651d0"),
         ],
         ids=["armed", "wait"],
     )

@@ -339,7 +339,7 @@ class TestTelemetryPins:
     ``(time, value)`` sample and every histogram bucket."""
 
     SPECS = {"chaos": CHAOS_FAILOVER_SPEC, "flash": FLASH_SPEC}
-    PINNED_CRC = {"chaos": "d03970fd", "flash": "dc0d4170"}
+    PINNED_CRC = {"chaos": "ddab625b", "flash": "dc0d4170"}
 
     @pytest.mark.parametrize("engine", ["heap", "calendar"])
     @pytest.mark.parametrize("scenario", ["chaos", "flash"])
