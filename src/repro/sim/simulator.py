@@ -23,14 +23,15 @@ the simulator of refs [20][21]:
 * an adaptive resilience layer (:mod:`repro.sim.resilience` +
   :mod:`repro.grid.health`): per-node EWMA health scores with
   circuit-breaker quarantine, a soft/hard deadline watchdog and
-  checkpoint/restart with migration for fabric tasks.  ``resilience=None`` (the default) keeps
-  every one of these paths byte-for-byte identical to the
-  pre-resilience simulator.
+  checkpoint/restart with migration for fabric tasks.
+  ``resilience=None`` (the default) keeps every one of these paths
+  byte-for-byte identical to the pre-resilience simulator.
 * overload protection (:mod:`repro.sim.admission`): bounded-queue
   admission with reject-or-defer backpressure, token-bucket rate
   limiting, a utilization gate ahead of RMS matchmaking, and a
   hysteretic brownout controller that degrades in stages under
-  sustained queue pressure (low-priority GPP forcing -> shedding) and recovers when pressure drops.
+  sustained queue pressure (low-priority GPP forcing -> shedding)
+  and recovers when pressure drops.
   ``admission=None`` (the default) is byte-identical to the
   unprotected simulator, same contract as ``resilience``.
 * online SLO monitoring (:mod:`repro.sim.slo`): declarative
@@ -1390,10 +1391,11 @@ class DReAMSim:
         self, entry: _Entry, placement: Placement, *, clear_configuration: bool
     ) -> tuple[float, float, float]:
         """Release the live *placement* of *entry* (fault, watchdog or
-        orphan): cancel its pending events and free its resources.  Returns ``(preserved, wasted,
-        slice_seconds)``: the seconds of progress the newest checkpoint
-        kept, the seconds thrown away since dispatch, and that waste
-        weighted by the occupied fabric slices."""
+        orphan): cancel its pending events and free its resources.
+        Returns ``(preserved, wasted, slice_seconds)``: the seconds of
+        progress the newest checkpoint kept, the seconds thrown away
+        since dispatch, and that waste weighted by the occupied fabric
+        slices."""
         preserved = self._checkpoint_credit(entry, placement)
         wasted = max(0.0, self.engine.now - entry.dispatched_at - preserved)
         slice_seconds = 0.0
