@@ -1763,27 +1763,19 @@ class DReAMSim:
         self.metrics.record_degrade(entry.key, self.engine.now)
         self._emit("degrade", entry.key, stage=admission.stage)
 
-    def _data_sites_for(self, entry: _Entry) -> dict[int, int] | None:
-        sites = {
+    def _try_dispatch(self, entry: _Entry) -> bool:
+        data_sites = {
             data.source_task_id: self._output_sites[(entry.job_id, data.source_task_id)]
             for data in entry.task.data_in
             if (entry.job_id, data.source_task_id) in self._output_sites
-        }
-        return sites or None
-
-    def _exclusions(self, entry: _Entry) -> set[int]:
-        """The nodes a new placement of *entry* avoids: those it faulted
-        on, and those the detector already suspects."""
+        } or None
+        # Avoid the nodes this task faulted on and those the detector
+        # already suspects.
         exclude = entry.excluded_nodes
         if self._suspected_targets:
             suspects = {t for t in self._suspected_targets if t != "rms"}
             if suspects:
                 exclude = exclude | suspects
-        return exclude
-
-    def _try_dispatch(self, entry: _Entry) -> bool:
-        data_sites = self._data_sites_for(entry)
-        exclude = self._exclusions(entry)
         try:
             placement = self.rms.plan_placement(
                 entry.task,
