@@ -2,11 +2,12 @@
 
 The four goldens never reach most fault paths: graceful leave/join,
 detected crashes, a reboot before the detector confirms, orphans and
-lease expiry, discard, shed, gray recovery and cold restart.  These scenarios do.  Each one pins a CRC-32 of its
-canonical trace lines, of its report and of its telemetry registry on
-both engines, and asserts that the branches it exists for were
-actually reached (by event kind and payload flag), so a refactor of
-those paths that changes anything simulated or observed trips here.
+lease expiry, discard, shed, gray recovery and cold restart.  These
+scenarios do.  Each one pins a CRC-32 of its canonical trace lines, of
+its report and of its telemetry registry on both engines, and asserts
+that the branches it exists for were actually reached (by event kind
+and payload flag), so a refactor of those paths that changes anything
+simulated or observed trips here.
 """
 
 import json
