@@ -6,8 +6,8 @@ noticed that inputs to T8 are the outputs of tasks T0, T2, and T5.
 Similarly, DataIN(T11) -> DataOUT(T7, T9, T13), DataIN(T13) ->
 DataOUT(T7, T8), and DataIN(T17) -> DataOUT(T7, T13)." (Section IV-B)
 
-:class:`TaskGraph` wraps a :class:`networkx.DiGraph` whose edges point
-producer -> consumer, derives the graph from each task's ``Data_in``
+:class:`TaskGraph` keeps successor and predecessor maps whose edges
+point producer -> consumer, derives them from each task's ``Data_in``
 descriptors, and offers the queries a scheduler needs: readiness,
 topological generations, and the critical path under
 :math:`t_{estimated}` weights.
@@ -15,9 +15,8 @@ topological generations, and the critical path under
 
 from __future__ import annotations
 
+import heapq
 from collections.abc import Iterable
-
-import networkx as nx
 
 from repro.core.task import EXTERNAL_SOURCE, Task
 
@@ -37,8 +36,11 @@ class TaskGraph:
                 raise DependencyError(f"duplicate TaskID {task.task_id}")
             self.tasks[task.task_id] = task
 
-        self.graph = nx.DiGraph()
-        self.graph.add_nodes_from(self.tasks)
+        #: producer -> {consumer: bytes} and consumer -> {producer: bytes},
+        #: in Data_in order; a producer read twice keeps its first place
+        #: and its last size.
+        self._succ: dict[int, dict[int, int]] = {t: {} for t in self.tasks}
+        self._pred: dict[int, dict[int, int]] = {t: {} for t in self.tasks}
         for task in self.tasks.values():
             for dep in task.data_in:
                 if dep.source_task_id == EXTERNAL_SOURCE:
@@ -48,16 +50,43 @@ class TaskGraph:
                         f"task T{task.task_id} consumes data from unknown "
                         f"task T{dep.source_task_id}"
                     )
-                self.graph.add_edge(
-                    dep.source_task_id,
-                    task.task_id,
-                    data_id=dep.data_id,
-                    size_bytes=dep.size_bytes,
-                )
-        if not nx.is_directed_acyclic_graph(self.graph):
-            cycle = nx.find_cycle(self.graph)
-            pretty = " -> ".join(f"T{u}" for u, _ in cycle) + f" -> T{cycle[0][0]}"
+                self._succ[dep.source_task_id][task.task_id] = dep.size_bytes
+                self._pred[task.task_id][dep.source_task_id] = dep.size_bytes
+        self._order, self._level = self._kahn()
+
+    def _kahn(self) -> tuple[list[int], dict[int, int]]:
+        """Lexicographic topological order and each task's generation
+        (its longest chain from an entry task), in one heap-based Kahn
+        pass; raises :class:`DependencyError` naming a cycle."""
+        indegree = {t: len(preds) for t, preds in self._pred.items()}
+        ready = [t for t, n in indegree.items() if n == 0]
+        heapq.heapify(ready)
+        order: list[int] = []
+        level: dict[int, int] = {}
+        while ready:
+            task_id = heapq.heappop(ready)
+            order.append(task_id)
+            level[task_id] = max(
+                (level[p] + 1 for p in self._pred[task_id]), default=0
+            )
+            for succ in self._succ[task_id]:
+                indegree[succ] -= 1
+                if indegree[succ] == 0:
+                    heapq.heappush(ready, succ)
+        if len(order) < len(self.tasks):
+            # Every task Kahn left has a producer it also left, so walking
+            # producers from any of them must close a cycle.
+            walk: dict[int, int] = {}
+            task_id = min(t for t in self.tasks if t not in level)
+            while task_id not in walk:
+                walk[task_id] = len(walk)
+                task_id = min(p for p in self._pred[task_id] if p not in level)
+            cycle = list(walk)[walk[task_id] :][::-1]
+            first = cycle.index(min(cycle))
+            cycle = cycle[first:] + cycle[:first]
+            pretty = " -> ".join(f"T{t}" for t in cycle) + f" -> T{cycle[0]}"
             raise DependencyError(f"dependency cycle: {pretty}")
+        return order, level
 
     # ------------------------------------------------------------------
     # Queries
@@ -76,17 +105,17 @@ class TaskGraph:
 
     def predecessors(self, task_id: int) -> set[int]:
         """Tasks whose outputs this task consumes."""
-        return set(self.graph.predecessors(task_id))
+        return set(self._pred[task_id])
 
     def successors(self, task_id: int) -> set[int]:
-        return set(self.graph.successors(task_id))
+        return set(self._succ[task_id])
 
     def entry_tasks(self) -> set[int]:
         """Tasks with no in-graph producers (primary inputs only)."""
-        return {t for t in self.tasks if self.graph.in_degree(t) == 0}
+        return {t for t, preds in self._pred.items() if not preds}
 
     def exit_tasks(self) -> set[int]:
-        return {t for t in self.tasks if self.graph.out_degree(t) == 0}
+        return {t for t, succs in self._succ.items() if not succs}
 
     def ready_tasks(self, completed: set[int]) -> set[int]:
         """Tasks whose every predecessor is in *completed* and which are
@@ -100,7 +129,7 @@ class TaskGraph:
 
     def topological_order(self) -> list[int]:
         """One valid execution order (deterministic: ties by TaskID)."""
-        return list(nx.lexicographical_topological_sort(self.graph))
+        return list(self._order)
 
     def generations(self) -> list[list[int]]:
         """Antichains of tasks executable concurrently, in phase order.
@@ -109,7 +138,10 @@ class TaskGraph:
         from any entry task has length *g*; all tasks in one generation
         may run in parallel given enough PEs.
         """
-        return [sorted(gen) for gen in nx.topological_generations(self.graph)]
+        gens: list[list[int]] = [[] for _ in set(self._level.values())]
+        for task_id in sorted(self._level):
+            gens[self._level[task_id]].append(task_id)
+        return gens
 
     def critical_path(self) -> tuple[list[int], float]:
         """Longest path weighted by ``t_estimated`` — the makespan lower
@@ -137,7 +169,7 @@ class TaskGraph:
     def transfer_bytes(self, producer: int, consumer: int) -> int:
         """Bytes flowing along one dependency edge."""
         try:
-            return self.graph.edges[producer, consumer]["size_bytes"]
+            return self._succ[producer][consumer]
         except KeyError:
             raise KeyError(f"no edge T{producer} -> T{consumer}") from None
 

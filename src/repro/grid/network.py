@@ -14,10 +14,10 @@ message, cut-through within a hop), the standard first-order WAN model.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
-
-import networkx as nx
 
 #: Site identifier for the submitting user / JSS ingress point.
 USER_SITE = -100
@@ -54,17 +54,19 @@ class Network:
     minimum-latency path; the effective bandwidth of a path is its
     bottleneck link.
 
-    Each (src, dst) route is computed once and cached as its total
-    latency and bottleneck bandwidth (or as "no route") until the
-    topology changes.  :attr:`graph` is therefore read-only to callers:
-    every mutation must go through :meth:`connect`, :meth:`disconnect`
-    or :meth:`remove_site` (which :meth:`degrade`, :meth:`sever` and
-    :meth:`restore` use), and each of those clears the whole cache.
+    The topology is an insertion-ordered adjacency ``{site: {neighbour:
+    Link}}``.  Each (src, dst) route is computed once and cached as its
+    total latency and bottleneck bandwidth (or as "no route") until the
+    topology changes: every mutation goes through :meth:`connect`,
+    :meth:`disconnect` or :meth:`remove_site` (which :meth:`degrade`,
+    :meth:`sever` and :meth:`restore` use), and each of those clears the
+    whole cache.
     """
 
     def __init__(self) -> None:
-        self.graph = nx.Graph()
-        self.graph.add_node(USER_SITE)
+        #: site -> {neighbour: link}; both levels keep insertion order,
+        #: which decides ties between equal-latency routes (:meth:`path`).
+        self._adj: dict[int, dict[int, Link]] = {USER_SITE: {}}
         #: (src, dst) -> (total latency s, bottleneck MB/s), or None
         #: when the two known sites are partitioned.
         self._routes: dict[tuple[int, int], tuple[float, float] | None] = {}
@@ -73,24 +75,31 @@ class Network:
     # Construction
     # ------------------------------------------------------------------
     def connect(self, a: int, b: int, link: Link) -> None:
-        """Add (or replace) the link between sites *a* and *b*."""
+        """Add (or replace) the link between sites *a* and *b*.
+
+        Replacing a link keeps its place in both sites' neighbour order.
+        """
         if a == b:
             raise ValueError("cannot connect a site to itself")
-        self.graph.add_edge(a, b, link=link)
+        self._adj.setdefault(a, {})[b] = link
+        self._adj.setdefault(b, {})[a] = link
         self._routes.clear()
 
     def disconnect(self, a: int, b: int) -> None:
-        if not self.graph.has_edge(a, b):
+        """Drop the a-b link; both sites stay known, possibly isolated."""
+        if not self.has_link(a, b):
             raise NetworkError(f"no link between {a} and {b}")
-        self.graph.remove_edge(a, b)
+        del self._adj[a][b]
+        del self._adj[b][a]
         self._routes.clear()
 
     def remove_site(self, site: int) -> None:
         """Drop a site and all its links (node-leave events)."""
         if site == USER_SITE:
             raise ValueError("the user site cannot be removed")
-        if site in self.graph:
-            self.graph.remove_node(site)
+        if site in self._adj:
+            for neighbour in self._adj.pop(site):
+                del self._adj[neighbour][site]
             self._routes.clear()
 
     @classmethod
@@ -123,10 +132,14 @@ class Network:
     # ------------------------------------------------------------------
     # Fault injection (degraded links, partitions)
     # ------------------------------------------------------------------
+    def has_link(self, a: int, b: int) -> bool:
+        return b in self._adj.get(a, ())
+
     def link_between(self, a: int, b: int) -> Link:
-        if not self.graph.has_edge(a, b):
-            raise NetworkError(f"no link between {a} and {b}")
-        return self.graph.edges[a, b]["link"]
+        try:
+            return self._adj[a][b]
+        except KeyError:
+            raise NetworkError(f"no link between {a} and {b}") from None
 
     def degrade(self, a: int, b: int, *, factor: float) -> Link:
         """Scale the a-b link's bandwidth down by *factor* (in (0, 1]);
@@ -151,22 +164,66 @@ class Network:
     # Queries
     # ------------------------------------------------------------------
     def has_route(self, src: int, dst: int) -> bool:
-        return (
-            src in self.graph
-            and dst in self.graph
-            and nx.has_path(self.graph, src, dst)
-        )
+        if src not in self._adj or dst not in self._adj:
+            return False
+        return src == dst or self._route(src, dst) is not None
 
     def path(self, src: int, dst: int) -> list[int]:
-        """Minimum-latency route between two sites."""
-        if src not in self.graph or dst not in self.graph:
+        """Minimum-latency route between two sites.
+
+        A bidirectional Dijkstra search: forward steps from *src*
+        alternate with backward steps from *dst* until one site is
+        settled from both ends.  Ties between equal-latency routes are
+        broken deterministically, and route prices depend on the
+        choice (DESIGN.md, "The router's tie-breaking contract"): a
+        push counter orders equal distances in each heap, a site's
+        predecessor is fixed at its first strictly shorter discovery,
+        neighbours are relaxed in link insertion order, and the meeting
+        site changes only on a strictly shorter total.
+        """
+        adj = self._adj
+        if src not in adj or dst not in adj:
             raise NetworkError(f"unknown site in route {src} -> {dst}")
-        try:
-            return nx.shortest_path(
-                self.graph, src, dst, weight=lambda u, v, d: d["link"].latency_s
-            )
-        except nx.NetworkXNoPath:
-            raise NetworkError(f"no route {src} -> {dst}") from None
+        if src == dst:
+            return [src]
+        # Index 0 is the forward search, 1 the backward one.
+        done: tuple[dict[int, float], ...] = ({}, {})
+        seen: tuple[dict[int, float], ...] = ({src: 0.0}, {dst: 0.0})
+        preds: tuple[dict[int, int | None], ...] = ({src: None}, {dst: None})
+        fringe: tuple[list, ...] = ([(0.0, 0, src)], [(0.0, 1, dst)])
+        pushes = itertools.count(2)
+        best, meet = math.inf, None
+        side = 1  # flipped before each step, so the forward search goes first
+        while fringe[0] and fringe[1]:
+            side = 1 - side
+            dist, _, site = heapq.heappop(fringe[side])
+            if site in done[side]:
+                continue
+            done[side][site] = dist
+            if site in done[1 - side]:
+                forward, backward = [], []
+                hop = meet
+                while hop is not None:
+                    forward.append(hop)
+                    hop = preds[0][hop]
+                hop = preds[1][meet]
+                while hop is not None:
+                    backward.append(hop)
+                    hop = preds[1][hop]
+                return forward[::-1] + backward
+            for neighbour, link in adj[site].items():
+                length = dist + link.latency_s
+                if neighbour in done[side] or length >= seen[side].get(
+                    neighbour, math.inf
+                ):
+                    continue
+                seen[side][neighbour] = length
+                heapq.heappush(fringe[side], (length, next(pushes), neighbour))
+                preds[side][neighbour] = site
+                other = seen[1 - side].get(neighbour)
+                if other is not None and length + other < best:
+                    best, meet = length + other, neighbour
+        raise NetworkError(f"no route {src} -> {dst}")
 
     def transfer_time(self, size_bytes: int, src: int, dst: int) -> float:
         """Seconds to move *size_bytes* from *src* to *dst*.
@@ -177,28 +234,33 @@ class Network:
             raise ValueError("size must be finite and non-negative")
         if src == dst:
             return 0.0
-        key = (src, dst)
-        try:
-            route = self._routes[key]
-        except KeyError:
-            route = self._routes[key] = self._route(src, dst)
+        route = self._route(src, dst)
         if route is None:
             raise NetworkError(f"no route {src} -> {dst}")
         total_latency, bottleneck = route
         return total_latency + size_bytes / (bottleneck * 1e6)
 
     def _route(self, src: int, dst: int) -> tuple[float, float] | None:
-        """Uncached (total latency, bottleneck bandwidth) of the
-        minimum-latency route; None when the sites are partitioned.
-        Unknown sites raise and are never cached."""
-        if src not in self.graph or dst not in self.graph:
+        """(total latency, bottleneck bandwidth) of the minimum-latency
+        route between two distinct sites, cached per pair; None when
+        they are partitioned.  Unknown sites raise and are never
+        cached."""
+        key = (src, dst)
+        try:
+            return self._routes[key]
+        except KeyError:
+            pass
+        if src not in self._adj or dst not in self._adj:
             raise NetworkError(f"unknown site in route {src} -> {dst}")
         try:
-            route = self.path(src, dst)
+            hops = self.path(src, dst)
         except NetworkError:
-            return None
-        links = [self.graph.edges[u, v]["link"] for u, v in zip(route, route[1:])]
-        return (
-            sum(l.latency_s for l in links),
-            min(l.bandwidth_mbps for l in links),
-        )
+            route = None
+        else:
+            links = [self._adj[u][v] for u, v in zip(hops, hops[1:])]
+            route = (
+                sum(l.latency_s for l in links),
+                min(l.bandwidth_mbps for l in links),
+            )
+        self._routes[key] = route
+        return route

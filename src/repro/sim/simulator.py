@@ -1086,7 +1086,7 @@ class DReAMSim:
 
             def heal() -> None:
                 self._degraded_pairs.discard(pair)
-                if network.graph.has_edge(a, b):
+                if network.has_link(a, b):
                     network.restore(a, b, healthy)
                 self._emit("link-restore", a=a, b=b)
                 self._dispatch_pending()
@@ -1116,7 +1116,7 @@ class DReAMSim:
         def split() -> None:
             for a in group_a:
                 for b in group_b:
-                    if network.graph.has_edge(a, b):
+                    if network.has_link(a, b):
                         saved.append((a, b, network.sever(a, b)))
             self._emit("link-fault", a=-1, b=-1, partition=True, cut=len(saved))
 

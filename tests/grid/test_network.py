@@ -5,6 +5,7 @@ import random
 
 import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.grid.network import Link, Network, NetworkError, USER_SITE
 
@@ -69,7 +70,7 @@ class TestTopology:
         net = Network.fully_connected([0, 1])
         net.remove_site(1)
         assert not net.has_route(0, 1)
-        assert 1 not in net.graph
+        assert not net.has_route(1, 1)  # every known site reaches itself
 
     def test_user_site_cannot_be_removed(self):
         with pytest.raises(ValueError):
@@ -123,21 +124,49 @@ class TestTransferTimes:
             net.transfer_time(size, 0, 1)
 
 
+class MirroredNetwork(Network):
+    """A Network that replays every topology change onto a networkx
+    graph, so routes can be checked against ``nx.shortest_path``."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.oracle = nx.Graph()
+        self.oracle.add_node(USER_SITE)
+
+    def connect(self, a: int, b: int, link: Link) -> None:
+        super().connect(a, b, link)
+        self.oracle.add_edge(a, b, link=link)
+
+    def disconnect(self, a: int, b: int) -> None:
+        super().disconnect(a, b)
+        self.oracle.remove_edge(a, b)
+
+    def remove_site(self, site: int) -> None:
+        super().remove_site(site)
+        if site in self.oracle:
+            self.oracle.remove_node(site)
+
+
 def _weight(u, v, d):
     return d["link"].latency_s
 
 
-def reference_transfer(net: Network, size: int, src: int, dst: int) -> float:
-    """Uncached transfer time, routed from scratch on every call."""
-    if src == dst:
-        return 0.0
-    if src not in net.graph or dst not in net.graph:
+def reference_path(net: MirroredNetwork, src: int, dst: int) -> list[int]:
+    graph = net.oracle
+    if src not in graph or dst not in graph:
         raise NetworkError(f"unknown site in route {src} -> {dst}")
     try:
-        route = nx.shortest_path(net.graph, src, dst, weight=_weight)
+        return nx.shortest_path(graph, src, dst, weight=_weight)
     except nx.NetworkXNoPath:
         raise NetworkError(f"no route {src} -> {dst}") from None
-    links = [net.graph.edges[u, v]["link"] for u, v in zip(route, route[1:])]
+
+
+def reference_transfer(net: MirroredNetwork, size: int, src: int, dst: int) -> float:
+    """Uncached transfer time, routed by networkx on every call."""
+    if src == dst:
+        return 0.0
+    route = reference_path(net, src, dst)
+    links = [net.oracle.edges[u, v]["link"] for u, v in zip(route, route[1:])]
     total_latency = sum(l.latency_s for l in links)
     bottleneck = min(l.bandwidth_mbps for l in links)
     return total_latency + size / (bottleneck * 1e6)
@@ -169,18 +198,18 @@ class TestRouteCache:
     @pytest.mark.parametrize("seed", range(12))
     def test_random_mutations_match_uncached_routing(self, seed):
         rng = random.Random(seed)
-        net = Network.fully_connected(MESH, bandwidth_mbps=100.0, latency_s=0.01)
+        net = MirroredNetwork.fully_connected(MESH, bandwidth_mbps=100.0, latency_s=0.01)
         severed: list[tuple[int, int, Link]] = []
         for _ in range(30):
             assert_matches_reference(net, rng.choice([0, 1, 10**6, 10**9]))
             op = rng.choice(["connect", "disconnect", "degrade", "sever", "restore", "remove"])
-            edges = list(net.graph.edges)
+            edges = list(net.oracle.edges)
             if op == "connect":
                 a, b = rng.sample([USER_SITE, *MESH], 2)
                 net.connect(a, b, random_link(rng))
             elif op == "disconnect":
                 a, b = rng.sample([USER_SITE, *MESH], 2)
-                if net.graph.has_edge(a, b):
+                if net.has_link(a, b):
                     net.disconnect(a, b)
                 else:
                     with pytest.raises(NetworkError):
@@ -210,7 +239,9 @@ class TestRouteCache:
         ids=["connect", "disconnect", "degrade", "sever", "restore", "remove_site"],
     )
     def test_mutation_reprices_a_cached_pair(self, mutate):
-        net = Network.fully_connected([0, 1, 2], bandwidth_mbps=100.0, latency_s=0.01)
+        net = MirroredNetwork.fully_connected(
+            [0, 1, 2], bandwidth_mbps=100.0, latency_s=0.01
+        )
         before = net.transfer_time(10**6, 0, 1)
         mutate(net)
         after = outcome(net.transfer_time, 10**6, 0, 1)
@@ -219,14 +250,14 @@ class TestRouteCache:
 
     def test_routes_each_pair_once(self, monkeypatch):
         calls = []
-        real = nx.shortest_path
+        real = Network.path
 
-        def counting(*args, **kwargs):
-            calls.append(args[1:3])
-            return real(*args, **kwargs)
+        def counting(self, src, dst):
+            calls.append((src, dst))
+            return real(self, src, dst)
 
-        monkeypatch.setattr(nx, "shortest_path", counting)
-        net = Network()
+        monkeypatch.setattr(Network, "path", counting)
+        net = MirroredNetwork()
         net.connect(0, 1, Link(100.0, 0.01))
         net.connect(2, 3, Link(100.0, 0.01))
         for size in (1, 10, 100):
@@ -238,3 +269,65 @@ class TestRouteCache:
         healed = net.transfer_time(1, 0, 3)
         assert calls[2:] == [(0, 3)]
         assert healed == reference_transfer(net, 1, 0, 3)
+
+
+SITES = [USER_SITE, 0, 1, 2, 3, 4]
+LATENCIES = [0.0, 0.01, 0.02]  # few values, so equal-latency routes tie
+BANDWIDTHS = [1.0, 10.0, 100.0]  # and tied routes can still differ in price
+
+
+def assert_matches_networkx(net: MirroredNetwork) -> None:
+    for src in [*SITES, 42]:
+        for dst in [*SITES, 42]:
+            assert outcome(net.path, src, dst) == outcome(reference_path, net, src, dst)
+            assert outcome(net.transfer_time, 10**6, src, dst) == outcome(
+                reference_transfer, net, 10**6, src, dst
+            )
+            known = src in net.oracle and dst in net.oracle
+            assert net.has_route(src, dst) == (
+                known and nx.has_path(net.oracle, src, dst)
+            )
+            assert net.has_link(src, dst) == net.oracle.has_edge(src, dst)
+
+
+class TestNetworkxOracle:
+    """Routes on random topologies equal ``nx.shortest_path`` over the
+    same links added in the same order, including which of several
+    equal-latency routes is taken."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_random_topologies_route_like_networkx(self, data):
+        net = MirroredNetwork()
+        severed: list[tuple[int, int, Link]] = []
+        pair = st.lists(st.sampled_from(SITES), min_size=2, max_size=2, unique=True)
+        link = st.builds(Link, st.sampled_from(BANDWIDTHS), st.sampled_from(LATENCIES))
+        for _ in range(data.draw(st.integers(1, 25))):
+            op = data.draw(
+                st.sampled_from(
+                    ["connect", "connect", "connect", "disconnect", "degrade",
+                     "sever", "restore", "remove_site"]
+                )
+            )
+            edges = list(net.oracle.edges)
+            if op == "connect":
+                a, b = data.draw(pair)
+                net.connect(a, b, data.draw(link))
+            elif op == "disconnect":
+                a, b = data.draw(pair)
+                if net.has_link(a, b):
+                    net.disconnect(a, b)
+                else:
+                    with pytest.raises(NetworkError):
+                        net.disconnect(a, b)
+            elif op == "degrade" and edges:
+                a, b = data.draw(st.sampled_from(edges))
+                net.degrade(a, b, factor=data.draw(st.sampled_from([0.1, 0.5, 1.0])))
+            elif op == "sever" and edges:
+                a, b = data.draw(st.sampled_from(edges))
+                severed.append((a, b, net.sever(a, b)))
+            elif op == "restore" and severed:
+                net.restore(*severed.pop(data.draw(st.integers(0, len(severed) - 1))))
+            elif op == "remove_site":
+                net.remove_site(data.draw(st.sampled_from(SITES[1:])))
+            assert_matches_networkx(net)

@@ -1,10 +1,12 @@
 """Property-based tests for the task graph."""
 
+import networkx as nx
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.execreq import ExecReq
 from repro.core.task import DataIn, DataOut, Task
-from repro.core.taskgraph import TaskGraph
+from repro.core.taskgraph import DependencyError, TaskGraph
 from repro.hardware.taxonomy import PEClass
 
 
@@ -96,3 +98,69 @@ def test_entry_exit_consistency(graph):
         assert not graph.predecessors(t)
     for t in exits:
         assert not graph.successors(t)
+
+
+def _task(task_id: int, producers) -> Task:
+    return Task(
+        task_id=task_id,
+        data_in=tuple(DataIn(p, 0, 8) for p in producers),
+        data_out=(DataOut(0, 8),),
+        exec_req=ExecReq(node_type=PEClass.GPP),
+        t_estimated=1.0,
+    )
+
+
+@st.composite
+def shuffled_dags(draw):
+    """A random DAG over scattered TaskIDs, its tasks handed over in a
+    random order (so neither TaskID nor list order is topological),
+    with the equivalent networkx graph."""
+    ids = draw(st.lists(st.integers(0, 60), min_size=1, max_size=16, unique=True))
+    rank = draw(st.permutations(ids))  # edges only go up this ranking
+    oracle = nx.DiGraph()
+    oracle.add_nodes_from(ids)
+    tasks = []
+    for i, task_id in enumerate(rank):
+        producers = draw(st.lists(st.sampled_from(rank[:i]), max_size=4)) if i else []
+        oracle.add_edges_from((p, task_id) for p in producers)
+        tasks.append(_task(task_id, producers))
+    return draw(st.permutations(tasks)), oracle
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=shuffled_dags())
+def test_orders_match_networkx(case):
+    tasks, oracle = case
+    graph = TaskGraph(tasks)
+    assert graph.topological_order() == list(nx.lexicographical_topological_sort(oracle))
+    assert graph.generations() == [sorted(g) for g in nx.topological_generations(oracle)]
+    for task_id in oracle:
+        assert graph.predecessors(task_id) == set(oracle.predecessors(task_id))
+        assert graph.successors(task_id) == set(oracle.successors(task_id))
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=shuffled_dags(), data=st.data())
+def test_a_cycle_is_rejected_and_named(case, data):
+    """Closing a random cycle in a DAG raises, and every edge of the
+    cycle the message names is a real dependency."""
+    tasks, oracle = case
+    cycle = data.draw(
+        st.lists(st.sampled_from(sorted(oracle)), min_size=1, max_size=5, unique=True)
+    )
+    closing = list(zip(cycle, cycle[1:] + cycle[:1]))  # producer -> consumer
+    oracle.add_edges_from(closing)
+    extra = {consumer: producer for producer, consumer in closing}
+    tasks = [
+        _task(t.task_id, [d.source_task_id for d in t.data_in] + [extra[t.task_id]])
+        if t.task_id in extra
+        else t
+        for t in tasks
+    ]
+    with pytest.raises(DependencyError, match="dependency cycle: ") as info:
+        TaskGraph(tasks)
+    named = [int(name[1:]) for name in str(info.value).split(": ")[1].split(" -> ")]
+    assert len(named) >= 2 and named[0] == named[-1]
+    assert len(set(named)) == len(named) - 1
+    for producer, consumer in zip(named, named[1:]):
+        assert oracle.has_edge(producer, consumer)

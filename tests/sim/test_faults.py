@@ -349,14 +349,14 @@ class TestLinkFaults:
         seen = {}
 
         def probe():
-            seen["during"] = sim.rms.network.graph.has_edge(0, 1)
+            seen["during"] = sim.rms.network.has_link(0, 1)
 
         sim.schedule_partition(1.0, [0], [1], heal_at_s=3.0)
         sim.engine.schedule_at(2.0, probe)
         sim.submit_workload([(0.0, gpp_task(0))])
         sim.run()
         assert seen["during"] is False
-        assert sim.rms.network.graph.has_edge(0, 1)
+        assert sim.rms.network.has_link(0, 1)
 
     def test_partition_must_heal_after_start(self):
         sim = self.two_node_net_sim()
@@ -372,7 +372,7 @@ class TestLinkFaults:
         seen = {}
 
         def probe():
-            seen["after_heal_attempt"] = sim.rms.network.graph.has_edge(0, 1)
+            seen["after_heal_attempt"] = sim.rms.network.has_link(0, 1)
 
         sim.engine.schedule_at(5.0, probe)
         sim.submit_workload([(0.0, gpp_task(0))])

@@ -9,7 +9,6 @@ flake the way a wall-clock tolerance does, and it fails as soon as
 per-candidate routing comes back.
 """
 
-import networkx as nx
 import pytest
 
 from repro.grid.network import Network
@@ -42,17 +41,17 @@ def wide_spec(**overrides) -> ExperimentSpec:
 
 @pytest.fixture
 def routing_log(monkeypatch):
-    """Records (topology epoch, src, dst) per shortest-path search; the
-    epoch advances on every topology mutation."""
+    """Records (topology epoch, src, dst) per shortest-path search
+    (``Network.path``); the epoch advances on every topology mutation."""
     log: list[tuple[int, int, int]] = []
     epoch = [0]
-    real_search = nx.shortest_path
+    real_search = Network.path
 
-    def search(graph, source, target, *args, **kwargs):
+    def search(self, source, target):
         log.append((epoch[0], source, target))
-        return real_search(graph, source, target, *args, **kwargs)
+        return real_search(self, source, target)
 
-    monkeypatch.setattr(nx, "shortest_path", search)
+    monkeypatch.setattr(Network, "path", search)
     for name in ("connect", "disconnect", "remove_site"):
         real = getattr(Network, name)
 
