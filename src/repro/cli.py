@@ -38,6 +38,15 @@ from pathlib import Path
 
 from repro.report import ascii_bar_chart, ascii_table
 
+# Preset names the parser offers as choices.  Spelled out here so that
+# building the parser imports no simulator module (each preset table's
+# module pulls in numpy); tests/integration/test_imports.py requires each
+# tuple to equal the sorted keys of its table.
+FAULT_PRESET_NAMES = ("chaos", "control-plane", "light", "links", "node-churn")
+FAILOVER_PRESET_NAMES = ("detect", "ha", "none", "replicated")
+ADMISSION_PRESET_NAMES = ("backpressure", "bounded", "brownout", "none", "strict")
+SLO_PRESET_NAMES = ("default", "strict")
+
 
 def _cmd_catalog(args: argparse.Namespace) -> int:
     from repro.hardware.catalog import DEVICE_CATALOG
@@ -166,9 +175,7 @@ def _add_resilience_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_failover_flags(p: argparse.ArgumentParser) -> None:
-    from repro.sim.failover import FAILOVER_PRESETS
-
-    p.add_argument("--failover", choices=sorted(FAILOVER_PRESETS), default=None,
+    p.add_argument("--failover", choices=FAILOVER_PRESET_NAMES, default=None,
                    help="control-plane fault-tolerance preset "
                         "(see repro.sim.failover)")
     p.add_argument("--standbys", type=int, default=None, metavar="N",
@@ -279,9 +286,7 @@ def _admission_from_args(
 
 
 def _add_admission_flags(p: argparse.ArgumentParser) -> None:
-    from repro.sim.admission import ADMISSION_PRESETS
-
-    p.add_argument("--admission", choices=sorted(ADMISSION_PRESETS), default=None,
+    p.add_argument("--admission", choices=ADMISSION_PRESET_NAMES, default=None,
                    help="overload-protection preset (see repro.sim.admission)")
     p.add_argument("--max-pending", type=int, default=None, metavar="N",
                    help="bound the pending queue at N submissions")
@@ -1079,9 +1084,6 @@ def _cmd_trend(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """Construct the argument parser with one sub-command per artifact."""
-    from repro.sim.faults import FAULT_PRESETS
-
-    fault_presets = sorted(FAULT_PRESETS)
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Virtualization of reconfigurable hardware in distributed systems "
@@ -1125,7 +1127,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report-json", metavar="PATH",
                    help="write the spec + report + provenance as a JSON "
                         "dump (compare runs with `repro diff`)")
-    p.add_argument("--faults", choices=fault_presets, default=None,
+    p.add_argument("--faults", choices=FAULT_PRESET_NAMES, default=None,
                    help="inject a named fault scenario (see repro.sim.faults)")
     p.add_argument("--jobs", type=int, default=None,
                    help="worker processes for --replications (default: CPU count)")
@@ -1211,7 +1213,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("chaos", help="compare strategies under a fault preset")
-    p.add_argument("--faults", choices=fault_presets, default="chaos",
+    p.add_argument("--faults", choices=FAULT_PRESET_NAMES, default="chaos",
                    help="fault preset to inject (default: chaos)")
     p.add_argument("--strategies",
                    help="comma-separated strategy names (default: fcfs,hybrid-cost)")
@@ -1304,8 +1306,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_admission_flags(p)
     p.set_defaults(func=_cmd_overload)
 
-    from repro.sim.slo import SLO_PRESETS
-
     p = sub.add_parser(
         "slo",
         help="evaluate SLO objectives against a live run or a recorded "
@@ -1319,7 +1319,7 @@ def build_parser() -> argparse.ArgumentParser:
                         "with kind latency-pNN | wait-pNN | throughput | "
                         "availability | queue; repeatable "
                         "(default: the 'default' preset)")
-    p.add_argument("--preset", choices=sorted(SLO_PRESETS), default=None,
+    p.add_argument("--preset", choices=SLO_PRESET_NAMES, default=None,
                    help="use a named objective bundle instead of -o")
     p.add_argument("--strategy", default="hybrid-cost")
     p.add_argument("--tasks", type=int, default=200)
@@ -1328,7 +1328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--engine", choices=("heap", "calendar"), default="calendar",
                    help="event-queue implementation (live mode; "
                         "identical behavior, heap is the reference)")
-    p.add_argument("--faults", choices=fault_presets, default=None,
+    p.add_argument("--faults", choices=FAULT_PRESET_NAMES, default=None,
                    help="inject a named fault scenario (live mode)")
     p.add_argument("--tenants", type=int, default=1, metavar="N",
                    help="cycle tasks over N tenant tags (live mode)")
