@@ -9,10 +9,8 @@ import pytest
 REPO = Path(__file__).resolve().parent.parent.parent
 
 
-def load_generator():
-    spec = importlib.util.spec_from_file_location(
-        "gen_api_docs", REPO / "tools" / "gen_api_docs.py"
-    )
+def load_generator(name: str = "gen_api_docs"):
+    spec = importlib.util.spec_from_file_location(name, REPO / "tools" / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -42,6 +40,24 @@ class TestApiReference:
         generator = load_generator()
         text = generator.generate()
         assert "(undocumented)" not in text
+
+
+class TestDashboardExample:
+    def test_committed_dashboard_is_fresh(self):
+        """docs/dashboard_example.html and its two SVGs must be what the
+        tool renders from the current code."""
+        generated = load_generator("gen_dashboard_svgs").generate()
+        assert sorted(generated) == [
+            "dashboard_example.html",
+            "dashboard_timeline.svg",
+            "dashboard_utilization.svg",
+        ]
+        for name, expected in generated.items():
+            actual = (REPO / "docs" / name).read_text(encoding="utf-8")
+            assert actual == expected, (
+                f"docs/{name} is stale; regenerate with "
+                "`PYTHONPATH=src python tools/gen_dashboard_svgs.py`"
+            )
 
 
 class TestTopLevelDocs:

@@ -54,7 +54,9 @@ SPEC = ExperimentSpec(
 )
 
 
-def main() -> None:
+def generate() -> dict[str, str]:
+    """The committed files under docs/, by name, as this tool renders
+    them from the current code."""
     telemetry = TelemetryRegistry()
     sink = InMemorySink()
     tracer = Tracer(TraceInvariantChecker(), sink)
@@ -74,14 +76,16 @@ def main() -> None:
     )
     spans, instants = build_task_spans(events)
     timeline = svg_span_timeline(spans, instants, title="Task lifecycle spans")
-    dashboard = render_dashboard(telemetry, events)
+    return {
+        "dashboard_utilization.svg": wrap_standalone(utilization),
+        "dashboard_timeline.svg": wrap_standalone(timeline),
+        "dashboard_example.html": render_dashboard(telemetry, events),
+    }
 
+
+def main() -> None:
     DOCS.mkdir(parents=True, exist_ok=True)
-    for name, markup in (
-        ("dashboard_utilization.svg", wrap_standalone(utilization)),
-        ("dashboard_timeline.svg", wrap_standalone(timeline)),
-        ("dashboard_example.html", dashboard),
-    ):
+    for name, markup in generate().items():
         path = DOCS / name
         path.write_text(markup, encoding="utf-8")
         print(f"wrote {path} ({len(markup)} bytes)")
