@@ -8,29 +8,37 @@ approaches the grid's service capacity -- and the hybrid GPP+RPE grid
 sustains a higher rate than the GPP-only grid before the knee, because
 accelerated tasks release resources ~10x sooner.
 
-The kernel lives in :mod:`repro.bench.cases` (case ``arrival-sweep``).
+The spec lives in :mod:`repro.bench.cases` (case ``arrival-sweep``).
 """
 
+from dataclasses import replace
+
 from repro.bench import standalone_main
-from repro.bench.cases import ARRIVAL_TASKS as TASKS
-from repro.bench.cases import run_arrival_point as run_point
-from repro.sim.runner import parallel_map
+from repro.bench.cases import ARRIVAL
+from repro.sim.experiment import run_experiment
+from repro.sim.runner import ExperimentRunner
 
 RATES = (0.5, 1.0, 2.0, 4.0)
+TASKS = ARRIVAL.tasks
 
-
-def _run_point_star(args: tuple[float, bool]):
-    """Module-level unpacking wrapper so points pickle into workers."""
-    return run_point(*args)
+#: The same node without its fabric: hardware tasks are resubmitted as
+#: plain software tasks, so both grids face the same logical workload.
+GPP_ONLY = ARRIVAL.with_(
+    nodes=tuple(replace(node, rpe_models=()) for node in ARRIVAL.nodes),
+    gpp_fraction=1.0,
+)
 
 
 def regenerate():
     """All (rate, grid) sample points, run wide across processes."""
-    points = [(rate, fabric) for rate in RATES for fabric in (True, False)]
-    reports = parallel_map(_run_point_star, points)
-    by_point = dict(zip(points, reports))
+    specs = [
+        grid.with_(arrival_rate_per_s=rate)
+        for rate in RATES
+        for grid in (ARRIVAL, GPP_ONLY)
+    ]
+    reports = [r.report for r in ExperimentRunner(progress=False).run(specs)]
     return [
-        (rate, by_point[(rate, True)], by_point[(rate, False)]) for rate in RATES
+        (rate, reports[2 * i], reports[2 * i + 1]) for i, rate in enumerate(RATES)
     ]
 
 
@@ -55,7 +63,7 @@ def bench_arrival_rate_sweep(benchmark):
     for _, h, g in rows:
         assert h.completed == TASKS and g.completed == TASKS
 
-    report = benchmark(run_point, 2.0, True)
+    report = benchmark(run_experiment, ARRIVAL).report
     assert report.completed == TASKS
 
 

@@ -13,21 +13,26 @@ Two knobs the paper highlights for reconfigurable nodes (refs [20][21]):
 The sweep tabulates total reconfiguration time and reuse rate across
 both knobs; assertions pin the expected monotonicity.
 
-The kernel lives in :mod:`repro.bench.cases` (case ``reconfig-sweep``).
+The spec lives in :mod:`repro.bench.cases` (case ``reconfig-sweep``).
 """
 
 from repro.bench import standalone_main
-from repro.bench.cases import RECONFIG_TASKS as TASKS
-from repro.bench.cases import run_reconfig as run_config
+from repro.bench.cases import RECONFIG
+from repro.sim.experiment import run_experiment
+from repro.sim.runner import ExperimentRunner
+
+TASKS = RECONFIG.tasks
+POOL_SIZES = (2, 8, 32)
 
 
 def regenerate():
-    rows = []
-    for partial in (True, False):
-        for pool_size in (2, 8, 32):
-            report = run_config(partial=partial, pool_size=pool_size)
-            rows.append((partial, pool_size, report))
-    return rows
+    points = [(partial, size) for partial in (True, False) for size in POOL_SIZES]
+    specs = [
+        RECONFIG.with_(partial_reconfiguration=partial, configurations=size)
+        for partial, size in points
+    ]
+    results = ExperimentRunner(progress=False).run(specs)
+    return [(*point, result.report) for point, result in zip(points, results)]
 
 
 def bench_dreamsim_reconfiguration_sweep(benchmark):
@@ -42,12 +47,13 @@ def bench_dreamsim_reconfiguration_sweep(benchmark):
         )
 
     by = {(p, s): r for p, s, r in rows}
-    for pool_size in (2, 8, 32):
+    for pool_size in POOL_SIZES:
         partial_r = by[(True, pool_size)]
         full_r = by[(False, pool_size)]
         assert partial_r.completed == full_r.completed == TASKS
-        # Same decisions -> same reconfiguration count; partial loads
-        # strictly less configuration data per event.
+        # Partial loads strictly less configuration data per event.  The
+        # counts may differ: shorter reconfigurations free regions
+        # sooner, which changes later placement decisions.
         if full_r.reconfigurations:
             assert (
                 partial_r.total_reconfig_time_s < full_r.total_reconfig_time_s
@@ -56,7 +62,7 @@ def bench_dreamsim_reconfiguration_sweep(benchmark):
     assert by[(True, 2)].reuse_rate > by[(True, 32)].reuse_rate
     assert by[(True, 2)].reconfigurations <= by[(True, 32)].reconfigurations
 
-    report = benchmark(run_config, partial=True, pool_size=8)
+    report = benchmark(run_experiment, RECONFIG).report
     assert report.completed == TASKS
 
 

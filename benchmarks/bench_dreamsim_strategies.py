@@ -12,26 +12,29 @@ count and configuration-reuse rate.  The expected shape: the hybrid
 cost model (which weighs all the Section V parameters) never loses to
 FCFS on waiting time, and reuse-aware strategies reconfigure less.
 
-The kernel lives in :mod:`repro.bench.cases` (case
+The spec lives in :mod:`repro.bench.cases` (case
 ``dreamsim-strategies``).
 """
 
 from repro.bench import standalone_main
-from repro.bench.cases import STRATEGY_TASKS as TASKS
-from repro.bench.cases import run_strategy
+from repro.bench.cases import STRATEGIES
 from repro.scheduling import ALL_STRATEGIES
-from repro.sim.runner import parallel_map
+from repro.sim.experiment import run_experiment
+from repro.sim.runner import ExperimentRunner
+
+TASKS = STRATEGIES.tasks
 
 
 def regenerate() -> dict[str, object]:
     """One report per strategy, run wide across worker processes.
 
-    Every run is independently seeded, so the parallel map returns
-    byte-identical reports to the old serial loop (pinned by
+    Every run is independently seeded, so the parallel runner returns
+    byte-identical reports to a serial loop (pinned by
     ``tests/sim/test_runner.py``).
     """
     names = [name for name in ALL_STRATEGIES if name != "gpp-only"]
-    return dict(zip(names, parallel_map(run_strategy, names)))
+    results = ExperimentRunner(progress=False).sweep(STRATEGIES, "strategy", names)
+    return {name: result.report for name, result in zip(names, results)}
 
 
 def bench_dreamsim_strategy_sweep(benchmark):
@@ -54,7 +57,7 @@ def bench_dreamsim_strategy_sweep(benchmark):
     assert reports["first-fit"].reconfigurations <= reports["fcfs"].reconfigurations
     assert reports["hybrid-cost"].reconfigurations <= reports["fcfs"].reconfigurations
 
-    report = benchmark(run_strategy, "hybrid-cost")
+    report = benchmark(run_experiment, STRATEGIES).report
     assert report.completed == TASKS
 
 

@@ -11,20 +11,24 @@ arrival process (not capacity) limits progress, and mean utilization
 falls as capacity outgrows the workload -- the standard weak-scaling
 picture.
 
-The kernel lives in :mod:`repro.bench.cases` (case ``grid-scaling``),
+The spec lives in :mod:`repro.bench.cases` (case ``grid-scaling``),
 so this bench, ``repro bench``, and the standalone script all time the
 same code.
 """
 
 from repro.bench import standalone_main
-from repro.bench.cases import GRID_SCALING_TASKS as TASKS
-from repro.bench.cases import run_grid_scaling as run_grid
+from repro.bench.cases import GRID_SCALING
+from repro.sim.experiment import NodeSpec, run_experiment
+from repro.sim.runner import ExperimentRunner
 
 NODE_COUNTS = (1, 2, 4, 6)
+TASKS = GRID_SCALING.tasks
 
 
 def regenerate():
-    return {n: run_grid(n) for n in NODE_COUNTS}
+    grids = [(NodeSpec(),) * n for n in NODE_COUNTS]
+    results = ExperimentRunner(progress=False).sweep(GRID_SCALING, "nodes", grids)
+    return {n: result.report for n, result in zip(NODE_COUNTS, results)}
 
 
 def bench_grid_scaling(benchmark):
@@ -47,7 +51,7 @@ def bench_grid_scaling(benchmark):
     # Real speedup from 1 -> 4 nodes on a saturated single node.
     assert reports[1].makespan_s > 1.5 * reports[4].makespan_s
 
-    report = benchmark(run_grid, 2)
+    report = benchmark(run_experiment, GRID_SCALING).report
     assert report.completed == TASKS
 
 

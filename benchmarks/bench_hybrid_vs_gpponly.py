@@ -16,25 +16,26 @@ Three comparisons on one grid:
    grid whose GPPs are saturated, with and without RPEs allowed to
    host soft cores.
 
-The mixed-workload kernel lives in :mod:`repro.bench.cases` (case
+The mixed-workload spec lives in :mod:`repro.bench.cases` (case
 ``hybrid-vs-gpponly``).
 """
 
 from repro.bench import standalone_main
-from repro.bench.cases import HYBRID_TASKS as TASKS
-from repro.bench.cases import build_hybrid_rms as build_rms
-from repro.bench.cases import run_mixed
+from repro.bench.cases import HYBRID
 from repro.core.execreq import Artifacts, ExecReq
 from repro.core.task import simple_task
 from repro.hardware.softcore import RHO_VEX_8ISSUE
 from repro.hardware.taxonomy import PEClass
-from repro.scheduling import GPPOnlyScheduler, HybridCostScheduler
+from repro.sim.experiment import build_grid, run_experiment
+from repro.sim.runner import ExperimentRunner
 from repro.sim.simulator import DReAMSim
+
+TASKS = HYBRID.tasks
 
 
 def run_softcore_fallback(allow_softcores: bool):
     """Saturating GPP-class burst; RPEs may host soft cores (III-A)."""
-    rms = build_rms(HybridCostScheduler())
+    rms = build_grid(HYBRID)
     if allow_softcores:
         for _ in range(3):
             rms.virtualization.provisioner.provision(
@@ -58,9 +59,14 @@ def run_softcore_fallback(allow_softcores: bool):
 
 
 def bench_hybrid_vs_gpponly(benchmark):
-    hybrid = run_mixed(HybridCostScheduler(), 0.5)
-    gpp_only = run_mixed(GPPOnlyScheduler(), 0.5)
-    sw_world = run_mixed(HybridCostScheduler(), 1.0)
+    hybrid, gpp_only, sw_world = (
+        result.report
+        for result in ExperimentRunner(progress=False).run([
+            HYBRID,
+            HYBRID.with_(strategy="gpp-only"),
+            HYBRID.with_(gpp_fraction=1.0),
+        ])
+    )
 
     print("\nHybrid GPP+RPE grid vs traditional GPP-only grid (200 tasks)")
     print(f"{'configuration':28s} {'completed':>9s} {'pending':>8s} {'turnd s':>8s} {'makespan':>9s}")
@@ -91,7 +97,7 @@ def bench_hybrid_vs_gpponly(benchmark):
     # Extra (slower) capacity still cuts queueing delay under burst.
     assert soft.mean_wait_s < hard.mean_wait_s
 
-    report = benchmark(run_mixed, HybridCostScheduler(), 0.5)
+    report = benchmark(run_experiment, HYBRID).report
     assert report.completed == TASKS
 
 

@@ -1,23 +1,26 @@
 """The registered bench cases -- one per ``benchmarks/bench_*.py`` kernel.
 
 This module is the single home of the benchmark *kernels*: the
-``benchmarks/bench_*.py`` scripts import their run functions from here
-(keeping their paper-shape assertions and pytest-benchmark timing),
-and ``repro bench`` runs the same functions through the harness.  One
-implementation, three front ends -- so a wall-time trend in the
+``benchmarks/bench_*.py`` scripts import their specs and run functions
+from here (keeping their paper-shape assertions and pytest-benchmark
+timing), and ``repro bench`` runs the same code through the harness.
+One implementation, three front ends -- so a wall-time trend in the
 ``BENCH_*.json`` trajectory always refers to exactly the code the
 benches assert about.
 
 Every kernel is seeded and returns a flat metrics dict; the ``quick``
 flag shrinks the workload for the CI regression gate without changing
-its shape.  Constants (task counts, seeds, grids) are the historical
-values from the scripts they were lifted out of -- changing them
-invalidates cross-run comparisons, so treat them as frozen.
+its shape.  The DReAMSim ablations are :class:`~repro.sim.experiment.
+ExperimentSpec` constants run by :func:`~repro.sim.experiment.
+run_experiment`, the driver every other experiment uses.  Changing a
+spec, a task count or a seed moves the case's metrics, so regenerate
+``benchmarks/baseline.json`` and the EXPERIMENTS.md tables with it.
 """
 
 from __future__ import annotations
 
 from repro.bench.core import register
+from repro.sim.experiment import ExperimentSpec, NodeSpec, run_experiment
 from repro.sim.metrics import SimulationReport
 
 # ----------------------------------------------------------------------
@@ -65,302 +68,119 @@ def report_metrics(
 
 
 # ----------------------------------------------------------------------
-# Kernels lifted from benchmarks/bench_grid_scaling.py
+# The DReAMSim ablations (refs [20][21]) as experiment specs; the
+# benchmarks/bench_*.py scripts sweep them through ExperimentRunner
 # ----------------------------------------------------------------------
 
-GRID_SCALING_TASKS = 240
-GRID_SCALING_SEED = 29
+#: One workload on a grid of identical hybrid nodes
+#: (``bench_grid_scaling`` sweeps ``nodes=(NodeSpec(),) * n``).
+GRID_SCALING = ExperimentSpec(
+    tasks=240,
+    nodes=(NodeSpec(), NodeSpec()),
+    configurations=6,
+    arrival_rate_per_s=4.0,
+    area_range=(3_000, 12_000),
+    speedup_range=(5.0, 40.0),
+    required_time_range_s=(1.0, 4.0),
+    gpp_fraction=0.4,
+    seed=29,
+)
+
+#: The two-node strategy-ablation grid (``bench_dreamsim_strategies``
+#: sweeps ``strategy``).
+STRATEGIES = ExperimentSpec(
+    tasks=250,
+    nodes=(
+        NodeSpec(rpe_models=("XC5VLX330",), regions_per_rpe=3),
+        NodeSpec(rpe_models=("XC5VLX155", "XC5VLX110")),
+    ),
+    configurations=8,
+    arrival_rate_per_s=2.5,
+    area_range=(3_000, 16_000),
+    speedup_range=(5.0, 40.0),
+    required_time_range_s=(0.5, 5.0),
+    gpp_fraction=0.35,
+    seed=11,
+)
+
+#: One hybrid node at the 2/s load point (``bench_dreamsim_arrival_sweep``
+#: sweeps ``arrival_rate_per_s``, against a fabric-less twin as well).
+ARRIVAL = ExperimentSpec(
+    tasks=150,
+    nodes=(NodeSpec(gpps=2, gpp_mips=1_000, rpe_models=("XC5VLX330",),
+                    regions_per_rpe=3),),
+    configurations=5,
+    arrival_rate_per_s=2.0,
+    area_range=(4_000, 15_000),
+    speedup_range=(8.0, 15.0),
+    required_time_range_s=(0.5, 2.0),
+    gpp_fraction=0.5,
+    seed=13,
+)
+
+#: Hardware tasks on one four-region device (``bench_dreamsim_reconfig``
+#: sweeps ``configurations`` x ``partial_reconfiguration``).
+RECONFIG = ExperimentSpec(
+    tasks=150,
+    nodes=(NodeSpec(gpps=0, rpe_models=("XC5VLX330",), regions_per_rpe=4),),
+    configurations=8,
+    arrival_rate_per_s=1.5,
+    area_range=(3_000, 12_000),
+    speedup_range=(5.0, 40.0),
+    required_time_range_s=(0.5, 5.0),
+    gpp_fraction=0.0,
+    seed=23,
+)
+
+#: The mixed workload on the single-node hybrid grid of the headline
+#: comparison (``bench_hybrid_vs_gpponly`` sweeps ``strategy``).
+HYBRID = ExperimentSpec(
+    tasks=200,
+    nodes=ARRIVAL.nodes,
+    configurations=6,
+    arrival_rate_per_s=1.2,
+    area_range=(4_000, 15_000),
+    speedup_range=(8.0, 25.0),
+    required_time_range_s=(0.5, 5.0),
+    gpp_fraction=0.5,
+    seed=31,
+)
 
 
-def run_grid_scaling(nodes: int, *, tasks: int = GRID_SCALING_TASKS):
-    """One fixed workload on a grid of ``nodes`` identical hybrid nodes."""
-    from repro.core.node import Node
-    from repro.grid.network import Network
-    from repro.grid.rms import ResourceManagementSystem
-    from repro.hardware.catalog import device_by_model
-    from repro.hardware.gpp import GPPSpec
-    from repro.scheduling import HybridCostScheduler
-    from repro.sim.simulator import DReAMSim
-    from repro.sim.workload import (
-        ConfigurationPool,
-        PoissonArrivals,
-        SyntheticWorkload,
-        WorkloadSpec,
-    )
-
-    rms = ResourceManagementSystem(
-        network=Network.fully_connected(
-            list(range(nodes)), bandwidth_mbps=100.0, latency_s=0.005
-        ),
-        scheduler=HybridCostScheduler(),
-    )
-    for node_id in range(nodes):
-        node = Node(node_id=node_id, name=f"Node_{node_id}")
-        node.add_gpp(GPPSpec(cpu_model="Xeon", mips=1_500))
-        node.add_rpe(device_by_model("XC5VLX220"), regions=2)
-        rms.register_node(node)
-    pool = ConfigurationPool(6, area_range=(3_000, 12_000), seed=5)
-    pool.populate_repository(
-        rms.virtualization.repository,
-        [rpe.device for node in rms.nodes for rpe in node.rpes],
-    )
-    workload = SyntheticWorkload(
-        WorkloadSpec(task_count=tasks, gpp_fraction=0.4,
-                     required_time_range_s=(1.0, 4.0)),
-        pool,
-        PoissonArrivals(rate_per_s=4.0),
-        seed=GRID_SCALING_SEED,
-    )
-    sim = DReAMSim(rms)
-    sim.submit_workload(workload.generate())
-    return sim.run()
+def _spec_case(spec: ExperimentSpec, quick_tasks: int, quick: bool) -> dict[str, float]:
+    if quick:
+        spec = spec.with_(tasks=quick_tasks)
+    return report_metrics(run_experiment(spec).report)
 
 
 @register("grid-scaling", "sim",
           description="240-task workload on a 2-node hybrid grid")
 def _case_grid_scaling(quick: bool) -> dict[str, float]:
-    report = run_grid_scaling(2, tasks=120 if quick else GRID_SCALING_TASKS)
-    return report_metrics(report)
-
-
-# ----------------------------------------------------------------------
-# Kernels lifted from benchmarks/bench_dreamsim_strategies.py
-# ----------------------------------------------------------------------
-
-STRATEGY_TASKS = 250
-STRATEGY_SEED = 11
-
-
-def build_strategy_rms(scheduler):
-    """The two-node strategy-ablation grid."""
-    from repro.core.node import Node
-    from repro.grid.network import Network
-    from repro.grid.rms import ResourceManagementSystem
-    from repro.hardware.catalog import device_by_model
-    from repro.hardware.gpp import GPPSpec
-
-    n0 = Node(node_id=0, name="Node_0")
-    n0.add_gpp(GPPSpec(cpu_model="XeonA", mips=1_500))
-    n0.add_rpe(device_by_model("XC5VLX330"), regions=3)
-    n1 = Node(node_id=1, name="Node_1")
-    n1.add_gpp(GPPSpec(cpu_model="XeonB", mips=1_500))
-    n1.add_rpe(device_by_model("XC5VLX155"), regions=2)
-    n1.add_rpe(device_by_model("XC5VLX110"), regions=2)
-    net = Network.fully_connected([0, 1], bandwidth_mbps=100.0, latency_s=0.005)
-    rms = ResourceManagementSystem(network=net, scheduler=scheduler)
-    rms.register_node(n0)
-    rms.register_node(n1)
-    return rms
-
-
-def run_strategy(name: str, *, tasks: int = STRATEGY_TASKS):
-    """One identical Poisson workload under the named strategy."""
-    from repro.scheduling import ALL_STRATEGIES, RandomScheduler
-    from repro.sim.simulator import DReAMSim
-    from repro.sim.workload import (
-        ConfigurationPool,
-        PoissonArrivals,
-        SyntheticWorkload,
-        WorkloadSpec,
-    )
-
-    cls = ALL_STRATEGIES[name]
-    scheduler = cls(seed=STRATEGY_SEED) if cls is RandomScheduler else cls()
-    rms = build_strategy_rms(scheduler)
-    pool = ConfigurationPool(8, area_range=(3_000, 16_000), seed=5)
-    devices = [rpe.device for node in rms.nodes for rpe in node.rpes]
-    pool.populate_repository(rms.virtualization.repository, devices)
-    workload = SyntheticWorkload(
-        WorkloadSpec(task_count=tasks, gpp_fraction=0.35),
-        pool,
-        PoissonArrivals(rate_per_s=2.5),
-        seed=STRATEGY_SEED,
-    )
-    sim = DReAMSim(rms)
-    sim.submit_workload(workload.generate())
-    return sim.run()
+    return _spec_case(GRID_SCALING, 120, quick)
 
 
 @register("dreamsim-strategies", "sim",
           description="hybrid-cost strategy on the ablation grid")
 def _case_strategies(quick: bool) -> dict[str, float]:
-    report = run_strategy("hybrid-cost", tasks=120 if quick else STRATEGY_TASKS)
-    return report_metrics(report)
-
-
-# ----------------------------------------------------------------------
-# Kernels lifted from benchmarks/bench_dreamsim_arrival_sweep.py
-# ----------------------------------------------------------------------
-
-ARRIVAL_TASKS = 150
-ARRIVAL_SEED = 13
-
-
-def run_arrival_point(rate: float, with_fabric: bool, *, tasks: int = ARRIVAL_TASKS):
-    """One (rate, grid) sample of the load sweep.  Without fabric,
-    hardware tasks are resubmitted as plain software tasks so both
-    grids face the same logical workload."""
-    from repro.core.node import Node
-    from repro.grid.rms import ResourceManagementSystem
-    from repro.hardware.catalog import device_by_model
-    from repro.hardware.gpp import GPPSpec
-    from repro.scheduling import HybridCostScheduler
-    from repro.sim.simulator import DReAMSim
-    from repro.sim.workload import (
-        ConfigurationPool,
-        PoissonArrivals,
-        SyntheticWorkload,
-        WorkloadSpec,
-    )
-
-    node = Node(node_id=0)
-    node.add_gpp(GPPSpec(cpu_model="XeonA", mips=1_000))
-    node.add_gpp(GPPSpec(cpu_model="XeonB", mips=1_000))
-    if with_fabric:
-        node.add_rpe(device_by_model("XC5VLX330"), regions=3)
-    rms = ResourceManagementSystem(scheduler=HybridCostScheduler())
-    rms.register_node(node)
-    pool = ConfigurationPool(
-        5, area_range=(4_000, 15_000), speedup_range=(8.0, 15.0), seed=3
-    )
-    if with_fabric:
-        pool.populate_repository(
-            rms.virtualization.repository, [device_by_model("XC5VLX330")]
-        )
-    workload = SyntheticWorkload(
-        WorkloadSpec(
-            task_count=tasks,
-            gpp_fraction=1.0 if not with_fabric else 0.5,
-            required_time_range_s=(0.5, 2.0),
-        ),
-        pool,
-        PoissonArrivals(rate_per_s=rate),
-        seed=ARRIVAL_SEED,
-    )
-    sim = DReAMSim(rms)
-    sim.submit_workload(workload.generate())
-    return sim.run()
+    return _spec_case(STRATEGIES, 120, quick)
 
 
 @register("arrival-sweep", "sim",
           description="hybrid grid at the 2/s load-sweep point")
 def _case_arrival(quick: bool) -> dict[str, float]:
-    report = run_arrival_point(2.0, True, tasks=80 if quick else ARRIVAL_TASKS)
-    return report_metrics(report)
-
-
-# ----------------------------------------------------------------------
-# Kernels lifted from benchmarks/bench_dreamsim_reconfig.py
-# ----------------------------------------------------------------------
-
-RECONFIG_TASKS = 150
-RECONFIG_SEED = 23
-
-
-def run_reconfig(*, partial: bool, pool_size: int, tasks: int = RECONFIG_TASKS):
-    """Partial-vs-full reconfiguration under one configuration pool."""
-    from repro.core.node import Node
-    from repro.grid.rms import ResourceManagementSystem
-    from repro.hardware.catalog import device_by_model
-    from repro.scheduling import HybridCostScheduler
-    from repro.sim.simulator import DReAMSim
-    from repro.sim.workload import (
-        ConfigurationPool,
-        PoissonArrivals,
-        SyntheticWorkload,
-        WorkloadSpec,
-    )
-
-    node = Node(node_id=0)
-    node.add_rpe(device_by_model("XC5VLX330"), regions=4)
-    rms = ResourceManagementSystem(
-        scheduler=HybridCostScheduler(), partial_reconfiguration=partial
-    )
-    rms.register_node(node)
-    pool = ConfigurationPool(pool_size, area_range=(3_000, 12_000), seed=7)
-    pool.populate_repository(rms.virtualization.repository, [node.rpes[0].device])
-    workload = SyntheticWorkload(
-        WorkloadSpec(task_count=tasks, gpp_fraction=0.0),
-        pool,
-        PoissonArrivals(rate_per_s=1.5),
-        seed=RECONFIG_SEED,
-    )
-    sim = DReAMSim(rms)
-    sim.submit_workload(workload.generate())
-    return sim.run()
+    return _spec_case(ARRIVAL, 80, quick)
 
 
 @register("reconfig-sweep", "sim",
           description="partial reconfiguration, 8-configuration pool")
 def _case_reconfig(quick: bool) -> dict[str, float]:
-    report = run_reconfig(
-        partial=True, pool_size=8, tasks=80 if quick else RECONFIG_TASKS
-    )
-    return report_metrics(report)
-
-
-# ----------------------------------------------------------------------
-# Kernels lifted from benchmarks/bench_hybrid_vs_gpponly.py
-# ----------------------------------------------------------------------
-
-HYBRID_TASKS = 200
-HYBRID_SEED = 31
-
-
-def build_hybrid_rms(scheduler):
-    """The single-node hybrid grid of the headline comparison."""
-    from repro.core.node import Node
-    from repro.grid.rms import ResourceManagementSystem
-    from repro.hardware.catalog import device_by_model
-    from repro.hardware.gpp import GPPSpec
-
-    node = Node(node_id=0)
-    node.add_gpp(GPPSpec(cpu_model="XeonA", mips=1_000))
-    node.add_gpp(GPPSpec(cpu_model="XeonB", mips=1_000))
-    node.add_rpe(device_by_model("XC5VLX330"), regions=3)
-    rms = ResourceManagementSystem(scheduler=scheduler)
-    rms.register_node(node)
-    return rms
-
-
-def run_mixed(scheduler, gpp_fraction: float, *, tasks: int = HYBRID_TASKS):
-    """The mixed workload under one scheduler (the headline kernel)."""
-    from repro.hardware.catalog import device_by_model
-    from repro.sim.simulator import DReAMSim
-    from repro.sim.workload import (
-        ConfigurationPool,
-        PoissonArrivals,
-        SyntheticWorkload,
-        WorkloadSpec,
-    )
-
-    rms = build_hybrid_rms(scheduler)
-    pool = ConfigurationPool(
-        6, area_range=(4_000, 15_000), speedup_range=(8.0, 25.0), seed=9
-    )
-    pool.populate_repository(
-        rms.virtualization.repository, [device_by_model("XC5VLX330")]
-    )
-    workload = SyntheticWorkload(
-        WorkloadSpec(task_count=tasks, gpp_fraction=gpp_fraction),
-        pool,
-        PoissonArrivals(rate_per_s=1.2),
-        seed=HYBRID_SEED,
-    )
-    sim = DReAMSim(rms)
-    sim.submit_workload(workload.generate())
-    return sim.run()
+    return _spec_case(RECONFIG, 80, quick)
 
 
 @register("hybrid-vs-gpponly", "sim",
           description="mixed workload on the hybrid grid (headline claim)")
 def _case_hybrid(quick: bool) -> dict[str, float]:
-    from repro.scheduling import HybridCostScheduler
-
-    report = run_mixed(
-        HybridCostScheduler(), 0.5, tasks=100 if quick else HYBRID_TASKS
-    )
-    return report_metrics(report)
+    return _spec_case(HYBRID, 100, quick)
 
 
 # ----------------------------------------------------------------------
@@ -577,8 +397,6 @@ def _case_clustalw(quick: bool) -> dict[str, float]:
 
 def baseline_spec(*, tasks: int):
     """The canonical two-node reference experiment (CLI defaults)."""
-    from repro.sim.experiment import ExperimentSpec, NodeSpec
-
     return ExperimentSpec(
         tasks=tasks,
         nodes=(
@@ -597,8 +415,6 @@ def baseline_spec(*, tasks: int):
 @register("sim-baseline", "sim",
           description="canonical 200-task reference experiment")
 def _case_sim_baseline(quick: bool) -> dict[str, float]:
-    from repro.sim.experiment import run_experiment
-
     report = run_experiment(baseline_spec(tasks=100 if quick else 200)).report
     return report_metrics(report)
 
@@ -606,7 +422,6 @@ def _case_sim_baseline(quick: bool) -> dict[str, float]:
 @register("fault-chaos", "sim",
           description="chaos fault preset with bounded-backoff recovery")
 def _case_fault_chaos(quick: bool) -> dict[str, float]:
-    from repro.sim.experiment import run_experiment
     from repro.sim.faults import FAULT_PRESETS
 
     spec = baseline_spec(tasks=80 if quick else 160).with_(
@@ -620,7 +435,6 @@ def _case_fault_chaos(quick: bool) -> dict[str, float]:
           description="chaos preset with breakers+deadlines+checkpoints")
 def _case_resilience(quick: bool) -> dict[str, float]:
     from repro.grid.health import HealthPolicy
-    from repro.sim.experiment import run_experiment
     from repro.sim.faults import FAULT_PRESETS
     from repro.sim.resilience import (
         CheckpointSpec,
@@ -643,7 +457,6 @@ def _case_resilience(quick: bool) -> dict[str, float]:
 @register("telemetry-instrumented", "sim",
           description="fully instrumented run (telemetry registry attached)")
 def _case_telemetry(quick: bool) -> dict[str, float]:
-    from repro.sim.experiment import run_experiment
     from repro.sim.telemetry import TelemetryRegistry
 
     telemetry = TelemetryRegistry()
@@ -658,7 +471,6 @@ def _case_telemetry(quick: bool) -> dict[str, float]:
 @register("traced-invariants", "sim",
           description="traced run with online invariant checking")
 def _case_traced(quick: bool) -> dict[str, float]:
-    from repro.sim.experiment import run_experiment
     from repro.sim.tracing import Tracer
 
     tracer = Tracer.with_invariants()
@@ -674,8 +486,6 @@ def _case_traced(quick: bool) -> dict[str, float]:
 @register("energy-audit", "sim",
           description="reference experiment with the energy audit enabled")
 def _case_energy(quick: bool) -> dict[str, float]:
-    from repro.sim.experiment import run_experiment
-
     result = run_experiment(
         baseline_spec(tasks=100 if quick else 200), audit_energy=True
     )
@@ -709,7 +519,6 @@ def run_overload(*, tasks: int = OVERLOAD_TASKS):
     quick (120-task) variant sheds and transitions -- the gate must
     cover the overload code paths, not just pass through them."""
     from repro.sim.admission import AdmissionSpec, BrownoutSpec, QueueBoundSpec
-    from repro.sim.experiment import run_experiment
 
     spec = baseline_spec(tasks=tasks).with_(
         seed=OVERLOAD_SEED,
@@ -755,7 +564,6 @@ def run_slo(*, tasks: int = SLO_TASKS):
     gate must cover the monitor's code paths, not just pass through
     them."""
     from repro.sim.admission import AdmissionSpec, BrownoutSpec, QueueBoundSpec
-    from repro.sim.experiment import run_experiment
     from repro.sim.slo import SLOObjective, SLOSpec
 
     spec = baseline_spec(tasks=tasks).with_(
@@ -823,7 +631,6 @@ def run_failover(*, tasks: int = FAILOVER_TASKS):
     generous downtime draws so orphan recovery actually fires --
     the gate must cover the failover code paths, not just pass
     through them."""
-    from repro.sim.experiment import run_experiment
     from repro.sim.failover import FAILOVER_PRESETS
     from repro.sim.faults import FaultSpec
 
@@ -931,8 +738,6 @@ def _case_engine_calendar(quick: bool) -> dict[str, float]:
 
 def run_scale(tasks: int):
     """One end-to-end scale run of the canonical two-node grid."""
-    from repro.sim.experiment import run_experiment
-
     return run_experiment(baseline_spec(tasks=tasks)).report
 
 
@@ -959,7 +764,6 @@ def _case_scale_1e6(quick: bool) -> dict[str, float]:
           description="strategy sweep through the ProcessPool runner")
 def _case_parallel_runner(quick: bool) -> dict[str, float]:
     from repro.scheduling import ALL_STRATEGIES
-    from repro.sim.experiment import ExperimentSpec
     from repro.sim.runner import ExperimentRunner
 
     base = ExperimentSpec(

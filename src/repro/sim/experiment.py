@@ -79,6 +79,8 @@ class ExperimentSpec:
                            process via :func:`run_experiment`'s override
     area ranges            ``area_range``
     task required times    ``required_time_range_s``
+    reconfiguration mode   ``partial_reconfiguration`` (ref. [21]'s
+                           partial bitstreams, or full-device swaps)
     =====================  =============================================
     """
 
@@ -95,6 +97,10 @@ class ExperimentSpec:
     latency_s: float = 0.005
     discard_after_s: float | None = None
     seed: int = 0
+    #: Partial bitstreams reconfigure one region; ``False`` makes every
+    #: reconfiguration load the whole device (the RMS flag of the same
+    #: name).
+    partial_reconfiguration: bool = True
     #: Fault scenario injected alongside the workload (None = fault-free).
     #: The fault streams split off the experiment seed (see
     #: :func:`repro.sim.workload.independent_rng`), so adding faults
@@ -157,6 +163,11 @@ class ExperimentSpec:
             require_int(name, getattr(self, name))
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if not isinstance(self.partial_reconfiguration, bool):
+            raise ValueError(
+                "partial_reconfiguration must be a bool, got "
+                f"{self.partial_reconfiguration!r}"
+            )
         if not self.nodes:
             raise ValueError("an experiment needs at least one node")
         Link(self.bandwidth_mbps, self.latency_s)  # validates the network parameters
@@ -213,7 +224,11 @@ def build_grid(spec: ExperimentSpec) -> ResourceManagementSystem:
         bandwidth_mbps=spec.bandwidth_mbps,
         latency_s=spec.latency_s,
     )
-    rms = ResourceManagementSystem(network=network, scheduler=scheduler)
+    rms = ResourceManagementSystem(
+        network=network,
+        scheduler=scheduler,
+        partial_reconfiguration=spec.partial_reconfiguration,
+    )
     for node_id, node_spec in enumerate(spec.nodes):
         node = Node(node_id=node_id, name=f"Node_{node_id}")
         for g in range(node_spec.gpps):

@@ -6,6 +6,7 @@ import zlib
 
 import pytest
 
+from repro.bench.cases import RECONFIG
 from repro.sim.admission import AdmissionSpec, QueueBoundSpec
 from repro.sim.experiment import (
     ExperimentSpec,
@@ -61,6 +62,8 @@ class TestSpecValidation:
             ("seed", 1.5),
             ("speedup_range", (float("nan"), 2.0)),
             ("area_range", (float("nan"), 5_000)),
+            ("partial_reconfiguration", 0),
+            ("partial_reconfiguration", "no"),
         ],
         ids=lambda v: repr(v) if not isinstance(v, str) else v,
     )
@@ -137,6 +140,16 @@ class TestRunExperiment:
             result.report.completed + result.report.discarded + result.report.pending
             == 30
         )
+
+    def test_full_reconfiguration_costs_more_than_partial(self):
+        partial, full = (
+            run_experiment(
+                RECONFIG.with_(configurations=8, partial_reconfiguration=mode)
+            ).report
+            for mode in (True, False)
+        )
+        assert partial.completed == full.completed == RECONFIG.tasks
+        assert full.total_reconfig_time_s > partial.total_reconfig_time_s
 
 
 class TestRunScaleExperiment:
