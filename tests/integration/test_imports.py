@@ -1,12 +1,16 @@
 """What each entry point loads, checked in a fresh interpreter.
 
 networkx is a test-only oracle: routing and the task DAG are stdlib,
-so no run path may import it.  And the command-line parser offers the
-preset names as plain constants, so building it (``repro --help``)
-imports no simulator module and hence no numpy.
+so no run path may import it.  The runtime dependencies in
+``pyproject.toml`` are exactly the third-party packages the source
+imports.  And the command-line parser offers the preset names as plain
+constants, so building it (``repro --help``) imports no simulator module
+and hence no numpy.
 """
 
+import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -70,6 +74,27 @@ def test_a_run_and_a_task_graph_job_load_no_networkx():
     loaded = modules_after(RUN)
     assert "repro.grid.network" in loaded and "repro.core.taskgraph" in loaded
     assert not {m for m in loaded if m.split(".")[0] == "networkx"}
+
+
+def test_runtime_dependencies_are_the_third_party_imports():
+    tomllib = pytest.importorskip("tomllib")
+    package = Path(repro.__file__).resolve().parent
+    imported = set()
+    for path in package.rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"__future__", "repro"}
+    pyproject = tomllib.loads(
+        (package.parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    )
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", dep).group(0)
+        for dep in pyproject["project"]["dependencies"]
+    }
+    assert declared == third_party
 
 
 def test_help_loads_no_simulator_and_no_numpy():
