@@ -37,9 +37,7 @@ def regenerate():
         for grid in (ARRIVAL, GPP_ONLY)
     ]
     reports = [r.report for r in ExperimentRunner(progress=False).run(specs)]
-    return [
-        (rate, reports[2 * i], reports[2 * i + 1]) for i, rate in enumerate(RATES)
-    ]
+    return list(zip(RATES, reports[0::2], reports[1::2]))
 
 
 def bench_arrival_rate_sweep(benchmark):
