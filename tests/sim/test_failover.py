@@ -434,6 +434,34 @@ class TestSimulatorFailover:
                 assert kinds[-1] == "complete"
 
 
+@pytest.mark.parametrize("engine", ["heap", "calendar"])
+def test_detected_death_quarantine_is_traced(engine, tmp_path, capsys):
+    """A death the heartbeat detector confirms trips the node's breaker
+    outright.  That trip is a quarantine episode like any other: the
+    trace carries its ``quarantine`` open event, so the episodes a
+    trace shows are the episodes the report counts."""
+    import json
+
+    from repro.cli import main
+    from repro.sim.tracing import read_jsonl
+    from tests.sim.test_pending_differential import COMPOSED
+
+    trace, dump = tmp_path / "run.jsonl", tmp_path / "report.json"
+    assert main([*COMPOSED, "--engine", engine, "--trace", str(trace),
+                 "--report-json", str(dump)]) == 0
+    capsys.readouterr()
+    events = read_jsonl(trace)
+    episodes = {
+        (e.payload["node"], e.payload["episode"])
+        for e in events
+        if e.kind == "quarantine" and e.payload["phase"] == "open"
+    }
+    detected = [e for e in events if e.kind == "node-leave" and e.payload.get("detected")]
+    assert detected, "the run no longer confirms a node death"
+    report = json.loads(dump.read_text())["report"]
+    assert len(episodes) == report["quarantines"] > 0
+
+
 class TestAbortAfterUnregister:
     """Satellite: aborting a placement whose node already left the
     registry (teardown races reconciliation) is a no-op, not a crash."""
