@@ -44,7 +44,6 @@ from repro.bioinfo.pairalign import (
 from repro.bioinfo.guidetree import TreeNode, neighbor_joining, upgma
 from repro.bioinfo.malign import Profile, malign, pdiff, prfscore
 from repro.bioinfo.clustalw import ClustalWResult, clustalw
-from repro.bioinfo.weights import sequence_weights, weighted_profile
 
 __all__ = [
     "GapPenalty",
@@ -72,6 +71,4 @@ __all__ = [
     "prfscore",
     "ClustalWResult",
     "clustalw",
-    "sequence_weights",
-    "weighted_profile",
 ]

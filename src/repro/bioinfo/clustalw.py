@@ -47,8 +47,6 @@ def clustalw(
     gap: GapPenalty | None = None,
     tree_method: str = "upgma",
     distance_method: str = "full",
-    ktuple_k: int = 2,
-    use_weights: bool = False,
 ) -> ClustalWResult:
     """Multiple-sequence alignment of *sequences*.
 
@@ -60,15 +58,8 @@ def clustalw(
     tree_method:
         ``"upgma"`` or ``"nj"``.
     distance_method:
-        ``"full"`` (accurate: full pairwise alignments), ``"score"``
-        (score-only DP), or ``"ktuple"`` (Wilbur-Lipman word matching,
-        ClustalW's actual fast mode; see :mod:`repro.bioinfo.ktuple`).
-    ktuple_k:
-        Word length for the k-tuple mode.
-    use_weights:
-        Apply Thompson-Higgins-Gibson sequence weighting derived from
-        the guide tree (the "W" of ClustalW;
-        :mod:`repro.bioinfo.weights`).
+        ``"full"`` (accurate: full pairwise alignments) or ``"score"``
+        (score-only DP).
     """
     if len(sequences) < 2:
         raise ValueError(f"ClustalW needs at least two sequences, got {len(sequences)}")
@@ -87,18 +78,14 @@ def clustalw(
                 f"{matrix.name} alphabet{hint}"
             )
 
-    if distance_method == "ktuple":
-        from repro.bioinfo.ktuple import ktuple_distances
-
-        distances = ktuple_distances(sequences, matrix, k=ktuple_k)
-    elif distance_method in ("full", "score"):
+    if distance_method in ("full", "score"):
         distances = pairalign(
             sequences, matrix, gap, full_alignments=distance_method == "full"
         )
     else:
         raise ValueError(
             f"unknown distance method {distance_method!r}; "
-            "use 'full', 'score', or 'ktuple'"
+            "use 'full' or 'score'"
         )
 
     if tree_method == "upgma":
@@ -108,13 +95,7 @@ def clustalw(
     else:
         raise ValueError(f"unknown tree method {tree_method!r}; use 'upgma' or 'nj'")
 
-    weights = None
-    if use_weights:
-        from repro.bioinfo.weights import sequence_weights
-
-        weights = sequence_weights(tree)
-
-    alignment = malign(sequences, tree, matrix, gap, weights=weights)
+    alignment = malign(sequences, tree, matrix, gap)
     return ClustalWResult(
         alignment=alignment,
         distances=distances,

@@ -139,19 +139,12 @@ def malign(
     tree: TreeNode,
     matrix: SubstitutionMatrix,
     gap: GapPenalty,
-    *,
-    weights: dict[int, float] | None = None,
 ) -> list[Sequence]:
     """Progressive alignment along the guide tree.
 
     Returns gapped sequences in the original input order; all outputs
     share one alignment length, and stripping gaps recovers the inputs
     exactly (property-tested).
-
-    ``weights`` enables ClustalW-style sequence weighting (the "W" --
-    see :mod:`repro.bioinfo.weights`): profile frequencies are scaled
-    by per-sequence weights so over-represented sequences do not
-    dominate columns.
     """
     leaves = sorted(tree.leaves())
     if leaves != list(range(len(sequences))):
@@ -168,20 +161,13 @@ def malign(
             return groups[node.leaf]  # type: ignore[index]
         return node_groups[id(node)]
 
-    def build_profile(group: list[AlignedMember]) -> Profile:
-        if weights is None:
-            return Profile.from_members(group, matrix)
-        from repro.bioinfo.weights import weighted_profile
-
-        return weighted_profile(group, matrix, weights)
-
     node_groups: dict[int, list[AlignedMember]] = {}
     for node in tree.merge_order():
         assert node.left is not None and node.right is not None
         gx = group_of(node.left)
         gy = group_of(node.right)
-        px = build_profile(gx)
-        py = build_profile(gy)
+        px = Profile.from_members(gx, matrix)
+        py = Profile.from_members(gy, matrix)
         ops = pdiff(px, py, matrix, gap)
         node_groups[id(node)] = _apply_ops(gx, gy, ops)
 

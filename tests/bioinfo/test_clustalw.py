@@ -39,6 +39,11 @@ class TestPipeline:
         with pytest.raises(ValueError, match="tree method"):
             clustalw(fam, tree_method="parsimony")
 
+    def test_unknown_distance_method_rejected(self):
+        fam = synthetic_family(3, 30, seed=9)
+        with pytest.raises(ValueError, match="distance method"):
+            clustalw(fam, distance_method="ktuple")
+
     def test_needs_two_sequences(self):
         with pytest.raises(ValueError):
             clustalw([Sequence("a", "ARND")])
