@@ -394,13 +394,11 @@ class TelemetryFold:
     ``EVENT_COUNTERS`` and the other ``Series`` constants say.
     Instruments are created at their first event and cached per (name,
     label value).  ``brownout`` / ``control_plane`` seed their
-    gauge at 0 for layers armed from the start; ``checkpoint_overhead_s``
-    is the run's ``CheckpointSpec.overhead_s``."""
+    gauge at 0 for layers armed from the start."""
 
     def __init__(self, registry: TelemetryRegistry, *, brownout: bool = False,
-                 control_plane: bool = False, checkpoint_overhead_s: float = 0.0):
+                 control_plane: bool = False):
         self.registry = registry
-        self.checkpoint_overhead_s = checkpoint_overhead_s
         self._cache: dict[object, Instrument] = {}
         #: Task key -> submit time, dropped at the key's terminal event.
         self._submitted: dict[object, float] = {}
@@ -438,7 +436,7 @@ class TelemetryFold:
             elif kind in ("task-failed", "discard", "shed"):
                 self._submitted.pop(key, None)
             elif kind == "checkpoint":
-                self._get(registry.counter, CHECKPOINT_OVERHEAD).inc(self.checkpoint_overhead_s)
+                self._get(registry.counter, CHECKPOINT_OVERHEAD).inc(payload["overhead"])
             elif kind == "brownout":
                 self._get(registry.gauge, BROWNOUT_STAGE).set(payload["stage"])
 

@@ -382,12 +382,11 @@ class TestLinkFaults:
 
 class TestRecoveryMetrics:
     def test_availability_and_downtime_windows(self):
-        m = MetricsCollector()
-        for node_id in (0, 1):
-            m.register_node(node_id)
-        m.record_node_down(0, 2.0)
-        m.record_node_up(0, 6.0)
-        m.record_node_down(1, 8.0)  # still down at the horizon
+        m = MetricsCollector([0, 1])
+        m.observe(2.0, "node-leave", None, {"node": 0, "crash": True})
+        m.observe(6.0, "node-join", None, {"node": 0, "rejoin": True})
+        # Still down at the horizon.
+        m.observe(8.0, "node-leave", None, {"node": 1, "crash": True})
         report = m.report(10.0)
         # 4 s + 2 s downtime over 2 nodes x 10 s.
         assert report.availability == pytest.approx(1.0 - 6.0 / 20.0)
@@ -400,14 +399,19 @@ class TestRecoveryMetrics:
 
     def test_goodput_counts_only_completions(self):
         m = MetricsCollector()
-        m.record_arrival(1, 0.0)
-        m.record_dispatch(1, 0.0, pe_kind="gpp", node_id=0, transfer_time=0,
-                          synthesis_time=0, reconfig_time=0, reused=False)
-        m.record_start(1, 0.0)
-        m.record_finish(1, 2.0, "node0:gpp0")
-        m.record_arrival(2, 0.0)
-        m.record_fault(2, 1.0, reason="boom")
-        m.record_failed(2, 1.0, reason="boom")
+        m.observe(0.0, "submit", 1, {"function": ""})
+        m.observe(0.0, "dispatch", 1, {
+            "node": 0, "resource_index": 0, "pe_kind": "gpp", "reused": False,
+            "slices": 0, "transfer_time": 0, "synthesis_time": 0,
+            "reconfig_time": 0,
+        })
+        m.observe(0.0, "start", 1, {"node": 0})
+        m.observe(2.0, "complete", 1, {"node": 0})
+        m.observe(0.0, "submit", 2, {"function": ""})
+        m.observe(1.0, "fault", 2, {
+            "reason": "boom", "wasted": 0.0, "wasted_slice_s": 0.0, "saved": 0.0,
+        })
+        m.observe(1.0, "task-failed", 2, {"reason": "boom"})
         report = m.report(10.0)
         assert report.goodput_tasks_per_s == pytest.approx(1 / 10.0)
         assert report.completed == 1
@@ -418,8 +422,10 @@ class TestRecoveryMetrics:
         quiet = MetricsCollector().report(1.0)
         assert not any("availability" in l for l in quiet.summary_lines())
         m = MetricsCollector()
-        m.record_arrival(1, 0.0)
-        m.record_fault(1, 0.5, reason="x")
+        m.observe(0.0, "submit", 1, {"function": ""})
+        m.observe(0.5, "fault", 1, {
+            "reason": "x", "wasted": 0.0, "wasted_slice_s": 0.0, "saved": 0.0,
+        })
         noisy = m.report(1.0)
         assert any("availability" in l for l in noisy.summary_lines())
 

@@ -557,7 +557,7 @@ class TestReplayMatchesLive:
         }[scenario]()
         sim, events = traced_run(spec)
         replayed, _ = evaluate_trace(events, spec.slo)
-        live = sim.metrics.slo_results
+        live = sim.slo.results(sim.engine.now)
         assert [r.name for r in replayed] == [r.name for r in live]
         queue = next(r for r in live if r.kind == "queue-depth")
         assert queue.breach_count > 0  # the case the replay used to over-count
