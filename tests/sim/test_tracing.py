@@ -5,11 +5,17 @@ import re
 import pytest
 
 from repro.core.node import Node
+from repro.grid.health import HealthPolicy
 from repro.grid.rms import ResourceManagementSystem
 from repro.hardware.catalog import device_by_model
 from repro.hardware.gpp import GPPSpec
+from repro.sim.admission import ADMISSION_PRESETS
 from repro.sim.experiment import ExperimentSpec, NodeSpec, run_experiment
+from repro.sim.failover import FAILOVER_PRESETS
+from repro.sim.faults import FAULT_PRESETS
+from repro.sim.resilience import CheckpointSpec, DeadlineSpec, ResilienceSpec
 from repro.sim.simulator import DReAMSim
+from repro.sim.slo import SLO_PRESETS
 from repro.sim.tracing import (
     InMemorySink,
     InvariantViolation,
@@ -38,6 +44,27 @@ def traced_run(spec: ExperimentSpec) -> tuple[Tracer, list[TraceEvent]]:
 
 
 SPEC = ExperimentSpec(tasks=25, configurations=4, seed=3)
+
+#: Every layer at once, as in CI's "Telemetry without a tracer" step:
+#: chaos faults, a breaker, checkpoints, deadlines, brownout admission
+#: under a flash crowd, replicated failover and the default SLOs over
+#: three tenants.
+COMPOSED_SPEC = ExperimentSpec(
+    tasks=200,
+    seed=5,
+    tenants=3,
+    low_priority_fraction=0.3,
+    flash_crowd=(3.0, 8.0, 6.0),
+    faults=FAULT_PRESETS["chaos"],
+    resilience=ResilienceSpec(
+        breaker=HealthPolicy(),
+        deadlines=DeadlineSpec(soft_factor=4.0, hard_factor=12.0),
+        checkpoint=CheckpointSpec(interval_s=0.25),
+    ),
+    admission=ADMISSION_PRESETS["brownout"],
+    failover=FAILOVER_PRESETS["replicated"],
+    slo=SLO_PRESETS["default"],
+)
 
 
 class TestTraceEvent:
@@ -159,9 +186,14 @@ class TestSimulatorEmission:
         assert tracer.checker.events_checked == len(events)
 
     def test_untraced_run_unchanged(self):
-        baseline = run_experiment(SPEC)
-        traced = run_experiment(SPEC, tracer=Tracer(InMemorySink()))
-        assert baseline.report == traced.report
+        # The metrics share emit sites with the tracer, some of them
+        # built only while something listens.
+        for spec in (SPEC, COMPOSED_SPEC):
+            baseline = run_experiment(spec)
+            traced = run_experiment(spec, tracer=Tracer(InMemorySink()))
+            assert baseline.report == traced.report, spec
+        assert baseline.report.quarantines and baseline.report.checkpoints
+        assert baseline.report.brownout_transitions and baseline.report.slo_objectives
 
     def test_node_join_leave_events(self):
         node0 = Node(node_id=0)
