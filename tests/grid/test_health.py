@@ -178,16 +178,19 @@ class TestBlockedNodes:
 
 
 class TestAccounting:
+    """The episode a node's record carries (the ``quarantine`` event's
+    ``episode``); the metrics fold those events into node-seconds."""
+
     def test_quarantine_time_spans_open_and_half_open(self):
         tracker = make_tracker(open_duration_s=10.0, close_after=1)
         trip(tracker, now=5.0)
-        # Still open: accounted against `now`.
-        assert tracker.total_quarantine_s(8.0) == pytest.approx(3.0)
-        tracker.state(0, 15.0)
+        assert tracker.node(0).quarantined_since == 5.0
+        tracker.state(0, 15.0)  # half-open: still the same episode
+        assert tracker.node(0).quarantined_since == 5.0
         tracker.note_probe(0)
-        tracker.record_success(0, 17.0, probe=True)  # closes at 17
-        assert tracker.total_quarantine_s(100.0) == pytest.approx(12.0)
-        assert tracker.total_quarantine_episodes() == 1
+        assert tracker.record_success(0, 17.0, probe=True) == "close"
+        assert tracker.node(0).quarantined_since is None
+        assert tracker.node(0).quarantine_episodes == 1
 
     def test_reopen_during_probation_is_one_episode(self):
         """OPEN -> HALF_OPEN -> OPEN is a single continuous quarantine
@@ -196,9 +199,9 @@ class TestAccounting:
         trip(tracker, now=0.0)
         tracker.state(0, 10.0)
         tracker.note_probe(0)
-        tracker.record_failure(0, 12.0, probe=True)  # re-open
-        assert tracker.total_quarantine_episodes() == 1
-        assert tracker.total_quarantine_s(20.0) == pytest.approx(20.0)
+        assert tracker.record_failure(0, 12.0, probe=True) == "open"  # re-open
+        assert tracker.node(0).quarantine_episodes == 1
+        assert tracker.node(0).quarantined_since == 0.0
 
     def test_register_is_idempotent(self):
         tracker = make_tracker()
