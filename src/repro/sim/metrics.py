@@ -492,8 +492,6 @@ class MetricsCollector:
         self._down_since: dict[int, float] = {}
         #: node_id -> accumulated downtime of closed windows.
         self._downtime: dict[int, float] = {}
-        #: node_id -> reboot time of a silent death (``node-dead``).
-        self._reboots: dict[int, float] = {}
         #: node_id -> start of its open quarantine episode.
         self._quarantined_since: dict[int, float] = {}
         #: node_id -> quarantine seconds of its closed episodes.
@@ -719,15 +717,6 @@ class MetricsCollector:
             self._quarantine_s[node] = self._quarantine_s.get(node, 0.0) + (t - since)
 
     # -- node availability windows ----------------------------------------
-    def _rebooted_by(self, t: float) -> None:
-        """Close the windows of silently dead nodes whose reboot time
-        has come: a node that reboots before the detector confirms its
-        death comes back without an event of its own."""
-        due = sorted((at, node) for node, at in self._reboots.items() if at <= t)
-        for at, node in due:
-            del self._reboots[node]
-            self._node_up(node, at)
-
     def _node_up(self, node: int, t: float) -> None:
         since = self._down_since.pop(node, None)
         if since is not None:
@@ -735,24 +724,20 @@ class MetricsCollector:
 
     def _on_node_join(self, t: float, key: object, p: Mapping) -> None:
         node = p["node"]
-        self._rebooted_by(t)
-        self._reboots.pop(node, None)
         self.known_nodes[node] = None
         if p.get("rejoin"):
             self._node_up(node, t)
 
     def _on_node_leave(self, t: float, key: object, p: Mapping) -> None:
         """A crash takes the node down; a graceful departure does not."""
-        self._rebooted_by(t)
         if p.get("crash"):
             self._down_since.setdefault(p["node"], t)
 
     def _on_node_dead(self, t: float, key: object, p: Mapping) -> None:
-        node = p["node"]
-        self._rebooted_by(t)
-        self._down_since.setdefault(node, t)
-        if p.get("reboot_at") is not None:
-            self._reboots[node] = p["reboot_at"]
+        self._down_since.setdefault(p["node"], t)
+
+    def _on_node_reboot(self, t: float, key: object, p: Mapping) -> None:
+        self._node_up(p["node"], t)
 
     # ------------------------------------------------------------------
     # Reporting
@@ -771,7 +756,6 @@ class MetricsCollector:
         :class:`~repro.sim.failover.ReplicatedRMS` and the
         :class:`~repro.sim.slo.SLOResult` list (``None`` / empty when
         the layer is off)."""
-        self._rebooted_by(horizon_s)
         n = len(self._index)
         col = {name: column[:n] for name, column in self._col.items()}
         arrival = col["arrival"]

@@ -122,7 +122,15 @@ class TestDeadNodeRule:
         verify_trace(_dead_node_trace(TraceEvent(2.0, "start", 1, {"node": 1})))
 
     def test_reboot_lifts_the_rule(self):
-        verify_trace(_dead_node_trace(TraceEvent(3.0, "start", 1, {"node": 0})))
+        verify_trace(_dead_node_trace(
+            TraceEvent(3.0, "node-reboot", None, {"node": 0}),
+            TraceEvent(3.0, "start", 1, {"node": 0}),
+        ))
+
+    def test_the_reboot_time_alone_keeps_the_rule(self):
+        trace = _dead_node_trace(TraceEvent(3.0, "start", 1, {"node": 0}))
+        with pytest.raises(InvariantViolation, match="node 0 is dead"):
+            verify_trace(trace)
 
     @pytest.mark.parametrize(
         "membership",
