@@ -46,13 +46,16 @@ def slo_specs(draw):
             "availability": st.floats(0.5, 1.0),
             "queue-depth": st.floats(0.0, 16.0),
         }[kind])
+        # The queue is one shared resource: a queue-depth objective
+        # has no scope.
+        scoped = kind != "queue-depth"
         objectives.append(SLOObjective(
             kind, target, name=f"obj{i}",
             metric=draw(st.sampled_from(("turnaround", "wait"))),
             percentile=draw(st.floats(50.0, 99.0)),
             window_s=draw(st.floats(0.5, 20.0)),
-            tenant=draw(st.sampled_from(("", "tenant0", "tenant1"))),
-            priority=draw(st.sampled_from((None, 0, 1))),
+            tenant=draw(st.sampled_from(("", "tenant0", "tenant1"))) if scoped else "",
+            priority=draw(st.sampled_from((None, 0, 1))) if scoped else None,
             budget_fraction=draw(st.floats(0.01, 0.5)),
             burn_threshold=draw(st.floats(0.5, 2.0)),
         ))
