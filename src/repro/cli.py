@@ -903,7 +903,7 @@ def _cmd_slo(args: argparse.Namespace) -> int:
 
     spec = None
     if args.trace_path:
-        # Offline: replay a recorded trace through the monitor.
+        # Offline: feed a recorded trace to the monitor.
         from repro.sim.slo import evaluate_trace
         from repro.sim.tracing import iter_jsonl
 
@@ -919,9 +919,9 @@ def _cmd_slo(args: argparse.Namespace) -> int:
         resolved = sum(r.alerts_resolved for r in results)
         source = str(args.trace_path)
     else:
-        # Live: arm the online monitor inside a fresh experiment.  The
-        # verdict comes from the monitor itself (exact queue depths),
-        # not an offline reconstruction.
+        # Live: arm the online monitor inside a fresh experiment.  It
+        # folds the same event stream a trace records, so the verdict
+        # equals that of `repro slo` on the run's trace.
         from repro.sim.experiment import ExperimentSpec, run_experiment
         from repro.sim.faults import FAULT_PRESETS
 

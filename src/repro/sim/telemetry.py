@@ -415,16 +415,17 @@ class TelemetryFold:
             instrument = self._cache[key] = factory(series.name, series.help, **labels)
         return instrument
 
-    def observe(self, kind: str, key: object, payload: dict) -> None:
-        """Fold one event into the instruments its kind drives."""
+    def observe(self, t: float, kind: str, key: object, payload: dict) -> None:
+        """Fold one event at sim time *t* into the instruments its kind
+        drives."""
         registry = self.registry
         if kind == "submit":
-            self._submitted[key] = registry.clock()
+            self._submitted[key] = t
         elif kind == "dispatch":
-            wait = registry.clock() - self._submitted[key]
+            wait = t - self._submitted[key]
             self._get(registry.histogram, TASK_WAIT).observe(wait)
         elif kind == "complete":
-            turnaround = registry.clock() - self._submitted.pop(key)
+            turnaround = t - self._submitted.pop(key)
             self._get(registry.histogram, TASK_TURNAROUND).observe(turnaround)
         elif kind in FOLDED_KINDS:
             counter = EVENT_COUNTERS.get(kind)

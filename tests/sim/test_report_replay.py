@@ -4,9 +4,10 @@ The simulator hands every event to its :class:`MetricsCollector` before
 a tracer sees it, so the trace on disk holds everything the report is
 made of.  Each run below is traced to a JSONL file; the file is read
 back through a fresh collector, which is given only the grid's initial
-node ids, the live horizon and the end states of the admission,
-control-plane and SLO layers.  Its report dump must equal the live one
-byte for byte, on both engines.
+node ids, the live horizon and the end states of the admission and
+control-plane layers, and through the SLO monitor of the run's SLO
+spec.  Its report dump must equal the live one byte for byte, on both
+engines.
 """
 
 import json
@@ -19,6 +20,7 @@ from repro.cli import main
 from repro.sim.experiment import _build
 from repro.sim.metrics import MetricsCollector, SimulationReport, report_dump
 from repro.sim.simulator import DReAMSim
+from repro.sim.slo import SLO_PRESETS, evaluate_trace
 from repro.sim.tracing import JsonlSink, Tracer, iter_jsonl
 from tests.sim import test_admission
 from tests.sim.test_golden_traces import GOLDEN
@@ -44,18 +46,17 @@ def live_runs():
         yield runs
 
 
-def replay(path, sim: DReAMSim, node_ids: list[int]) -> SimulationReport:
-    """The report folded from the trace at *path*, given only what the
-    stream cannot carry."""
+def replay(path, slo, sim: DReAMSim, node_ids: list[int]) -> SimulationReport:
+    """The report folded from the trace at *path* and the SLO spec
+    *slo*, given only what the stream cannot carry."""
     collector = MetricsCollector(node_ids)
     for event in iter_jsonl(path):
         collector.observe(event.time, event.kind, event.key, event.payload)
-    now = sim.engine.now
     return collector.report(
-        now,
+        sim.engine.now,
         admission=sim.admission,
         control_plane=sim.control_plane,
-        slo=sim.slo.results(now) if sim.slo is not None else (),
+        slo=evaluate_trace(iter_jsonl(path), slo)[0] if slo is not None else (),
     )
 
 
@@ -70,7 +71,7 @@ def assert_replay_matches(spec, run, path) -> None:
         live = run(tracer)
         tracer.close()
     ((sim, node_ids),) = runs
-    assert dump_text(spec, replay(path, sim, node_ids)) == dump_text(spec, live)
+    assert dump_text(spec, replay(path, spec.slo, sim, node_ids)) == dump_text(spec, live)
 
 
 def run_spec(spec):
@@ -120,5 +121,6 @@ def test_composed_ci_run(engine, tmp_path, capsys):
     ((sim, node_ids),) = runs
     live = json.loads(dump.read_text())
     assert live["report"]["quarantines"] > 0
-    replayed = {**live, "report": asdict(replay(trace, sim, node_ids))}
+    report = replay(trace, SLO_PRESETS["default"], sim, node_ids)  # --slo default
+    replayed = {**live, "report": asdict(report)}
     assert json.dumps(replayed, indent=2, sort_keys=True) + "\n" == dump.read_text()
