@@ -147,6 +147,9 @@ class ResourceManagementSystem:
         #: valid for one dispatch round (:meth:`open_round`) and
         #: emptied by :meth:`commit`; ``None`` outside a round.
         self._infeasible: set[tuple] | None = None
+        #: Placement requests the utilization gate vetoed since the last
+        #: :meth:`open_round` (the simulator reports each round's count).
+        self.gated = 0
 
     # ------------------------------------------------------------------
     # Node registry (runtime add/remove, Section IV-A)
@@ -380,6 +383,7 @@ class ResourceManagementSystem:
         if self._infeasible is not None:
             return False
         self._infeasible = set()
+        self.gated = 0
         return True
 
     def close_round(self) -> None:
@@ -438,7 +442,7 @@ class ResourceManagementSystem:
     def count_gated(self, requests: int = 1) -> None:
         """Count *requests* placement requests the utilization gate
         vetoed at once."""
-        self.admission.placements_gated += requests
+        self.gated += requests
         if self.telemetry is not None:
             self.telemetry.counter(
                 "rms_placements_gated_total",

@@ -275,8 +275,10 @@ class AdmissionController:
 
     Owned by the simulator (which also installs it on the RMS for the
     placement gate).  All state is deterministic -- token level, stage,
-    dwell anchors, counters -- and every method is a pure function of
-    its arguments plus that state: no randomness, ever.
+    dwell anchors -- and every method is a pure function of its
+    arguments plus that state: no randomness, ever.  What the report
+    says of admission is folded from the events the simulator emits on
+    its decisions (``admit``, ``defer``, ``shed``, ``brownout``, ...).
     """
 
     def __init__(self, spec: AdmissionSpec):
@@ -291,17 +293,6 @@ class AdmissionController:
         #: A one-shot review event is in flight (the simulator sets and
         #: clears this; it keeps dwell reviews from piling up).
         self.review_scheduled = False
-        # Counters (pushed into the metrics collector at run end).
-        self.admitted = 0
-        self.deferrals = 0
-        self.shed = 0
-        self.degraded = 0
-        self.placements_gated = 0
-        self.brownout_transitions = 0
-        self.max_stage_seen = 0
-        self.brownout_time_s = 0.0
-        self.brownout_completions = 0
-        self._entered_brownout_at: float | None = None
 
     # ------------------------------------------------------------------
     # Submit-time decisions
@@ -341,7 +332,7 @@ class AdmissionController:
     # ------------------------------------------------------------------
     def saturated(self, nodes) -> bool:
         """True when the utilization policy vetoes matchmaking now (the
-        RMS counts each vetoed request in ``placements_gated``)."""
+        RMS counts the vetoed requests of each dispatch round)."""
         util = self.spec.utilization
         return util is not None and grid_occupancy(nodes) >= util.threshold
 
@@ -375,7 +366,8 @@ class AdmissionController:
                 return None
             if now - self._pressure_since >= dwell:
                 self._pressure_since = now  # next stage needs its own dwell
-                return self._transition(now, self.stage + 1)
+                self.stage += 1
+                return (self.stage - 1, self.stage)
             return None
         if pending_depth <= b.exit_pending and self.stage > 0:
             self._pressure_since = None
@@ -384,25 +376,14 @@ class AdmissionController:
                 return None
             if now - self._relief_since >= dwell:
                 self._relief_since = now
-                return self._transition(now, self.stage - 1)
+                self.stage -= 1
+                return (self.stage + 1, self.stage)
             return None
         # Hysteresis hold: between the thresholds (or pinned at a
         # boundary stage) nothing can change, so no anchor stays armed.
         self._pressure_since = None
         self._relief_since = None
         return None
-
-    def _transition(self, now: float, new_stage: int) -> tuple[int, int]:
-        old = self.stage
-        self.stage = new_stage
-        self.brownout_transitions += 1
-        self.max_stage_seen = max(self.max_stage_seen, new_stage)
-        if old == 0 and new_stage > 0:
-            self._entered_brownout_at = now
-        elif new_stage == 0 and self._entered_brownout_at is not None:
-            self.brownout_time_s += now - self._entered_brownout_at
-            self._entered_brownout_at = None
-        return (old, new_stage)
 
     def next_review(self) -> float | None:
         """Absolute time of the pending dwell expiry, or ``None`` when
@@ -420,15 +401,3 @@ class AdmissionController:
         if anchor is None:
             return None
         return anchor + b.dwell_s
-
-    def note_completion(self) -> None:
-        """A task completed while the brownout stage was raised: this
-        is the goodput the degraded system still delivered."""
-        if self.stage > 0:
-            self.brownout_completions += 1
-
-    def finalize(self, now: float) -> None:
-        """Close the open brownout residency window at run end."""
-        if self._entered_brownout_at is not None:
-            self.brownout_time_s += now - self._entered_brownout_at
-            self._entered_brownout_at = None

@@ -317,6 +317,8 @@ class ReplicatedRMS:
     primary's node registrations and placement reports, so after
     :meth:`promote` the new primary "already has" the grid state and
     reconciliation reduces to the lease check the simulator performs.
+    It keeps no figures for the report: the simulator emits an event
+    for each transition that takes, and the metrics fold those.
     """
 
     def __init__(self, rms, spec: FailoverSpec) -> None:
@@ -331,17 +333,6 @@ class ReplicatedRMS:
         #: placements -- up, but useless.  Dispatch treats gray as
         #: down; only the detector can tell the difference.
         self.gray = False
-        self._down_since: float | None = None
-        self.downtime_s = 0.0
-        self.crashes = 0
-        self.gray_events = 0
-        self.failovers = 0
-        #: Death-to-confirm latency of each confirmed detection,
-        #: confirmations (or suspicions) that proved wrong, and leases
-        #: a promoted standby found expired; the simulator writes them.
-        self.detection_latencies: list[float] = []
-        self.false_suspicions = 0
-        self.leases_expired = 0
 
     # -- state queries ------------------------------------------------
     @property
@@ -352,56 +343,37 @@ class ReplicatedRMS:
         return self.standbys_left > 0
 
     # -- transitions (driven by the simulator) ------------------------
-    def crash(self, now: float) -> bool:
+    def crash(self) -> bool:
         """Primary process dies.  Returns False when the control plane
         was already dark (crash-during-crash is absorbed)."""
         if not self.available:
             return False
         self.available = False
         self.gray = False
-        self.crashes += 1
-        if self._down_since is None:
-            self._down_since = now
         return True
 
-    def gray_start(self, now: float) -> bool:
+    def gray_start(self) -> bool:
         """Primary goes gray: still heartbeating (late), still 'up',
         but every placement answer is useless."""
         if not self.dispatchable:
             return False
         self.gray = True
-        self.gray_events += 1
-        if self._down_since is None:
-            self._down_since = now
         return True
 
-    def promote(self, now: float) -> int:
+    def promote(self) -> int:
         """A warm standby takes over; returns the new generation."""
         if self.standbys_left <= 0:
             raise RuntimeError("no standby left to promote")
         self.standbys_left -= 1
-        self.failovers += 1
         self.generation += 1
-        self._mark_up(now)
+        self._mark_up()
         return self.generation
 
-    def restore(self, now: float) -> None:
+    def restore(self) -> None:
         """Cold restart (no standby) or gray window passing."""
         self.generation += 1
-        self._mark_up(now)
+        self._mark_up()
 
-    def _mark_up(self, now: float) -> None:
+    def _mark_up(self) -> None:
         self.available = True
         self.gray = False
-        if self._down_since is not None:
-            self.downtime_s += max(0.0, now - self._down_since)
-            self._down_since = None
-
-    # -- reporting ----------------------------------------------------
-    def unavailability_s(self, horizon_s: float) -> float:
-        """Total un-dispatchable sim time, closing any open window
-        against *horizon_s*."""
-        open_window = 0.0
-        if self._down_since is not None:
-            open_window = max(0.0, horizon_s - self._down_since)
-        return self.downtime_s + open_window

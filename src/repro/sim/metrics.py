@@ -357,36 +357,19 @@ def write_report_dump(path, spec, report: SimulationReport, *, energy=None) -> N
     )
 
 
-def _tenant_row(
-    *,
-    completed: int,
-    shed: int,
-    failed: int,
-    waits: np.ndarray,
-    turnarounds: np.ndarray,
-) -> dict[str, float]:
-    """One tenant's aggregate row of :meth:`MetricsCollector.report`."""
-    return {
-        "completed": completed,
-        "shed": shed,
-        "failed": failed,
-        "mean_wait_s": float(waits.mean()) if waits.size else 0.0,
-        "p50_wait_s": float(np.percentile(waits, 50)) if waits.size else 0.0,
-        "p95_wait_s": float(np.percentile(waits, 95)) if waits.size else 0.0,
-        "p99_wait_s": float(np.percentile(waits, 99)) if waits.size else 0.0,
-        "mean_turnaround_s": (
-            float(turnarounds.mean()) if turnarounds.size else 0.0
-        ),
-        "p50_turnaround_s": (
-            float(np.percentile(turnarounds, 50)) if turnarounds.size else 0.0
-        ),
-        "p95_turnaround_s": (
-            float(np.percentile(turnarounds, 95)) if turnarounds.size else 0.0
-        ),
-        "p99_turnaround_s": (
-            float(np.percentile(turnarounds, 99)) if turnarounds.size else 0.0
-        ),
-    }
+def _percentile(values: np.ndarray, q: float) -> float:
+    return float(np.percentile(values, q)) if values.size else 0.0
+
+
+def _latency_fields(waits: np.ndarray, turnarounds: np.ndarray) -> dict[str, float]:
+    """Mean and p50/p95/p99 of *waits* and *turnarounds* (0 when empty),
+    under their :class:`SimulationReport` names."""
+    fields = {}
+    for name, values in (("wait", waits), ("turnaround", turnarounds)):
+        fields[f"mean_{name}_s"] = float(values.mean()) if values.size else 0.0
+        for q in (50, 95, 99):
+            fields[f"p{q}_{name}_s"] = _percentile(values, q)
+    return fields
 
 
 #: One numpy column per :class:`TaskMetrics` field: name -> (dtype, the
@@ -510,6 +493,31 @@ class MetricsCollector:
         self.defer_events = 0
         self.brownout_degraded = 0
         self.orphan_events = 0
+        self.placements_gated = 0
+        #: Brownout: the stage the last ``brownout`` event set, the
+        #: start of the open degraded window (stage above 0), and the
+        #: transitions, residency and completions of the run so far.
+        self.brownout_stage = 0
+        self._brownout_since: float | None = None
+        self.brownout_transitions = 0
+        self.brownout_max_stage = 0
+        self.brownout_time_s = 0.0
+        self.brownout_completions = 0
+        # Control plane.
+        self.rms_crashes = 0
+        self.rms_gray_events = 0
+        self.failovers = 0
+        self.leases_expired = 0
+        self.control_plane_downtime_s = 0.0
+        #: Heartbeat target -> when it went dark: ``"rms"`` for the
+        #: control plane's open dark window, a node id from its silent
+        #: death until it reboots or joins again.
+        self._dark_since: dict[object, float] = {}
+        #: Suspected target -> whether it was dark at any point of the
+        #: suspicion (a rejoin of one that never was is false).
+        self._suspicions: dict[object, bool] = {}
+        self.detection_latencies: list[float] = []
+        self.false_suspicions = 0
         #: kind -> handler, from the ``_on_<kind>`` methods below.
         self._handlers = {
             name[4:].replace("_", "-"): getattr(self, name)
@@ -615,6 +623,8 @@ class MetricsCollector:
         if not np.isnan(start):
             usage.busy_s += t - start
         usage.tasks_executed += 1
+        if self.brownout_stage:
+            self.brownout_completions += 1
 
     def _on_discard(self, t: float, key: object, p: Mapping) -> None:
         self._col["discarded"][self._index[key]] = True
@@ -703,6 +713,22 @@ class MetricsCollector:
         self._col["degraded_to_gpp"][self._index[key]] = True
         self.brownout_degraded += 1
 
+    def _on_brownout(self, t: float, key: object, p: Mapping) -> None:
+        """A stage transition; the degraded window runs while the stage
+        is above 0."""
+        old, stage = self.brownout_stage, p["stage"]
+        self.brownout_stage = stage
+        self.brownout_transitions += 1
+        self.brownout_max_stage = max(self.brownout_max_stage, stage)
+        if old == 0 and stage > 0:
+            self._brownout_since = t
+        elif stage == 0 and self._brownout_since is not None:
+            self.brownout_time_s += t - self._brownout_since
+            self._brownout_since = None
+
+    def _on_gated(self, t: float, key: object, p: Mapping) -> None:
+        self.placements_gated += p["requests"]
+
     def _on_quarantine(self, t: float, key: object, p: Mapping) -> None:
         """An episode runs from the breaker's first trip to its close; a
         failed probe re-opens it within the same episode."""
@@ -725,6 +751,7 @@ class MetricsCollector:
     def _on_node_join(self, t: float, key: object, p: Mapping) -> None:
         node = p["node"]
         self.known_nodes[node] = None
+        self._dark_since.pop(node, None)  # it left while dead: back alive
         if p.get("rejoin"):
             self._node_up(node, t)
 
@@ -735,27 +762,64 @@ class MetricsCollector:
 
     def _on_node_dead(self, t: float, key: object, p: Mapping) -> None:
         self._down_since.setdefault(p["node"], t)
+        self._went_dark(p["node"], t)
 
     def _on_node_reboot(self, t: float, key: object, p: Mapping) -> None:
         self._node_up(p["node"], t)
+        self._dark_since.pop(p["node"], None)
+
+    # -- control plane and failure detection --------------------------------
+    def _went_dark(self, target: object, t: float) -> None:
+        """*target* died or went dark; an open window keeps its start."""
+        self._dark_since.setdefault(target, t)
+        if target in self._suspicions:
+            self._suspicions[target] = True
+
+    def _on_rms_crash(self, t: float, key: object, p: Mapping) -> None:
+        self.rms_crashes += 1
+        self._went_dark("rms", t)
+
+    def _on_rms_gray(self, t: float, key: object, p: Mapping) -> None:
+        self.rms_gray_events += 1
+        self._went_dark("rms", t)
+
+    def _on_rms_restore(self, t: float, key: object, p: Mapping) -> None:
+        self.control_plane_downtime_s += t - self._dark_since.pop("rms", t)
+
+    def _on_failover_complete(self, t: float, key: object, p: Mapping) -> None:
+        self.failovers += 1
+        self._on_rms_restore(t, key, p)
+
+    def _on_lease_expire(self, t: float, key: object, p: Mapping) -> None:
+        self.leases_expired += 1
+
+    def _on_heartbeat_suspect(self, t: float, key: object, p: Mapping) -> None:
+        self._suspicions[p["target"]] = p["target"] in self._dark_since
+
+    def _on_heartbeat_rejoin(self, t: float, key: object, p: Mapping) -> None:
+        """A suspicion lifted: false unless its target was dark during
+        it (a reboot or a restore lifts a true one)."""
+        if not self._suspicions.pop(p["target"], True):
+            self.false_suspicions += 1
+
+    def _on_heartbeat_confirm(self, t: float, key: object, p: Mapping) -> None:
+        """A death detected this long after it happened; confirming a
+        live target is a false suspicion."""
+        self._suspicions.pop(p["target"], None)
+        since = self._dark_since.get(p["target"])
+        if since is None:
+            self.false_suspicions += 1
+        else:
+            self.detection_latencies.append(t - since)
 
     # ------------------------------------------------------------------
     # Reporting
     # ------------------------------------------------------------------
-    def report(
-        self,
-        horizon_s: float,
-        *,
-        admission=None,
-        control_plane=None,
-        slo: Sequence = (),
-    ) -> SimulationReport:
-        """Reduce the fold at *horizon_s*.  The layers' end states are
-        not transitions, so they come as arguments: the finalized
-        :class:`~repro.sim.admission.AdmissionController`, the
-        :class:`~repro.sim.failover.ReplicatedRMS` and the
-        :class:`~repro.sim.slo.SLOResult` list (``None`` / empty when
-        the layer is off)."""
+    def report(self, horizon_s: float, *, slo: Sequence = ()) -> SimulationReport:
+        """Reduce the fold at *horizon_s*, closing the windows still
+        open there.  The SLO verdicts are the monitor's own fold of the
+        same stream: its :class:`~repro.sim.slo.SLOResult` list (empty
+        when no SLO is armed)."""
         n = len(self._index)
         col = {name: column[:n] for name, column in self._col.items()}
         arrival = col["arrival"]
@@ -806,6 +870,13 @@ class MetricsCollector:
             since = self._quarantined_since.get(node_id)
             if since is not None:
                 quarantine_s += max(0.0, horizon_s - since)
+        brownout_s = self.brownout_time_s
+        if self._brownout_since is not None:
+            brownout_s += horizon_s - self._brownout_since
+        dark_s = self.control_plane_downtime_s + max(
+            0.0, horizon_s - self._dark_since.get("rms", horizon_s)
+        )
+        latencies = np.asarray(self.detection_latencies, dtype=float)
         first_fault = col["first_fault"]
         repairs = (finish - first_fault)[finished & ~np.isnan(first_fault)]
         completed = int(finished.sum())
@@ -816,32 +887,21 @@ class MetricsCollector:
         for code, name in enumerate(self._codes["tenant"]):
             mask = tenant_codes == code
             fin_mask = mask & finished
-            per_tenant[name] = _tenant_row(
-                completed=int(fin_mask.sum()),
-                shed=int((mask & shed).sum()),
-                failed=int((mask & failed).sum()),
-                waits=(dispatch - arrival)[fin_mask & ~np.isnan(dispatch)],
-                turnarounds=(finish - arrival)[fin_mask],
-            )
+            per_tenant[name] = {
+                "completed": int(fin_mask.sum()),
+                "shed": int((mask & shed).sum()),
+                "failed": int((mask & failed).sum()),
+                **_latency_fields(
+                    (dispatch - arrival)[fin_mask & ~np.isnan(dispatch)],
+                    (finish - arrival)[fin_mask],
+                ),
+            }
         return SimulationReport(
             horizon_s=horizon_s,
             completed=completed,
             discarded=int(discarded.sum()),
             pending=int(pending.sum()),
-            mean_wait_s=float(waits.mean()) if waits.size else 0.0,
-            p95_wait_s=float(np.percentile(waits, 95)) if waits.size else 0.0,
-            p50_wait_s=float(np.percentile(waits, 50)) if waits.size else 0.0,
-            p99_wait_s=float(np.percentile(waits, 99)) if waits.size else 0.0,
-            mean_turnaround_s=float(turnarounds.mean()) if turnarounds.size else 0.0,
-            p50_turnaround_s=(
-                float(np.percentile(turnarounds, 50)) if turnarounds.size else 0.0
-            ),
-            p95_turnaround_s=(
-                float(np.percentile(turnarounds, 95)) if turnarounds.size else 0.0
-            ),
-            p99_turnaround_s=(
-                float(np.percentile(turnarounds, 99)) if turnarounds.size else 0.0
-            ),
+            **_latency_fields(waits, turnarounds),
             makespan_s=float(finish[finished].max()) if completed else 0.0,
             reconfigurations=int(reconfig_mask.sum()),
             # Python left-fold sums: numpy's pairwise summation rounds
@@ -877,51 +937,27 @@ class MetricsCollector:
             shed=int(shed.sum()),
             admission_deferrals=self.defer_events,
             brownout_degraded=self.brownout_degraded,
+            placements_gated=self.placements_gated,
+            brownout_transitions=self.brownout_transitions,
+            brownout_max_stage=self.brownout_max_stage,
+            brownout_time_s=brownout_s,
+            overload_goodput_tasks_per_s=(
+                self.brownout_completions / brownout_s if brownout_s > 0 else 0.0
+            ),
+            rms_crashes=self.rms_crashes,
+            rms_gray_events=self.rms_gray_events,
+            failovers=self.failovers,
+            control_plane_downtime_s=dark_s,
+            detections=latencies.size,
+            detection_latency_p50_s=_percentile(latencies, 50),
+            detection_latency_p95_s=_percentile(latencies, 95),
+            false_suspicions=self.false_suspicions,
+            leases_expired=self.leases_expired,
             orphaned_tasks=self.orphan_events,
             orphans_recovered=self.orphan_events,
             per_tenant=per_tenant,
-            **_admission_fields(admission),
-            **_control_plane_fields(control_plane, horizon_s),
             **_slo_fields(slo),
         )
-
-
-def _admission_fields(ctl) -> dict:
-    """Report fields of a finalized admission controller (none: the
-    report's defaults)."""
-    if ctl is None:
-        return {}
-    return {
-        "placements_gated": ctl.placements_gated,
-        "brownout_transitions": ctl.brownout_transitions,
-        "brownout_max_stage": ctl.max_stage_seen,
-        "brownout_time_s": ctl.brownout_time_s,
-        "overload_goodput_tasks_per_s": (
-            ctl.brownout_completions / ctl.brownout_time_s
-            if ctl.brownout_time_s > 0
-            else 0.0
-        ),
-    }
-
-
-def _control_plane_fields(cp, horizon_s: float) -> dict:
-    """Report fields of the control-plane wrapper at the horizon."""
-    if cp is None:
-        return {}
-    fields = {
-        "rms_crashes": cp.crashes,
-        "rms_gray_events": cp.gray_events,
-        "failovers": cp.failovers,
-        "control_plane_downtime_s": cp.unavailability_s(horizon_s),
-        "detections": len(cp.detection_latencies),
-        "false_suspicions": cp.false_suspicions,
-        "leases_expired": cp.leases_expired,
-    }
-    if cp.detection_latencies:
-        latencies = np.asarray(cp.detection_latencies, dtype=float)
-        fields["detection_latency_p50_s"] = float(np.percentile(latencies, 50))
-        fields["detection_latency_p95_s"] = float(np.percentile(latencies, 95))
-    return fields
 
 
 def _slo_fields(results: Sequence) -> dict:

@@ -243,11 +243,8 @@ class DReAMSim:
         self.monitor: HeartbeatMonitor | None = None
         #: Targets ("rms" or node ids) currently under suspicion.
         self._suspected_targets: set[object] = set()
-        #: node_id -> sim time it silently died (detection pending).
-        self._dead_nodes: dict[int, float] = {}
-        #: target -> sim time the control plane actually went dark;
-        #: consumed by the detector to sample detection latency.
-        self._down_at: dict[object, float] = {}
+        #: Nodes that silently died (detection pending).
+        self._dead_nodes: set[int] = set()
         if self.failover is not None:
             self.control_plane = ReplicatedRMS(rms, self.failover)
             if self.failover.heartbeat is not None:
@@ -647,7 +644,7 @@ class DReAMSim:
         its downtime).  The failure detector watches it (again) and the
         health tracker knows it (a rejoining node keeps its record).
         A node that left while silently dead comes back alive."""
-        self._dead_nodes.pop(node.node_id, None)
+        self._dead_nodes.discard(node.node_id)
         self.rms.register_node(node, site=site)
         self.pending.release()
         if self.health is not None:
@@ -761,10 +758,8 @@ class DReAMSim:
 
         def crash() -> None:
             cp = self._cp()
-            now = self.engine.now
-            if not cp.crash(now):
+            if not cp.crash():
                 return  # already dark; overlapping draws collapse
-            self._down_at.setdefault("rms", now)
             self._emit("rms-crash", downtime=downtime_s, generation=cp.generation)
             generation = cp.generation
 
@@ -795,10 +790,8 @@ class DReAMSim:
 
         def gray() -> None:
             cp = self._cp()
-            now = self.engine.now
-            if not cp.gray_start(now):
+            if not cp.gray_start():
                 return  # already dark; overlapping draws collapse
-            self._down_at.setdefault("rms", now)
             self._emit("rms-gray", duration=duration_s, generation=cp.generation)
             generation = cp.generation
 
@@ -818,8 +811,7 @@ class DReAMSim:
         counted on ``rms-restore`` and returned to the queue."""
         cp = self.control_plane
         assert cp is not None
-        cp.restore(self.engine.now)
-        self._down_at.pop("rms", None)
+        cp.restore()
         if "rms" in self._suspected_targets:
             self._hb_rejoin("rms")
         extra = {} if orphans is None else {"orphaned": len(orphans)}
@@ -856,12 +848,8 @@ class DReAMSim:
         if cp.dispatchable:
             # False confirmation of a healthy primary: the takeover
             # handshake finds it alive and the detector resets.
-            cp.false_suspicions += 1
             self.monitor.watch("rms", now)
             return
-        down_at = self._down_at.get("rms")
-        if down_at is not None:
-            cp.detection_latencies.append(now - down_at)
         self._begin_failover(cp)
 
     def _promote(self, expected_generation: int) -> None:
@@ -872,8 +860,7 @@ class DReAMSim:
         if cp is None or cp.generation != expected_generation or cp.dispatchable:
             return  # a restart or recovery got there first
         now = self.engine.now
-        generation = cp.promote(now)
-        self._down_at.pop("rms", None)
+        generation = cp.promote()
         orphans: list[_Entry] = []
         if self.failover is not None and self.failover.lease_s is not None:
             orphans = [e for e in self.active.values() if e.lease_expiry < now]
@@ -885,7 +872,6 @@ class DReAMSim:
             orphaned=len(orphans),
         )
         for entry in orphans:
-            cp.leases_expired += 1
             self._emit(
                 "lease-expire",
                 entry.key,
@@ -928,9 +914,10 @@ class DReAMSim:
         :meth:`_node_confirmed_down`) waits for the detector -- that
         window is the detection latency the failover layer bounds."""
         now = self.engine.now
-        self._dead_nodes[node_id] = now
-        # Ground truth for the checker; the RMS does not see it.  A
-        # reboot before the detector confirms emits ``node-reboot``.
+        self._dead_nodes.add(node_id)
+        # Ground truth for the checker and the report's detection
+        # latency; the RMS does not see it.  A reboot before the
+        # detector confirms emits ``node-reboot``.
         reboot_at = None if rejoin_after_s is None else now + rejoin_after_s
         self._emit("node-dead", node=node_id, reboot_at=reboot_at)
         # The work stalls: nothing it scheduled will ever fire.
@@ -947,7 +934,7 @@ class DReAMSim:
             return
         if node_id not in self._dead_nodes:
             return  # still registered and never died: nothing reboots
-        del self._dead_nodes[node_id]
+        self._dead_nodes.remove(node_id)
         self._emit("node-reboot", node=node_id)
         reason = f"node {node_id} rebooted"
         self._evacuate(node_id, lambda e: self._fault(e, reason))
@@ -958,21 +945,16 @@ class DReAMSim:
             self.monitor.watch(node_id, self.engine.now)
         self._dispatch_pending()
 
-    def _node_confirmed_down(self, node_id: int, now: float) -> None:
+    def _node_confirmed_down(self, node_id: int) -> None:
         """The detector confirmed a node death: only now does the RMS
         act -- fault the stalled work, evict the node, wipe its fabric."""
-        cp = self.control_plane
-        assert self.monitor is not None and cp is not None
+        assert self.monitor is not None
         if node_id not in {n.node_id for n in self.rms.nodes}:
             self.monitor.forget(node_id)  # pragma: no cover - left already
             return
-        died_at = self._dead_nodes.pop(node_id, None)
-        if died_at is not None:
-            cp.detection_latencies.append(now - died_at)
-        else:
-            # Confirmed on dropped heartbeats alone: a healthy node is
-            # wrongly evicted -- the detector's false-positive cost.
-            cp.false_suspicions += 1
+        # Confirmed on dropped heartbeats alone, a healthy node is
+        # wrongly evicted -- the detector's false-positive cost.
+        self._dead_nodes.discard(node_id)
         reason = f"node {node_id} loss confirmed by heartbeat detector"
         self._node_down(
             node_id, lambda e: self._fault(e, reason), crash=True, detected=True
@@ -999,7 +981,7 @@ class DReAMSim:
         if target == "rms":
             self._rms_confirmed_down(now)
         else:
-            self._node_confirmed_down(target, now)
+            self._node_confirmed_down(target)
 
     def _heartbeat_tick(self) -> None:
         """One heartbeat round: arrivals first (the primary, then nodes
@@ -1016,7 +998,6 @@ class DReAMSim:
         if cp.dispatchable:
             if not (faults is not None and faults.heartbeat_should_drop()):
                 if monitor.heartbeat("rms", now) == SUSPECT:
-                    cp.false_suspicions += 1
                     self._hb_rejoin("rms")
             if self.failover.lease_s is not None and self.active:
                 # Leases renew on the heartbeat round while the control
@@ -1032,7 +1013,6 @@ class DReAMSim:
             if faults is not None and faults.heartbeat_should_drop():
                 continue  # lost in transit
             if monitor.heartbeat(node_id, now) == SUSPECT:
-                cp.false_suspicions += 1
                 self._hb_rejoin(node_id)
         for target in ("rms", *sorted(t for t in monitor.state if t != "rms")):
             worsened = monitor.evaluate(target, now)
@@ -1587,7 +1567,6 @@ class DReAMSim:
             decision, reason = ctl.decide_submit(self.engine.now, depth)
             extra = {}
         if decision == ADMIT:
-            ctl.admitted += 1
             self._emit("admit", entry.key, depth=depth, **extra)
             self._admit(entry)
         elif decision == DEFER:
@@ -1603,7 +1582,6 @@ class DReAMSim:
         queue = ctl.spec.queue
         assert queue is not None
         entry.defers += 1
-        ctl.deferrals += 1
         self._emit(
             "defer",
             entry.key,
@@ -1618,11 +1596,8 @@ class DReAMSim:
         brownout load shedding).  ``discarded`` is set too so every
         existing timer guard (watchdog, discard, backoff requeue)
         already skips shed entries."""
-        ctl = self.admission
-        assert ctl is not None
         entry.discarded = True
         entry.shed = True
-        ctl.shed += 1
         self._terminate(entry, "shed", f"shed: {reason}", None, reason=reason)
 
     def _shed_excess(self) -> None:
@@ -1689,6 +1664,8 @@ class DReAMSim:
         the next commit.  :class:`~repro.sim.pending.PendingQueue` skips
         such a requirement's whole group at once, and re-offers only
         the newcomers while nothing was released since the last pass.
+        A round whose requests the utilization gate vetoed ends with one
+        ``gated`` event that counts them.
         """
         if self.control_plane is not None and not self.control_plane.dispatchable:
             # The control plane is dark: no placement decisions are
@@ -1714,6 +1691,8 @@ class DReAMSim:
         finally:
             if opened:
                 rms.close_round()
+        if opened and rms.gated:
+            self._emit("gated", requests=rms.gated)
         self._telemetry_sample()
         if admission is not None:
             self._admission_observe()
@@ -1726,7 +1705,6 @@ class DReAMSim:
             return
         admission = self.admission
         assert admission is not None
-        admission.degraded += 1
         self._emit("degrade", entry.key, stage=admission.stage)
 
     def _try_dispatch(self, entry: _Entry) -> bool:
@@ -1910,8 +1888,6 @@ class DReAMSim:
         self.rms.finish_execution(placement)
         self._freed(placement)
         self._health_verdict(entry, placement.candidate.node_id, ok=True)
-        if self.admission is not None:
-            self.admission.note_completion()
         entry.completed = True
         _cancel_all(entry.deadline_events)
         self._emit("complete", entry.key, node=placement.candidate.node_id)
@@ -1932,9 +1908,5 @@ class DReAMSim:
     def run(self, until: float | None = None, max_events: int | None = None) -> SimulationReport:
         self.engine.run(until=until, max_events=max_events)
         now = self.engine.now
-        if self.admission is not None:
-            self.admission.finalize(now)
         slo = self.slo.finalize(now, self.telemetry) if self.slo is not None else []
-        return self.metrics.report(
-            now, admission=self.admission, control_plane=self.control_plane, slo=slo
-        )
+        return self.metrics.report(now, slo=slo)

@@ -78,6 +78,7 @@ EVENT_KINDS = frozenset(
         "shed",         # load shedding: submission rejected, terminal
         "degrade",      # brownout forced a low-priority task onto GPP
         "brownout",     # brownout stage transition (escalate / recover)
+        "gated",        # the utilization gate vetoed a round's requests
         # Control-plane fault tolerance (sim/failover.py):
         "heartbeat-suspect",  # detector suspects a target (node / rms)
         "heartbeat-confirm",  # suspicion confirmed: target declared down
@@ -343,7 +344,8 @@ class TraceInvariantChecker(TraceSink):
     * **Admission lifecycle** -- ``admit`` / ``defer`` / ``degrade``
       only touch a submitted (not yet dispatched) task; ``shed`` is a
       terminal transition from submitted; ``brownout`` carries a legal
-      action and stage.
+      action and stage; ``gated`` counts at least one request, in a
+      dispatch round of an up control plane.
     * **Control-plane lifecycle** -- no ``dispatch`` while the control
       plane is dark (between ``rms-crash`` / ``rms-gray`` and the
       matching ``failover-complete`` / ``rms-restore``);
@@ -550,6 +552,14 @@ class TraceInvariantChecker(TraceSink):
         stage = event.payload.get("stage")
         if not isinstance(stage, int) or stage < 0:
             self._fail(event, f"brownout stage {stage!r} is not a stage index")
+
+    def _on_gated(self, event: TraceEvent) -> None:
+        # A dispatch round ran, so the control plane was up.
+        requests = event.payload.get("requests")
+        if not isinstance(requests, int) or requests < 1:
+            self._fail(event, f"gated requests {requests!r} is not a positive count")
+        if self._cp_state != "up":
+            self._fail(event, "gated while the control plane is down")
 
     # ------------------------------------------------------------------
     # Control-plane fault-tolerance lifecycle

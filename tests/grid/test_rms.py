@@ -421,7 +421,7 @@ class TestRoundMemo:
         rms.open_round()
         assert rms.plan_placement(absent_model_task(7)) is None
         assert rms.plan_placement(absent_model_task(8)) is None
-        assert rms.admission.placements_gated == 2
+        assert rms.gated == 2  # the round's count
         assert scans == [0, 1]  # the gate ran ahead of matchmaking
         assert rms._infeasible == set()
 

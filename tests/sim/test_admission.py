@@ -40,6 +40,7 @@ from repro.sim.admission import (
     grid_occupancy,
 )
 from repro.sim.experiment import ExperimentSpec, NodeSpec, run_experiment
+from repro.sim.metrics import MetricsCollector
 from repro.sim.simulator import DReAMSim
 from repro.sim.telemetry import TelemetryRegistry
 from repro.sim.tracing import (
@@ -276,11 +277,10 @@ class TestBrownoutController:
     def test_steady_mid_band_depth_never_oscillates(self):
         ctl = AdmissionController(self.spec())
         ctl.observe(0.0, 12)
-        ctl.observe(1.0, 12)
-        transitions = ctl.brownout_transitions
+        assert ctl.observe(1.0, 12) == (0, 1)
         for i in range(100):
             assert ctl.observe(2.0 + i * 0.1, 7) is None
-        assert ctl.brownout_transitions == transitions
+        assert ctl.stage == 1
 
     def test_stage_caps_at_max_stage(self):
         ctl = AdmissionController(self.spec(max_stage=2))
@@ -312,24 +312,46 @@ class TestBrownoutController:
         assert review_at - anchor < 1.0  # the hazard is real
         assert ctl.observe(review_at, 12) == (0, 1)
 
+    @staticmethod
+    def feed(ctl, fold, t, depth):
+        """One depth observation; a transition reaches *fold* as the
+        ``brownout`` event the simulator emits for it."""
+        transition = ctl.observe(t, depth)
+        if transition is not None:
+            old, new = transition
+            action = "escalate" if new > old else "recover"
+            fold.observe(t, "brownout", None, {"action": action, "stage": new})
+
+    @staticmethod
+    def complete(fold, t, key):
+        fold.observe(t, "submit", key, {})
+        fold.observe(t, "dispatch", key, {
+            "pe_kind": "GPP", "node": 0, "resource_index": 0, "slices": 0,
+            "transfer_time": 0.0, "synthesis_time": 0.0, "reconfig_time": 0.0,
+            "reused": False,
+        })
+        fold.observe(t, "complete", key, {})
+
     def test_residency_accounting(self):
-        ctl = AdmissionController(self.spec())
-        ctl.observe(0.0, 12)
-        ctl.observe(1.0, 12)  # enters brownout at t=1
-        ctl.note_completion()
-        ctl.observe(2.0, 2)
-        ctl.observe(3.0, 2)  # recovers at t=3
-        assert ctl.brownout_time_s == pytest.approx(2.0)
-        assert ctl.brownout_completions == 1
-        ctl.note_completion()  # healthy again: not goodput-under-degradation
-        assert ctl.brownout_completions == 1
+        ctl, fold = AdmissionController(self.spec()), MetricsCollector()
+        self.feed(ctl, fold, 0.0, 12)
+        self.feed(ctl, fold, 1.0, 12)  # enters brownout at t=1
+        self.complete(fold, 1.5, "a")
+        self.feed(ctl, fold, 2.0, 2)
+        self.feed(ctl, fold, 3.0, 2)  # recovers at t=3
+        # Healthy again: not goodput-under-degradation.
+        self.complete(fold, 3.5, "b")
+        report = fold.report(4.0)
+        assert report.brownout_transitions == 2
+        assert report.brownout_time_s == pytest.approx(2.0)
+        # One completion in the 2 s degraded window.
+        assert report.overload_goodput_tasks_per_s == pytest.approx(0.5)
 
     def test_finalize_closes_open_residency_window(self):
-        ctl = AdmissionController(self.spec())
-        ctl.observe(0.0, 12)
-        ctl.observe(1.0, 12)
-        ctl.finalize(4.5)
-        assert ctl.brownout_time_s == pytest.approx(3.5)
+        ctl, fold = AdmissionController(self.spec()), MetricsCollector()
+        self.feed(ctl, fold, 0.0, 12)
+        self.feed(ctl, fold, 1.0, 12)
+        assert fold.report(4.5).brownout_time_s == pytest.approx(3.5)
 
 
 class TestGridOccupancy:

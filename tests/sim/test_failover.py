@@ -30,6 +30,7 @@ from repro.sim.failover import (
     ReplicatedRMS,
 )
 from repro.sim.faults import FaultInjector, FaultSpec, RetryPolicy
+from repro.sim.metrics import MetricsCollector
 from repro.sim.simulator import DReAMSim
 from repro.sim.telemetry import TelemetryRegistry
 from repro.sim.tracing import (
@@ -209,65 +210,85 @@ class TestHeartbeatMonitor:
 # ReplicatedRMS
 # ---------------------------------------------------------------------------
 class TestReplicatedRMS:
+    """The wrapper's transitions; the figures the report gives of them
+    are folded from the events the simulator emits on each one that
+    takes."""
+
     def cp(self, **kw):
+        self.fold = MetricsCollector()
         return ReplicatedRMS(rms=None, spec=FailoverSpec(**kw))
+
+    def step(self, cp, t, kind):
+        """Drive one transition of *cp*; when it takes, feed the event
+        the simulator emits for it to the fold."""
+        took = {
+            "rms-crash": cp.crash,
+            "rms-gray": cp.gray_start,
+            "rms-restore": cp.restore,
+            "failover-complete": cp.promote,
+        }[kind]()
+        if took is not False:
+            self.fold.observe(t, kind, None, {})
+        return took
 
     def test_crash_then_promote(self):
         cp = self.cp(standbys=2)
         assert cp.dispatchable
-        assert cp.crash(10.0)
+        assert self.step(cp, 10.0, "rms-crash")
         assert not cp.dispatchable
         assert cp.can_failover()
-        gen = cp.promote(12.0)
+        gen = self.step(cp, 12.0, "failover-complete")
         assert gen == 1
         assert cp.dispatchable
         assert cp.standbys_left == 1
-        assert cp.failovers == 1
-        assert cp.downtime_s == pytest.approx(2.0)
+        report = self.fold.report(20.0)
+        assert report.failovers == 1
+        assert report.control_plane_downtime_s == pytest.approx(2.0)
 
     def test_crash_during_crash_is_absorbed(self):
         cp = self.cp(standbys=1)
-        assert cp.crash(1.0)
-        assert not cp.crash(2.0)
-        assert cp.crashes == 1
+        assert self.step(cp, 1.0, "rms-crash")
+        assert not self.step(cp, 2.0, "rms-crash")
+        assert self.fold.report(3.0).rms_crashes == 1
 
     def test_promote_without_standby_raises(self):
         cp = self.cp(standbys=0)
-        cp.crash(0.0)
+        cp.crash()
         with pytest.raises(RuntimeError):
-            cp.promote(1.0)
+            cp.promote()
 
     def test_cold_restore_bumps_generation(self):
         cp = self.cp(standbys=0)
-        cp.crash(5.0)
-        cp.restore(9.0)
+        self.step(cp, 5.0, "rms-crash")
+        self.step(cp, 9.0, "rms-restore")
         assert cp.generation == 1
         assert cp.dispatchable
-        assert cp.downtime_s == pytest.approx(4.0)
+        assert self.fold.report(10.0).control_plane_downtime_s == pytest.approx(4.0)
 
     def test_gray_counts_as_unavailability_but_not_crash(self):
         cp = self.cp(standbys=1)
-        assert cp.gray_start(3.0)
+        assert self.step(cp, 3.0, "rms-gray")
         assert not cp.dispatchable
         assert cp.available  # up, but useless
-        assert not cp.gray_start(4.0)  # gray-during-gray absorbed
-        cp.restore(7.0)
-        assert cp.gray_events == 1
-        assert cp.crashes == 0
-        assert cp.downtime_s == pytest.approx(4.0)
+        assert not self.step(cp, 4.0, "rms-gray")  # gray-during-gray absorbed
+        self.step(cp, 7.0, "rms-restore")
+        report = self.fold.report(10.0)
+        assert report.rms_gray_events == 1
+        assert report.rms_crashes == 0
+        assert report.control_plane_downtime_s == pytest.approx(4.0)
 
     def test_crash_escalates_gray(self):
         cp = self.cp(standbys=1)
-        cp.gray_start(2.0)
-        assert cp.crash(5.0)  # the gray process finally dies
-        cp.promote(6.0)
+        self.step(cp, 2.0, "rms-gray")
+        assert self.step(cp, 5.0, "rms-crash")  # the gray process finally dies
+        self.step(cp, 6.0, "failover-complete")
         # One continuous dark window from the gray start.
-        assert cp.downtime_s == pytest.approx(4.0)
+        assert self.fold.report(10.0).control_plane_downtime_s == pytest.approx(4.0)
 
     def test_open_window_closed_against_horizon(self):
         cp = self.cp(standbys=0)
-        cp.crash(8.0)
-        assert cp.unavailability_s(10.0) == pytest.approx(2.0)
+        self.step(cp, 8.0, "rms-crash")
+        assert self.fold.report(10.0).control_plane_downtime_s == pytest.approx(2.0)
 
 
 # ---------------------------------------------------------------------------

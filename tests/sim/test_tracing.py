@@ -260,6 +260,19 @@ class TestInvariantChecker:
         with pytest.raises(InvariantViolation):
             verify_trace(corrupted)
 
+    @pytest.mark.parametrize("events, message", [
+        ([TraceEvent(1.0, "gated", None, {"requests": 3})], None),
+        ([TraceEvent(1.0, "gated", None, {"requests": 0})], "not a positive count"),
+        ([TraceEvent(1.0, "rms-crash", None, {}),
+          TraceEvent(2.0, "gated", None, {"requests": 1})], "control plane is down"),
+    ])
+    def test_gated_round(self, events, message):
+        if message is None:
+            assert verify_trace(events) == len(events)
+        else:
+            with pytest.raises(InvariantViolation, match=message):
+                verify_trace(events)
+
     def test_time_reversal_rejected(self):
         events = traced_run(SPEC)[1]
         last = events[-1]
