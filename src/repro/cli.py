@@ -1376,12 +1376,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: `repro slo` flags that only a live run (no TRACE) reads.
+_SLO_LIVE_FLAGS = (
+    "strategy", "tasks", "rate", "seed", "engine", "faults", "tenants",
+    "low_priority", "flash_crowd",
+)
+
+
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    # `repro slo TRACE` replays a file and builds no spec, so a live
+    # run's flag would be ignored: refuse it rather than validate it
+    # (validating imports the simulator, and numpy with it).
+    live = getattr(args, "trace_path", None) is None
+    if not live:
+        defaults = parser.parse_args([args.command])
+        for name in _SLO_LIVE_FLAGS:
+            if getattr(args, name) != getattr(defaults, name):
+                flag = "--" + name.replace("_", "-")
+                parser.error(f"{flag} applies to a live run only, not to a TRACE")
     # Validate strategy names early for a friendly error.
-    if getattr(args, "strategy", None) is not None:
+    if live and getattr(args, "strategy", None) is not None:
         from repro.scheduling import ALL_STRATEGIES
 
         if args.strategy not in ALL_STRATEGIES:
@@ -1439,11 +1456,11 @@ def main(argv: list[str] | None = None) -> int:
             "--surge-start/--surge-duration/--surge",
             flash_crowd=(args.surge_start, args.surge_duration, args.surge),
         )
-    if getattr(args, "low_priority", None) is not None:
+    if live and getattr(args, "low_priority", None) is not None:
         _check_spec_fields(
             parser, "--low-priority", low_priority_fraction=args.low_priority
         )
-    if getattr(args, "gpp_fraction", None) is not None:
+    if live and getattr(args, "gpp_fraction", None) is not None:
         _check_spec_fields(parser, "--gpp-fraction", gpp_fraction=args.gpp_fraction)
     if getattr(args, "configurations", None) is not None:
         _check_spec_fields(

@@ -531,8 +531,10 @@ def chaos_tenant_spec(engine="heap"):
 
 
 def flash_crowd_spec(seed=2, tasks=400):
-    """A 4x surge against a brownout controller, with a queue-depth
-    objective the surge breaches."""
+    """A 4x surge with a queue-depth objective the surge breaches.  A
+    bounded queue and a brownout controller are armed, but at the
+    default seed the queue never holds 128 deep for the brownout's
+    dwell: the stage stays 0 (``brownout_max_stage == 0``)."""
     from repro.sim.admission import AdmissionSpec, BrownoutSpec, QueueBoundSpec
     from repro.sim.experiment import ExperimentSpec, NodeSpec
 
@@ -834,6 +836,38 @@ class TestCli:
         captured = capsys.readouterr()
         assert "VIOLATED" in captured.out
         assert "objectives violated" in captured.err
+
+    def test_slo_trace_mode_loads_no_numpy(self):
+        """Replaying a trace builds no spec, so nothing imports the
+        simulator, and numpy with it."""
+        import os
+        import subprocess
+        import sys
+
+        import repro
+
+        env = dict(os.environ)
+        src = str(Path(repro.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p
+        )
+        code = (
+            "import sys; from repro.cli import main; "
+            f"main(['slo', {str(CHAOS_GOLDEN)!r}, '-o', 'latency-p95:1000']); "
+            "print('numpy' in sys.modules)"
+        )
+        done = subprocess.run([sys.executable, "-c", code], check=True,
+                              capture_output=True, text=True, env=env)
+        assert done.stdout.splitlines()[-1] == "False"
+
+    @pytest.mark.parametrize("flag", [["--strategy", "bogus"], ["--seed", "3"]])
+    def test_slo_trace_mode_refuses_live_flags(self, flag, capsys):
+        from repro.cli import main
+
+        with pytest.raises(SystemExit) as exc:
+            main(["slo", str(CHAOS_GOLDEN), "-o", "latency-p95:1000", *flag])
+        assert exc.value.code == 2
+        assert "applies to a live run only" in capsys.readouterr().err
 
     def test_slo_unreadable_trace_exits_two(self, tmp_path, capsys):
         from repro.cli import main
