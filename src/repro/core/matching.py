@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Iterable
 
+from repro.core.execreq import MinValue
 from repro.core.node import Node
 from repro.core.state import PEState
 from repro.core.task import Task
@@ -64,8 +65,6 @@ def task_required_slices(task: Task) -> int:
         return artifacts.hdl_design.estimated_slices
     if artifacts.softcore is not None:
         return artifacts.softcore.required_slices()
-    from repro.core.execreq import MinValue
-
     for constraint in task.exec_req.constraints:
         if isinstance(constraint, MinValue) and constraint.key == "slices":
             return int(constraint.value)
@@ -89,11 +88,13 @@ def static_key(task: Task) -> tuple:
     )
 
 
-#: Static feasibility memo: :func:`static_key` -> ``{id(spec): (spec,
-#: feasible)}``.  A spec (``GPPSpec``, ``GPUSpec``, ``FPGADevice``) is a
-#: frozen value, so its answer never changes; the entry holds the spec,
-#: so its id cannot be reused while the memo lives.
-StaticMemo = dict[tuple, dict[int, tuple[object, bool]]]
+#: Static feasibility memo: :func:`static_key` -> ``(needed, {id(spec):
+#: (spec, feasible)})``, where *needed* is the fabric area an RPE-class
+#: requirement needs (:func:`_rpe_slices`).  A spec (``GPPSpec``,
+#: ``GPUSpec``, ``FPGADevice``) is a frozen value, so its answer never
+#: changes; the entry holds the spec, so its id cannot be reused while
+#: the memo lives.
+StaticMemo = dict[tuple, tuple[int, dict[int, tuple[object, bool]]]]
 
 
 def _remember(table: dict, spec: object, feasible: bool) -> bool:
@@ -141,8 +142,10 @@ def _interned(
     is a frozen value of its node and these five fields, so the node
     keeps each one it was asked for and matching builds it once, not
     once per scan.  ``resource_index`` is in the key because removing a
-    PE shifts the indices of the PEs after it."""
-    key = (kind, resource_id, resource_index, reuses_resident, region_id)
+    PE shifts the indices of the PEs after it.  The kind enters by
+    value, read from the member's own slot: an enum member hashes in
+    Python, and so does its ``value`` property."""
+    key = (kind._value_, resource_id, resource_index, reuses_resident, region_id)
     interned = node._candidates
     candidate = interned.get(key)
     if candidate is None:
@@ -202,17 +205,16 @@ def _match_node(
             )
             if not feasible:
                 continue
-            fabric = rpe.fabric
-            resident = fabric.find_resident(function) if function else None
-            if require_available:
-                if rpe.offline:
-                    continue
+            if not require_available:
+                resident = rpe.fabric.find_resident(function) if function else None
+            elif rpe.offline:
+                continue
+            else:
                 # Resident-configuration reuse, or enough placeable area
                 # for the circuit (no area information: any available
-                # region will do).
-                if resident is None and not (
-                    fabric.can_place(needed) if needed else fabric.available_slices > 0
-                ):
+                # region will do), in one pass over the regions.
+                resident, admitted = rpe.fabric.admit(function, needed)
+                if not admitted:
                     continue
             candidates.append(_interned(
                 node, PEClass.RPE, rpe.resource_id, index, resident is not None
@@ -259,6 +261,16 @@ def _match_node(
     return candidates
 
 
+def static_entry(task: Task, memo: StaticMemo) -> tuple[int, dict]:
+    """*task*'s entry in *memo* (see :data:`StaticMemo`), made on first
+    use: the area its RPE candidates need, and its feasibility table."""
+    key = static_key(task)
+    entry = memo.get(key)
+    if entry is None:
+        entry = memo[key] = (_rpe_slices(task), {})
+    return entry
+
+
 def find_candidates(
     task: Task,
     nodes: Iterable[Node],
@@ -274,14 +286,21 @@ def find_candidates(
     matched at most once per call.
     """
     if memo is None:
-        table: dict = {}
+        needed, table = _rpe_slices(task), {}
     else:
-        key = static_key(task)
-        table = memo.get(key)
-        if table is None:
-            table = memo[key] = {}
+        needed, table = static_entry(task, memo)
+    return match_nodes(task, nodes, require_available, needed, table)
+
+
+def match_nodes(
+    task: Task, nodes: Iterable[Node], require_available: bool, needed: int, table: dict
+) -> list[Candidate]:
+    """:func:`find_candidates` past its memo: *needed* and *table* are
+    *task*'s :func:`static_entry`.  With *require_available*, every RPE
+    candidate returned either reuses a resident configuration or has an
+    available region of at least *needed* slices (any available region
+    when *needed* is 0)."""
     result: list[Candidate] = []
-    needed = _rpe_slices(task)
     for node in nodes:
         result.extend(_match_node(task, node, require_available, needed, table))
     return result

@@ -26,14 +26,16 @@ from __future__ import annotations
 from collections.abc import Set as AbstractSet
 from dataclasses import dataclass, field
 
-from repro.core.matching import Candidate, StaticMemo, find_candidates, static_key
+from repro.core.matching import (
+    Candidate, StaticMemo, match_nodes, static_entry, static_key,
+)
 from repro.core.node import Node
 from repro.core.state import NodeStateSnapshot
 from repro.core.task import Task
 from repro.grid.network import Network, NetworkError, USER_SITE
 from repro.grid.virtualizer import VirtualizationError, VirtualizationLayer
 from repro.hardware.bitstream import Bitstream
-from repro.hardware.fabric import RegionState
+from repro.hardware.fabric import Region, RegionState
 from repro.hardware.softcore import SoftcoreSpec
 from repro.hardware.taxonomy import PEClass
 
@@ -130,15 +132,23 @@ class ResourceManagementSystem:
         #: for the duration of one plan_placement call (set from the
         #: simulator's completion records); drives locality pricing.
         self._data_sites: dict[int, int] | None = None
-        #: id(candidate) -> its quote (:meth:`_quoted`), valid for the
-        #: duration of one plan_placement call (grid state cannot change
-        #: while the strategy chooses), so each candidate is priced at
-        #: most once and only the chosen one becomes a Placement.
-        self._quotes: dict[int, tuple] | None = None
-        #: The price classes and staging times of the same call
-        #: (:meth:`_components`); ``None`` outside it, like _quotes.
+        #: The class parts (:meth:`_components`) and staging times
+        #: (:meth:`_staging_time`) of one plan_placement call, keyed by
+        #: price class and by (site, user-shipped bytes): grid state
+        #: cannot change while the strategy chooses.  ``None`` outside
+        #: a plan.
         self._classes: dict[tuple, tuple] | None = None
         self._staging: dict[tuple[int, int], float] | None = None
+        #: ``(task, needed)`` of the open plan's matching: every RPE
+        #: candidate it returned reuses a resident configuration or has
+        #: an available region of *needed* slices
+        #: (:func:`~repro.core.matching.match_nodes`).
+        self._matched: tuple[Task, int] | None = None
+        #: id(candidate) -> its pin (:meth:`_resolve`).  A pin holds its
+        #: candidate, so the id is not reused while the pin lives, and
+        #: resource ids are never reused, so only a registry change
+        #: (:meth:`register_node`, :meth:`unregister_node`) drops pins.
+        self._pins: dict[int, tuple] = {}
         #: Static feasibility of each requirement on each PE spec
         #: (:data:`repro.core.matching.StaticMemo`); specs are frozen,
         #: so it stays valid for the grid's lifetime.
@@ -159,6 +169,7 @@ class ResourceManagementSystem:
             raise SchedulingError(f"node {node.node_id} already registered")
         self._nodes[node.node_id] = node
         self._sites[node.node_id] = node.node_id if site is None else site
+        self._pins.clear()
 
     def unregister_node(self, node_id: int) -> Node:
         try:
@@ -166,6 +177,7 @@ class ResourceManagementSystem:
         except KeyError:
             raise SchedulingError(f"node {node_id} is not registered") from None
         self._sites.pop(node_id, None)
+        self._pins.clear()
         return node
 
     @property
@@ -189,12 +201,10 @@ class ResourceManagementSystem:
     # Matchmaking and cost model
     # ------------------------------------------------------------------
     def find_candidates(self, task: Task, *, require_available: bool = True) -> list[Candidate]:
-        return find_candidates(
-            task,
-            self._nodes.values(),
-            require_available=require_available,
-            memo=self._static,
-        )
+        needed, table = static_entry(task, self._static)
+        if require_available and self._classes is not None:
+            self._matched = task, needed
+        return match_nodes(task, self._nodes.values(), require_available, needed, table)
 
     def _transfer_time(self, size_bytes: int, dst: int, src: int = USER_SITE) -> float:
         """Seconds to move *size_bytes* from site *src* to site *dst*."""
@@ -228,145 +238,202 @@ class ResourceManagementSystem:
             producer_node = sites.get(data.source_task_id)
             src = USER_SITE if producer_node is None else self.site_of(producer_node)
             slowest = max(slowest, self._transfer_time(data.size_bytes, site, src))
+        if not bitstream_bytes:
+            return slowest
         return max(slowest, self._transfer_time(bitstream_bytes, site))
 
     def estimate_cost_s(self, task: Task, candidate: Candidate) -> float:
         """Dispatch-to-completion time if *task* ran on *candidate* --
-        the objective the hybrid scheduler minimizes."""
-        return self._quoted(task, candidate)[1]
+        the objective the hybrid scheduler minimizes.  Inside
+        :meth:`plan_placement` it is the candidate's class part plus its
+        site part, and a region is looked for only where the plan's
+        matching did not already prove one (:meth:`_proven`)."""
+        classes = self._classes
+        if classes is None:
+            return self._quote(task, candidate).total_time_s
+        pin, part, transfer_time_s = self._parts(
+            task, self._pins.get(id(candidate)) or self._pin(candidate),
+            classes, self._staging,
+        )
+        bitstream, _, synthesis_time_s, reconfig_time_s, exec_time_s, _ = part
+        if candidate.kind is PEClass.RPE and not self._proven(task, candidate, bitstream):
+            self._region(task, candidate, pin[3], bitstream)
+        # Placement.total_time_s's expression order, so the floats match.
+        return (transfer_time_s + synthesis_time_s + reconfig_time_s) + exec_time_s
 
     def _price(self, task: Task, candidate: Candidate) -> Placement:
-        """An (uncommitted) placement with all timing fields, built from
-        the candidate's quote; inside :meth:`plan_placement` the quote
-        is reused."""
-        _, _, fields = self._quoted(task, candidate)
-        return Placement(task, candidate, *fields)
+        """An (uncommitted) placement with all timing fields; inside
+        :meth:`plan_placement` it reads the plan's class and site memos
+        and locates only its own region."""
+        classes = self._classes
+        if classes is None:
+            return self._quote(task, candidate)
+        pin = self._pins.get(id(candidate)) or self._pin(candidate)
+        return self._placement(task, *self._parts(task, pin, classes, self._staging))
 
     def _quote(self, task: Task, candidate: Candidate) -> Placement:
-        """A freshly priced placement, never memoized."""
-        _, _, fields = self._components(task, candidate, {}, {})
-        return Placement(task, candidate, *fields)
+        """A freshly priced placement: no memo, no pin."""
+        return self._placement(task, *self._parts(task, self._resolve(candidate), {}, {}))
 
-    def _quoted(self, task: Task, candidate: Candidate) -> tuple:
-        """*candidate*'s quote, priced at most once per plan_placement
-        call.  The memo is keyed by identity: the quote holds the
-        candidate, so its id is not reused while the memo lives."""
-        quotes = self._quotes
-        if quotes is None:
-            return self._components(task, candidate, {}, {})
-        quote = quotes.get(id(candidate))
-        if quote is None:
-            quote = quotes[id(candidate)] = self._components(
-                task, candidate, self._classes, self._staging
-            )
-        return quote
+    def _resolve(self, candidate: Candidate) -> tuple:
+        """*candidate*'s pin: ``(candidate, site, class key, PE)``.
 
-    def _components(
-        self, task: Task, candidate: Candidate, classes: dict, staging: dict
-    ) -> tuple:
-        """Price *candidate*: ``(candidate, total seconds, fields)``,
-        where *fields* are :class:`Placement`'s fields after ``task``
-        and ``candidate``, in declaration order.
-
-        Most of an RPE's price depends only on its price class: the
-        device and whether *task*'s function is resident on it
-        (``reuses_resident``).  *classes* keeps, per class, the
-        configuration plan's bitstream, the synthesis and
-        reconfiguration times, the bytes of a user-shipped bitstream and
-        the execution time; *staging* keeps the staging time per (site,
-        bitstream bytes).  The region is found per candidate, and
-        :class:`~repro.grid.virtualizer.VirtualizationError` or
-        :class:`SchedulingError` means the candidate cannot be priced.
-        Both memos hold for one task on one grid state only.
-        """
+        An RPE's price class is its device and whether the task's
+        function is resident on it (``reuses_resident``); a GPP's is its
+        spec's speed.  GPU and soft-core candidates have no class key:
+        they are priced one by one.  Raises :class:`SchedulingError`
+        when the candidate's node is not registered."""
         node = self.node(candidate.node_id)
         kind = candidate.kind
-        region_id = candidate.region_id
+        key = None
+        if kind is PEClass.GPP:
+            pe = node.gpp(candidate.resource_id)
+            key = (pe.spec.mips, pe.spec.cores)
+        elif kind is PEClass.GPU:
+            pe = node.gpu(candidate.resource_id)
+        else:
+            pe = node.rpe(candidate.resource_id)
+            if kind is PEClass.RPE:
+                key = (id(pe.device), candidate.reuses_resident)
+        return candidate, self.site_of(candidate.node_id), key, pe
+
+    def _pin(self, candidate: Candidate) -> tuple:
+        """:meth:`_resolve` *candidate* and keep the answer in
+        :attr:`_pins`, which callers read first."""
+        pin = self._pins[id(candidate)] = self._resolve(candidate)
+        return pin
+
+    def _parts(self, task: Task, pin: tuple, classes: dict, staging: dict) -> tuple:
+        """``(pin, class part, staging seconds)`` of the candidate that
+        *pin* resolves, read from or added to the memos *classes*
+        (per class key) and *staging* (per site and user-shipped
+        bytes)."""
+        candidate, site, key, pe = pin
+        if key is None:
+            part = self._components(task, candidate, pe)
+        else:
+            part = classes.get(key)
+            if part is None:
+                part = classes[key] = self._components(task, candidate, pe)
+        shipped = part[5]
+        transfer_time_s = staging.get((site, shipped))
+        if transfer_time_s is None:
+            # Input streams and the user's bitstream move concurrently;
+            # the staging delay is the slowest of them.
+            transfer_time_s = staging[site, shipped] = self._staging_time(
+                task, site, shipped
+            )
+        return pin, part, transfer_time_s
+
+    def _components(self, task: Task, candidate: Candidate, pe) -> tuple:
+        """The class part of *candidate*'s price on its PE *pe*:
+        ``(bitstream, provision_softcore, synthesis seconds, reconfig
+        seconds, exec seconds, bytes of a user-shipped bitstream)``.
+
+        Everything here but a soft core's depends only on the price
+        class (:meth:`_resolve`).  No region is looked for
+        (:meth:`_region`).  :class:`~repro.grid.virtualizer.
+        VirtualizationError` means the candidate cannot be priced.
+        """
+        kind = candidate.kind
         bitstream = provision_softcore = None
         synthesis_time_s = reconfig_time_s = 0.0
-        reused = False
         bitstream_bytes = 0
 
         if kind is PEClass.RPE:
-            rpe = node.rpe(candidate.resource_id)
-            key = (id(rpe.device), candidate.reuses_resident)
-            price_class = classes.get(key)
-            if price_class is None:
-                plan = self.virtualization.plan_rpe_configuration(task, rpe)
-                bitstream = plan.bitstream
-                if plan.needs_reconfiguration:
-                    reconfig_time_s = rpe.fabric.reconfiguration_time_s(
-                        bitstream, partial=self.partial_reconfiguration
-                    )
-                    # Only user-shipped bitstreams traverse the network.
-                    if task.exec_req.artifacts.bitstream is bitstream:
-                        bitstream_bytes = bitstream.size_bytes
-                # An accelerator runs for t_estimated, which is defined
-                # for the ExecReq-matched PE (Section IV-B).
-                price_class = classes[key] = (
-                    bitstream, plan.synthesis_time_s, reconfig_time_s,
-                    bitstream_bytes, task.t_estimated,
+            # The open plan's matching already looked for the function
+            # on this fabric; a candidate from elsewhere is looked up.
+            matched = self._matched
+            plan = self.virtualization.plan_rpe_configuration(
+                task, pe,
+                resident=candidate.reuses_resident
+                if matched is not None and matched[0] is task else None,
+            )
+            bitstream = plan.bitstream
+            synthesis_time_s = plan.synthesis_time_s
+            if plan.needs_reconfiguration:
+                reconfig_time_s = pe.fabric.reconfiguration_time_s(
+                    bitstream, partial=self.partial_reconfiguration
                 )
-            (bitstream, synthesis_time_s, reconfig_time_s,
-             bitstream_bytes, exec_time_s) = price_class
-            if bitstream is None:
-                reused = True
-                region = rpe.fabric.find_resident(task.function)
-                if region is None:  # pragma: no cover - defensive
-                    raise SchedulingError(
-                        f"task {task.task_id}: resident configuration vanished"
-                    )
-            else:
-                region = rpe.fabric.find_placeable(bitstream.required_slices)
-                if region is None:
-                    raise SchedulingError(
-                        f"task {task.task_id}: no placeable region on RPE "
-                        f"{candidate.resource_id} of node {candidate.node_id}"
-                    )
-            region_id = region.region_id
-        elif kind is PEClass.GPP:
-            exec_time_s = node.gpp(candidate.resource_id).spec.execution_time_s(
-                task.effective_workload_mi
-            )
-        elif kind is PEClass.GPU:
-            exec_time_s = node.gpu(candidate.resource_id).spec.execution_time_s(
-                task.effective_workload_mi
-            )
+                # Only user-shipped bitstreams traverse the network.
+                if task.exec_req.artifacts.bitstream is bitstream:
+                    bitstream_bytes = bitstream.size_bytes
+            # An accelerator runs for t_estimated, which is defined for
+            # the ExecReq-matched PE (Section IV-B).
+            exec_time_s = task.t_estimated
+        elif kind is PEClass.GPP or kind is PEClass.GPU:
+            exec_time_s = pe.spec.execution_time_s(task.effective_workload_mi)
         else:
-            rpe = node.rpe(candidate.resource_id)
+            region_id = candidate.region_id
             spec = task.exec_req.artifacts.softcore
             if region_id is not None:
-                spec = rpe.hosted_softcores.get(region_id, spec)
+                spec = pe.hosted_softcores.get(region_id, spec)
             if spec is None:
                 spec = self.virtualization.provisioner.default_core
-            exec_time_s = task.effective_workload_mi / spec.effective_mips(rpe.device)
+            exec_time_s = task.effective_workload_mi / spec.effective_mips(pe.device)
             if region_id is None:
                 # Soft core must be provisioned first (Section III-B1/III-A);
                 # a hosted one executes in its region (``region_id``).
                 provision_softcore = spec
-                reconfig_time_s = rpe.device.reconfiguration_time_s(
+                reconfig_time_s = pe.device.reconfiguration_time_s(
                     spec.required_slices()
                 )
+        return (
+            bitstream, provision_softcore, synthesis_time_s, reconfig_time_s,
+            exec_time_s, bitstream_bytes,
+        )
 
-        # Input streams and the user's bitstream move concurrently; the
-        # staging delay is the slowest of them.
-        site = self.site_of(candidate.node_id)
-        transfer_time_s = staging.get((site, bitstream_bytes))
-        if transfer_time_s is None:
-            transfer_time_s = staging[site, bitstream_bytes] = self._staging_time(
-                task, site, bitstream_bytes
+    def _proven(self, task: Task, candidate: Candidate, bitstream: Bitstream | None) -> bool:
+        """True when the open plan's matching already proved that an
+        RPE *candidate* it returned has a region for *bitstream*: the
+        candidate reuses a resident configuration, or the bitstream
+        needs no more than the area matching found placeable.  A
+        repository bitstream may need more than the task's ``slices``
+        requirement, and matching with no area requirement proved only
+        some available region."""
+        matched = self._matched
+        if matched is None or matched[0] is not task:
+            return False
+        if bitstream is None:
+            return candidate.reuses_resident
+        return 0 < bitstream.required_slices <= matched[1]
+
+    @staticmethod
+    def _region(task: Task, candidate: Candidate, rpe, bitstream: Bitstream | None) -> Region:
+        """The region of *rpe* that *task* runs in: the resident
+        configuration when *bitstream* is ``None``, else the best fit for
+        it.  Raises :class:`SchedulingError` when there is none."""
+        if bitstream is None:
+            region = rpe.fabric.find_resident(task.function)
+            if region is None:  # pragma: no cover - defensive
+                raise SchedulingError(
+                    f"task {task.task_id}: resident configuration vanished"
+                )
+            return region
+        region = rpe.fabric.find_placeable(bitstream.required_slices)
+        if region is None:
+            raise SchedulingError(
+                f"task {task.task_id}: no placeable region on RPE "
+                f"{candidate.resource_id} of node {candidate.node_id}"
             )
-        # Placement.total_time_s's expression order, so the floats match.
-        cost = (transfer_time_s + synthesis_time_s + reconfig_time_s) + exec_time_s
-        return candidate, cost, (
-            region_id,
-            bitstream,
-            provision_softcore,
-            transfer_time_s,
-            synthesis_time_s,
-            reconfig_time_s,
-            exec_time_s,
-            reused,
+        return region
+
+    def _placement(
+        self, task: Task, pin: tuple, part: tuple, transfer_time_s: float
+    ) -> Placement:
+        """The placement that :meth:`_parts`' answer describes; an RPE
+        candidate's region is located here."""
+        candidate, _, _, pe = pin
+        (bitstream, provision_softcore, synthesis_time_s, reconfig_time_s,
+         exec_time_s, _) = part
+        region_id = candidate.region_id
+        reused = False
+        if candidate.kind is PEClass.RPE:
+            region_id = self._region(task, candidate, pe, bitstream).region_id
+            reused = bitstream is None
+        return Placement(
+            task, candidate, region_id, bitstream, provision_softcore,
+            transfer_time_s, synthesis_time_s, reconfig_time_s, exec_time_s, reused,
         )
 
     # ------------------------------------------------------------------
@@ -500,7 +567,7 @@ class ResourceManagementSystem:
                 return None
 
         self._data_sites = data_sites
-        self._quotes, self._classes, self._staging = {}, {}, {}
+        self._classes, self._staging = {}, {}
         try:
             candidates = filter_excluded(
                 self.find_candidates(task, require_available=True), exclude_nodes
@@ -524,8 +591,8 @@ class ResourceManagementSystem:
                     f"strategy {self.scheduler!r} chose an unpriceable candidate: {exc}"
                 ) from exc
         finally:
-            self._data_sites = None
-            self._quotes = self._classes = self._staging = None
+            self._data_sites = self._matched = None
+            self._classes = self._staging = None
 
     # ------------------------------------------------------------------
     # Placement lifecycle (driven by the simulator through time)

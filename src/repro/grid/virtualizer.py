@@ -171,7 +171,9 @@ class VirtualizationLayer:
         self.repository = repository or BitstreamRepository()
         self.provisioner = provisioner or SoftcoreProvisioner()
 
-    def plan_rpe_configuration(self, task: Task, rpe: RPEResource) -> ConfigurationPlan:
+    def plan_rpe_configuration(
+        self, task: Task, rpe: RPEResource, *, resident: bool | None = None
+    ) -> ConfigurationPlan:
         """Decide how *rpe* gets the circuit *task* needs.
 
         Resolution order implements the abstraction levels top-down:
@@ -180,8 +182,16 @@ class VirtualizationLayer:
         2. device-specific bitstream shipped by the user (III-B3);
         3. repository hit for (function, device);
         4. synthesis from the user's HDL design (III-B2).
+
+        *resident* is whether the function is resident on *rpe*, when
+        the caller already looked on the current fabric state
+        (matchmaking does); ``None`` looks.
         """
-        if task.function and rpe.fabric.find_resident(task.function) is not None:
+        if resident is None:
+            resident = bool(task.function) and (
+                rpe.fabric.find_resident(task.function) is not None
+            )
+        if resident:
             return ConfigurationPlan(bitstream=None)
 
         artifacts = task.exec_req.artifacts

@@ -186,6 +186,31 @@ class Fabric:
     def can_place(self, required_slices: int) -> bool:
         return self.find_placeable(required_slices) is not None
 
+    def admit(
+        self, implements: str | None, required_slices: int
+    ) -> tuple[Region | None, bool]:
+        """Whether a task can run here, in one pass over the regions:
+        ``(find_resident(implements), admitted)``, where *admitted* is
+        true when that region exists or ``can_place(required_slices)``.
+        No resident is looked for when *implements* is empty.
+        """
+        fits = False
+        for region in self.regions:
+            state = region.state
+            if state is RegionState.CONFIGURED:
+                configuration = region.configuration
+                if (
+                    implements
+                    and configuration is not None
+                    and configuration.implements == implements
+                ):
+                    return region, True
+            elif state is not RegionState.FREE:
+                continue
+            if region.slices >= required_slices:
+                fits = True
+        return None, fits
+
     # ------------------------------------------------------------------
     # Transitions
     # ------------------------------------------------------------------

@@ -29,6 +29,28 @@ import repro
 #: artifacts to be comparable metric-for-metric.
 COMPARABILITY_KEYS = ("spec_hash", "seed", "cache_format")
 
+#: The result cache's format (:mod:`repro.sim.runner`), here so that a
+#: stamp needs no simulator.  Bump when the cached JSON layout changes;
+#: stale entries then miss.
+#: 2: fault-injection fields on ExperimentSpec and SimulationReport.
+#: 3: resilience fields (breakers/deadlines/checkpoints/replicas).
+#: 4: wait/turnaround percentile fields (p50/p99 wait, p50/p95/p99 turnaround).
+#: 5: ``engine`` field on ExperimentSpec (heap vs calendar queue).
+#: 6: overload protection (admission/brownout spec + flash-crowd knobs
+#:    on ExperimentSpec; shed/brownout fields on SimulationReport).
+#: 7: control-plane fault tolerance (failover spec on ExperimentSpec;
+#:    detection/failover/orphan fields on SimulationReport).
+#: 8: causal run analysis / host-phase profiler (per-phase host
+#:    seconds and call counts on SimulationReport).
+#: 9: online SLO monitoring (slo spec on ExperimentSpec; per-tenant
+#:    and SLO attainment fields on SimulationReport).
+#: 10: the host-phase profiler's two report fields removed from
+#:     SimulationReport.
+#: 11: run_experiment draws the columnar workload, so a spec and seed
+#:     describe a different run than before.
+#: 12: SimulationReport and ResilienceSpec lost the straggler-replica fields.
+CACHE_FORMAT = 12
+
 
 @lru_cache(maxsize=1)
 def git_revision() -> tuple[str, bool]:
@@ -53,12 +75,25 @@ def git_revision() -> tuple[str, bool]:
     return (sha or "unknown"), bool(status.strip())
 
 
+@lru_cache(maxsize=1)
+def _numpy_version() -> str:
+    """numpy's version, without importing it: a process that has not
+    loaded numpy (an offline fold) reads the installed package's
+    metadata instead."""
+    numpy = sys.modules.get("numpy")
+    if numpy is not None:
+        return numpy.__version__
+    import importlib.metadata
+
+    try:
+        return importlib.metadata.version("numpy")
+    except importlib.metadata.PackageNotFoundError:  # pragma: no cover
+        return "unknown"
+
+
 def environment_fingerprint() -> dict:
-    """The machine/toolchain half of the stamp (shared by all runs)."""
-    import numpy
-
-    from repro.sim.runner import _CACHE_FORMAT
-
+    """The machine/toolchain half of the stamp (shared by all runs).
+    It imports neither numpy nor the simulator."""
     sha, dirty = git_revision()
     try:
         import os
@@ -77,8 +112,8 @@ def environment_fingerprint() -> dict:
         "platform": platform.platform(),
         "machine": platform.machine(),
         "cpu_count": cpus,
-        "numpy": numpy.__version__,
-        "cache_format": _CACHE_FORMAT,
+        "numpy": _numpy_version(),
+        "cache_format": CACHE_FORMAT,
     }
 
 

@@ -40,7 +40,8 @@ class HybridCostScheduler(Scheduler):
             return None
         best: Candidate | None = None
         best_cost = float("inf")
-        required = task_required_slices(task)
+        # Only the area tiebreaker reads the task's area.
+        required = task_required_slices(task) if self.area_weight else 0
         for candidate in candidates:
             try:
                 cost = rms.estimate_cost_s(task, candidate)

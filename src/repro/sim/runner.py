@@ -40,6 +40,9 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
+# The cache format and its history live in provenance, which stamps it
+# without importing the simulator.
+from repro.provenance import CACHE_FORMAT as _CACHE_FORMAT
 from repro.sim.energy import EnergyReport
 from repro.sim.experiment import (
     ExperimentResult,
@@ -49,26 +52,6 @@ from repro.sim.experiment import (
     summarize_replications,
 )
 from repro.sim.metrics import SimulationReport
-
-#: Bump when the cached JSON layout changes; stale entries then miss.
-#: 2: fault-injection fields on ExperimentSpec and SimulationReport.
-#: 3: resilience fields (breakers/deadlines/checkpoints/replicas).
-#: 4: wait/turnaround percentile fields (p50/p99 wait, p50/p95/p99 turnaround).
-#: 5: ``engine`` field on ExperimentSpec (heap vs calendar queue).
-#: 6: overload protection (admission/brownout spec + flash-crowd knobs
-#:    on ExperimentSpec; shed/brownout fields on SimulationReport).
-#: 7: control-plane fault tolerance (failover spec on ExperimentSpec;
-#:    detection/failover/orphan fields on SimulationReport).
-#: 8: causal run analysis / host-phase profiler (per-phase host
-#:    seconds and call counts on SimulationReport).
-#: 9: online SLO monitoring (slo spec on ExperimentSpec; per-tenant
-#:    and SLO attainment fields on SimulationReport).
-#: 10: the host-phase profiler's two report fields removed from
-#:     SimulationReport.
-#: 11: run_experiment draws the columnar workload, so a spec and seed
-#:     describe a different run than before.
-#: 12: SimulationReport and ResilienceSpec lost the straggler-replica fields.
-_CACHE_FORMAT = 12
 
 
 def default_jobs() -> int:

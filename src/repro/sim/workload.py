@@ -358,9 +358,14 @@ class ConfigurationPool:
         self, repository: BitstreamRepository, devices: list[FPGADevice]
     ) -> int:
         """Store a bitstream for every (function, device) pair that
-        fits; returns the number stored."""
+        fits; returns the number stored.
+
+        *devices* may repeat a device (a grid lists one per RPE): each
+        distinct device is built once, at its last position, so every
+        (function, model) key keeps the writer a pass over the whole
+        list would leave."""
         stored = 0
-        for device in devices:
+        for device in list(dict.fromkeys(reversed(devices)))[::-1]:
             for entry in self.entries:
                 if entry.required_slices > device.slices:
                     continue

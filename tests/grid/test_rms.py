@@ -254,6 +254,11 @@ def two_input_task(task_id=9):
     )
 
 
+def plan_memos(rms):
+    """The per-plan pricing state: ``None`` outside plan_placement."""
+    return rms._classes, rms._staging, rms._matched
+
+
 class TestQuoteMemo:
     @pytest.mark.parametrize(
         "scheduler", [None, EnergyAwareScheduler(), EnergyAwareScheduler(deadline_weight=100.0)]
@@ -282,9 +287,9 @@ class TestQuoteMemo:
 
     def test_memo_cleared_after_plan(self):
         rms = build_wide_rms()
-        assert rms._quotes is None
+        assert plan_memos(rms) == (None, None, None)
         assert rms.plan_placement(gpp_task()) is not None
-        assert rms._quotes is None
+        assert plan_memos(rms) == (None, None, None)
 
     def test_memo_cleared_after_defer(self):
         class Decline:
@@ -295,7 +300,7 @@ class TestQuoteMemo:
 
         rms = build_wide_rms(Decline())
         assert rms.plan_placement(gpp_task()) is None
-        assert rms._quotes is None
+        assert plan_memos(rms) == (None, None, None)
 
     def test_memo_cleared_after_scheduling_error(self):
         class Unpriceable:
@@ -307,7 +312,7 @@ class TestQuoteMemo:
         rms = build_wide_rms(Unpriceable())
         with pytest.raises(SchedulingError, match="unpriceable"):
             rms.plan_placement(gpp_task())
-        assert rms._quotes is None
+        assert plan_memos(rms) == (None, None, None)
 
     @pytest.mark.parametrize("deadline_weight", [0.0, 100.0])
     def test_energy_aware_choice_matches_fresh_pricing(self, deadline_weight):

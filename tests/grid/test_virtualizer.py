@@ -120,6 +120,19 @@ class TestConfigurationPlanning:
         plan = layer.plan_rpe_configuration(self.rpe_task(hdl_design=make_design()), rpe)
         assert not plan.needs_reconfiguration
 
+    def test_known_residency_is_not_looked_up(self, monkeypatch):
+        layer = VirtualizationLayer()
+        rpe = rpe_node().rpes[0]
+        bs = Bitstream(9, rpe.device.model, 1_000, 500, implements="fft")
+
+        def walked(self, implements):
+            raise AssertionError("fabric walked")
+
+        monkeypatch.setattr(type(rpe.fabric), "find_resident", walked)
+        task = self.rpe_task(bitstream=bs)
+        assert not layer.plan_rpe_configuration(task, rpe, resident=True).needs_reconfiguration
+        assert layer.plan_rpe_configuration(task, rpe, resident=False).bitstream is bs
+
     def test_user_bitstream_used_directly(self):
         layer = VirtualizationLayer()
         rpe = rpe_node().rpes[0]

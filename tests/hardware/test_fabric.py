@@ -1,6 +1,7 @@
 """Unit tests for the reconfigurable-fabric model."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.hardware.bitstream import Bitstream
 from repro.hardware.catalog import device_by_model
@@ -165,6 +166,40 @@ class TestQueries:
         fabric.finish_reconfiguration(region)
         fabric.occupy(region)
         assert fabric.find_resident("fft") is None
+
+
+@st.composite
+def fabric_states(draw):
+    """A five-region XC5VLX110 fabric whose regions are free, configuring,
+    configured or busy, configured with ``a``, ``b`` or ``c``."""
+    device = device_by_model("XC5VLX110")
+    fabric = Fabric.for_device(device, regions=5)
+    for bs_id, region in enumerate(fabric.regions):
+        state = draw(st.sampled_from(list(RegionState)))
+        if state is RegionState.FREE:
+            continue
+        fabric.begin_reconfiguration(region, bitstream_for(
+            device, slices=draw(st.integers(1, region.slices)),
+            implements=draw(st.sampled_from("abc")), bs_id=bs_id,
+        ))
+        if state is not RegionState.CONFIGURING:
+            fabric.finish_reconfiguration(region)
+        if state is RegionState.BUSY:
+            fabric.occupy(region)
+    return fabric
+
+
+class TestAdmit:
+    @given(
+        fabric=fabric_states(),
+        implements=st.sampled_from(["", "a", "b", "z"]),
+        required=st.integers(0, 5_000),
+    )
+    def test_admit_is_find_resident_or_can_place(self, fabric, implements, required):
+        resident = fabric.find_resident(implements) if implements else None
+        assert fabric.admit(implements, required) == (
+            resident, resident is not None or fabric.can_place(required)
+        )
 
 
 class TestReconfigurationTiming:

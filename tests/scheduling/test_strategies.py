@@ -175,7 +175,7 @@ class TestUnpriceable:
 
     @pytest.mark.parametrize("strategy", COST_STRATEGIES)
     def test_pricing_bug_propagates(self, monkeypatch, strategy):
-        def broken(self, task, rpe):
+        def broken(self, task, rpe, **kwargs):
             raise TypeError("pricing bug")
 
         monkeypatch.setattr(VirtualizationLayer, "plan_rpe_configuration", broken)

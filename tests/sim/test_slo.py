@@ -837,9 +837,10 @@ class TestCli:
         assert "VIOLATED" in captured.out
         assert "objectives violated" in captured.err
 
-    def test_slo_trace_mode_loads_no_numpy(self):
+    def test_slo_trace_mode_loads_no_numpy(self, tmp_path):
         """Replaying a trace builds no spec, so nothing imports the
-        simulator, and numpy with it."""
+        simulator, and numpy with it -- also where ``--json`` stamps
+        the result with its provenance."""
         import os
         import subprocess
         import sys
@@ -851,14 +852,21 @@ class TestCli:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p
         )
-        code = (
-            "import sys; from repro.cli import main; "
-            f"main(['slo', {str(CHAOS_GOLDEN)!r}, '-o', 'latency-p95:1000']); "
-            "print('numpy' in sys.modules)"
-        )
-        done = subprocess.run([sys.executable, "-c", code], check=True,
-                              capture_output=True, text=True, env=env)
-        assert done.stdout.splitlines()[-1] == "False"
+        out = tmp_path / "slo.json"
+        for extra in ([], ["--json", str(out)]):
+            code = (
+                "import sys; from repro.cli import main; "
+                f"main(['slo', {str(CHAOS_GOLDEN)!r}, '-o', 'latency-p95:1000', "
+                f"*{extra!r}]); "
+                "print('numpy' in sys.modules)"
+            )
+            done = subprocess.run([sys.executable, "-c", code], check=True,
+                                  capture_output=True, text=True, env=env)
+            assert done.stdout.splitlines()[-1] == "False", extra
+        import numpy
+
+        stamp = json.loads(out.read_text())["provenance"]
+        assert stamp["numpy"] == numpy.__version__
 
     @pytest.mark.parametrize("flag", [["--strategy", "bogus"], ["--seed", "3"]])
     def test_slo_trace_mode_refuses_live_flags(self, flag, capsys):

@@ -1,5 +1,7 @@
 """Unit tests for arrival processes and synthetic workloads."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -190,6 +192,24 @@ class TestConfigurationPool:
         stored = pool.populate_repository(repo, [small])
         fitting = sum(1 for e in pool.entries if e.required_slices <= small.slices)
         assert stored == fitting == len(repo)
+
+    def test_populate_repository_builds_each_device_once(self):
+        """A device listed once per RPE is built once, and every
+        (function, model) key keeps the last writer's bitstream."""
+        pool = ConfigurationPool(10, area_range=(5_000, 40_000), seed=2)
+        small = device_by_model("XC5VLX50")
+        large = device_by_model("XC5VLX330")
+        repeated, once = BitstreamRepository(), BitstreamRepository()
+        stored = pool.populate_repository(repeated, [small, large, small, large, large])
+        assert stored == pool.populate_repository(once, [small, large]) == len(once)
+        assert len(repeated) == len(once)
+        for entry in pool.entries:
+            for device in (small, large):
+                a = repeated.get(entry.function, device.model)
+                b = once.get(entry.function, device.model)
+                assert (a is None) == (b is None)
+                if a is not None:
+                    assert replace(a, bitstream_id=0) == replace(b, bitstream_id=0)
 
     def test_validation(self):
         with pytest.raises(ValueError):
