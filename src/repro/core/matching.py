@@ -16,7 +16,7 @@ area), which is what the scheduler needs at dispatch time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from collections.abc import Iterable
 
 from repro.core.execreq import MinValue
@@ -32,7 +32,9 @@ class Candidate:
 
     ``label`` follows Table II's notation, e.g. ``"RPE_1 <-> Node_1"``:
     the index is the resource's position within its node list, not the
-    global resource_id.
+    global resource_id.  ``pe`` is the processing element the pairing
+    names (the GPP, GPU or RPE object; a soft core's RPE), resolved once
+    at matching; it is not part of the candidate's value.
     """
 
     node_id: int
@@ -40,6 +42,7 @@ class Candidate:
     kind: PEClass
     resource_id: int
     resource_index: int
+    pe: object = field(compare=False, repr=False)
     reuses_resident: bool = False
     region_id: int | None = None
 
@@ -133,24 +136,26 @@ def _rpe_slices(task: Task) -> int:
 def _interned(
     node: Node,
     kind: PEClass,
-    resource_id: int,
+    pe,
     resource_index: int,
     reuses_resident: bool = False,
     region_id: int | None = None,
 ) -> Candidate:
-    """*node*'s one :class:`Candidate` with these fields.  A candidate
-    is a frozen value of its node and these five fields, so the node
-    keeps each one it was asked for and matching builds it once, not
-    once per scan.  ``resource_index`` is in the key because removing a
-    PE shifts the indices of the PEs after it.  The kind enters by
-    value, read from the member's own slot: an enum member hashes in
-    Python, and so does its ``value`` property."""
+    """*node*'s one :class:`Candidate` on its processing element *pe*
+    with these fields.  A candidate is a frozen value of its node and
+    five fields, so the node keeps each one it was asked for and
+    matching builds it once, not once per scan.  ``resource_index`` is
+    in the key because removing a PE shifts the indices of the PEs
+    after it; resource ids are never reused, so the id names *pe*.  The
+    kind enters by value, read from the member's own slot: an enum
+    member hashes in Python, and so does its ``value`` property."""
+    resource_id = pe.resource_id
     key = (kind._value_, resource_id, resource_index, reuses_resident, region_id)
     interned = node._candidates
     candidate = interned.get(key)
     if candidate is None:
         candidate = interned[key] = Candidate(
-            node.node_id, node.name, kind, resource_id, resource_index,
+            node.node_id, node.name, kind, resource_id, resource_index, pe,
             reuses_resident, region_id,
         )
     return candidate
@@ -179,7 +184,7 @@ def _match_node(
                 continue
             if require_available and gpp.state is not PEState.IDLE:
                 continue
-            candidates.append(_interned(node, PEClass.GPP, gpp.resource_id, index))
+            candidates.append(_interned(node, PEClass.GPP, gpp, index))
         # Section III-A fallback: soft cores hosted on RPEs can serve
         # GPP-class (and SOFTCORE-class) requirements.  A hosted core's
         # descriptor carries its resource and region ids, so it is
@@ -190,7 +195,7 @@ def _match_node(
             for caps in rpe.softcore_capabilities():
                 if req.matches(caps):
                     candidates.append(_interned(
-                        node, PEClass.SOFTCORE, rpe.resource_id, index,
+                        node, PEClass.SOFTCORE, rpe, index,
                         region_id=caps.get("region_id"),  # type: ignore[arg-type]
                     ))
 
@@ -217,7 +222,7 @@ def _match_node(
                 if not admitted:
                     continue
             candidates.append(_interned(
-                node, PEClass.RPE, rpe.resource_id, index, resident is not None
+                node, PEClass.RPE, rpe, index, resident is not None
             ))
 
     if wanted is PEClass.SOFTCORE and req.artifacts.softcore is not None:
@@ -240,7 +245,7 @@ def _match_node(
                 continue
             if require_available and not rpe.fabric.can_place(spec.required_slices()):
                 continue
-            candidates.append(_interned(node, PEClass.SOFTCORE, rpe.resource_id, index))
+            candidates.append(_interned(node, PEClass.SOFTCORE, rpe, index))
 
     if wanted is PEClass.GPU:
         # The Section III extension class: nodes may carry GPUs; they
@@ -256,7 +261,7 @@ def _match_node(
                 continue
             if require_available and gpu.state is not PEState.IDLE:
                 continue
-            candidates.append(_interned(node, PEClass.GPU, gpu.resource_id, index))
+            candidates.append(_interned(node, PEClass.GPU, gpu, index))
 
     return candidates
 

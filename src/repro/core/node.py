@@ -343,15 +343,6 @@ class Node:
                 return resource
         raise KeyError(f"node has no {kind} with resource_id {resource_id}")
 
-    def gpp(self, resource_id: int) -> GPPResource:
-        return self._find(self.gpps, resource_id, "GPP")
-
-    def rpe(self, resource_id: int) -> RPEResource:
-        return self._find(self.rpes, resource_id, "RPE")
-
-    def gpu(self, resource_id: int) -> GPUResource:
-        return self._find(self.gpus, resource_id, "GPU")
-
     # ------------------------------------------------------------------
     # Eq. 1 views
     # ------------------------------------------------------------------

@@ -92,6 +92,7 @@ def node_to_ads(node: Node) -> list[tuple[ClassAd, Candidate]]:
                     kind=PEClass.GPP,
                     resource_id=gpp.resource_id,
                     resource_index=index,
+                    pe=gpp,
                 ),
             )
         )
@@ -105,6 +106,7 @@ def node_to_ads(node: Node) -> list[tuple[ClassAd, Candidate]]:
                     kind=PEClass.GPU,
                     resource_id=gpu.resource_id,
                     resource_index=index,
+                    pe=gpu,
                 ),
             )
         )
@@ -118,6 +120,7 @@ def node_to_ads(node: Node) -> list[tuple[ClassAd, Candidate]]:
                     kind=PEClass.RPE,
                     resource_id=rpe.resource_id,
                     resource_index=index,
+                    pe=rpe,
                 ),
             )
         )
@@ -131,6 +134,7 @@ def node_to_ads(node: Node) -> list[tuple[ClassAd, Candidate]]:
                         kind=PEClass.SOFTCORE,
                         resource_id=rpe.resource_id,
                         resource_index=index,
+                        pe=rpe,
                         region_id=caps.get("region_id"),  # type: ignore[arg-type]
                     ),
                 )

@@ -62,11 +62,16 @@ class Placement:
         Configuration-port time; zero on configuration reuse.
     ``exec_time_s``
         Execution on the chosen PE.
+
+    ``region`` is the fabric region an RPE or hosted soft-core placement
+    runs in, located when the placement is priced; a soft core still to
+    be provisioned gets its region at :meth:`ResourceManagementSystem.
+    commit`.  GPP and GPU placements have none.
     """
 
     task: Task
     candidate: Candidate
-    region_id: int | None = None
+    region: Region | None = None
     bitstream: Bitstream | None = None
     provision_softcore: SoftcoreSpec | None = None
     transfer_time_s: float = 0.0
@@ -76,6 +81,12 @@ class Placement:
     reused_configuration: bool = False
     _committed: bool = field(default=False, repr=False)
     _executing: bool = field(default=False, repr=False)
+
+    @property
+    def region_id(self) -> int | None:
+        """The id of :attr:`region`, ``None`` without one."""
+        region = self.region
+        return None if region is None else region.region_id
 
     @property
     def setup_time_s(self) -> float:
@@ -117,8 +128,7 @@ class ResourceManagementSystem:
         #: nodes are filtered out of matchmaking.
         self.health = None
         #: Optional :class:`repro.sim.telemetry.TelemetryRegistry`
-        #: installed by the simulator; placement-lifecycle methods then
-        #: sample per-RPE configured-slice gauges and matchmaking
+        #: installed by the simulator; matchmaking then moves its
         #: counters.  ``None`` keeps every path a single attribute check.
         self.telemetry = None
         #: Optional :class:`repro.sim.admission.AdmissionController`
@@ -257,7 +267,7 @@ class ResourceManagementSystem:
         )
         bitstream, _, synthesis_time_s, reconfig_time_s, exec_time_s, _ = part
         if candidate.kind is PEClass.RPE and not self._proven(task, candidate, bitstream):
-            self._region(task, candidate, pin[3], bitstream)
+            self._region(task, candidate, bitstream)
         # Placement.total_time_s's expression order, so the floats match.
         return (transfer_time_s + synthesis_time_s + reconfig_time_s) + exec_time_s
 
@@ -276,26 +286,20 @@ class ResourceManagementSystem:
         return self._placement(task, *self._parts(task, self._resolve(candidate), {}, {}))
 
     def _resolve(self, candidate: Candidate) -> tuple:
-        """*candidate*'s pin: ``(candidate, site, class key, PE)``.
+        """*candidate*'s pin: ``(candidate, site, class key)``.
 
         An RPE's price class is its device and whether the task's
         function is resident on it (``reuses_resident``); a GPP's is its
         spec's speed.  GPU and soft-core candidates have no class key:
-        they are priced one by one.  Raises :class:`SchedulingError`
-        when the candidate's node is not registered."""
-        node = self.node(candidate.node_id)
+        they are priced one by one."""
         kind = candidate.kind
         key = None
         if kind is PEClass.GPP:
-            pe = node.gpp(candidate.resource_id)
-            key = (pe.spec.mips, pe.spec.cores)
-        elif kind is PEClass.GPU:
-            pe = node.gpu(candidate.resource_id)
-        else:
-            pe = node.rpe(candidate.resource_id)
-            if kind is PEClass.RPE:
-                key = (id(pe.device), candidate.reuses_resident)
-        return candidate, self.site_of(candidate.node_id), key, pe
+            spec = candidate.pe.spec
+            key = (spec.mips, spec.cores)
+        elif kind is PEClass.RPE:
+            key = (id(candidate.pe.device), candidate.reuses_resident)
+        return candidate, self.site_of(candidate.node_id), key
 
     def _pin(self, candidate: Candidate) -> tuple:
         """:meth:`_resolve` *candidate* and keep the answer in
@@ -308,13 +312,13 @@ class ResourceManagementSystem:
         *pin* resolves, read from or added to the memos *classes*
         (per class key) and *staging* (per site and user-shipped
         bytes)."""
-        candidate, site, key, pe = pin
+        candidate, site, key = pin
         if key is None:
-            part = self._components(task, candidate, pe)
+            part = self._components(task, candidate)
         else:
             part = classes.get(key)
             if part is None:
-                part = classes[key] = self._components(task, candidate, pe)
+                part = classes[key] = self._components(task, candidate)
         shipped = part[5]
         transfer_time_s = staging.get((site, shipped))
         if transfer_time_s is None:
@@ -325,8 +329,8 @@ class ResourceManagementSystem:
             )
         return pin, part, transfer_time_s
 
-    def _components(self, task: Task, candidate: Candidate, pe) -> tuple:
-        """The class part of *candidate*'s price on its PE *pe*:
+    def _components(self, task: Task, candidate: Candidate) -> tuple:
+        """The class part of *candidate*'s price on its PE:
         ``(bitstream, provision_softcore, synthesis seconds, reconfig
         seconds, exec seconds, bytes of a user-shipped bitstream)``.
 
@@ -336,6 +340,7 @@ class ResourceManagementSystem:
         VirtualizationError` means the candidate cannot be priced.
         """
         kind = candidate.kind
+        pe = candidate.pe
         bitstream = provision_softcore = None
         synthesis_time_s = reconfig_time_s = 0.0
         bitstream_bytes = 0
@@ -399,18 +404,20 @@ class ResourceManagementSystem:
         return 0 < bitstream.required_slices <= matched[1]
 
     @staticmethod
-    def _region(task: Task, candidate: Candidate, rpe, bitstream: Bitstream | None) -> Region:
-        """The region of *rpe* that *task* runs in: the resident
-        configuration when *bitstream* is ``None``, else the best fit for
-        it.  Raises :class:`SchedulingError` when there is none."""
+    def _region(task: Task, candidate: Candidate, bitstream: Bitstream | None) -> Region:
+        """The region of *candidate*'s RPE that *task* runs in: the
+        resident configuration when *bitstream* is ``None``, else the
+        best fit for it.  Raises :class:`SchedulingError` when there is
+        none."""
+        fabric = candidate.pe.fabric
         if bitstream is None:
-            region = rpe.fabric.find_resident(task.function)
+            region = fabric.find_resident(task.function)
             if region is None:  # pragma: no cover - defensive
                 raise SchedulingError(
                     f"task {task.task_id}: resident configuration vanished"
                 )
             return region
-        region = rpe.fabric.find_placeable(bitstream.required_slices)
+        region = fabric.find_placeable(bitstream.required_slices)
         if region is None:
             raise SchedulingError(
                 f"task {task.task_id}: no placeable region on RPE "
@@ -422,17 +429,22 @@ class ResourceManagementSystem:
         self, task: Task, pin: tuple, part: tuple, transfer_time_s: float
     ) -> Placement:
         """The placement that :meth:`_parts`' answer describes; an RPE
-        candidate's region is located here."""
-        candidate, _, _, pe = pin
+        candidate's region, or a hosted soft core's, is located here."""
+        candidate = pin[0]
         (bitstream, provision_softcore, synthesis_time_s, reconfig_time_s,
          exec_time_s, _) = part
-        region_id = candidate.region_id
+        region = None
         reused = False
         if candidate.kind is PEClass.RPE:
-            region_id = self._region(task, candidate, pe, bitstream).region_id
+            region = self._region(task, candidate, bitstream)
             reused = bitstream is None
+        elif candidate.region_id is not None:
+            region = next(
+                r for r in candidate.pe.fabric.regions
+                if r.region_id == candidate.region_id
+            )
         return Placement(
-            task, candidate, region_id, bitstream, provision_softcore,
+            task, candidate, region, bitstream, provision_softcore,
             transfer_time_s, synthesis_time_s, reconfig_time_s, exec_time_s, reused,
         )
 
@@ -597,64 +609,39 @@ class ResourceManagementSystem:
     # ------------------------------------------------------------------
     # Placement lifecycle (driven by the simulator through time)
     # ------------------------------------------------------------------
-    def _sample_fabric(self, placement: Placement) -> None:
-        """Telemetry hook: re-sample the affected RPE's configured-slice
-        gauge after a fabric-state transition (no-op for GPP/GPU
-        placements and whenever no registry is installed)."""
-        if self.telemetry is None or placement.candidate.kind in (
-            PEClass.GPP,
-            PEClass.GPU,
-        ):
-            return
-        node_id = placement.candidate.node_id
-        if node_id not in self._nodes:
-            return  # node departed mid-teardown
-        rpe = self._nodes[node_id].rpe(placement.candidate.resource_id)
-        fabric = rpe.fabric
-        self.telemetry.gauge(
-            "rpe_configured_slices",
-            "fabric slices currently allocated to configurations",
-            node=node_id,
-            rpe=placement.candidate.resource_id,
-        ).set(fabric.total_slices - fabric.available_slices)
-
     def commit(self, placement: Placement) -> None:
         """Reserve the chosen resources at dispatch time."""
         if placement._committed:
             raise SchedulingError("placement already committed")
+        candidate = placement.candidate
+        if candidate.node_id not in self._nodes:
+            raise SchedulingError(f"node {candidate.node_id} is not registered")
         if self._infeasible:
             self._infeasible.clear()
         if placement.bitstream is not None and placement.synthesis_time_s > 0:
             # Freshly synthesized: archive it so later tasks for the same
             # (function, device) skip synthesis entirely.
             self.virtualization.repository.put(placement.bitstream)
-        node = self.node(placement.candidate.node_id)
-        kind = placement.candidate.kind
-        if kind is PEClass.GPP:
-            node.gpp(placement.candidate.resource_id).assign(placement.task.task_id)
-        elif kind is PEClass.GPU:
-            node.gpu(placement.candidate.resource_id).assign(placement.task.task_id)
+        pe = candidate.pe
+        task_id = placement.task.task_id
+        if candidate.kind is PEClass.GPP or candidate.kind is PEClass.GPU:
+            pe.assign(task_id)
+        elif placement.provision_softcore is not None:
+            # Provisioning performs its own (instant) reconfiguration;
+            # the simulator charges reconfig_time_s before execution.
+            placement.region = pe.host_softcore(placement.provision_softcore)
+            pe.begin_task(placement.region, task_id)
+        elif placement.bitstream is not None:
+            region = placement.region
+            if region.configuration is not None:
+                pe.fabric.clear(region)
+                pe.hosted_softcores.pop(region.region_id, None)
+            pe.fabric.begin_reconfiguration(region, placement.bitstream)
         else:
-            rpe = node.rpe(placement.candidate.resource_id)
-            if placement.provision_softcore is not None:
-                # Provisioning performs its own (instant) reconfiguration;
-                # the simulator charges reconfig_time_s before execution.
-                region = rpe.host_softcore(placement.provision_softcore)
-                placement.region_id = region.region_id
-                rpe.begin_task(region, placement.task.task_id)
-            elif placement.bitstream is not None:
-                region = rpe.fabric.regions[self._region_index(rpe, placement.region_id)]
-                if region.configuration is not None:
-                    rpe.fabric.clear(region)
-                    rpe.hosted_softcores.pop(region.region_id, None)
-                rpe.fabric.begin_reconfiguration(region, placement.bitstream)
-            else:
-                # Configuration reuse, or an already-hosted soft core:
-                # occupy the region immediately so no one else grabs it.
-                region = rpe.fabric.regions[self._region_index(rpe, placement.region_id)]
-                rpe.begin_task(region, placement.task.task_id)
+            # Configuration reuse, or an already-hosted soft core:
+            # occupy the region immediately so no one else grabs it.
+            pe.begin_task(placement.region, task_id)
         placement._committed = True
-        self._sample_fabric(placement)
 
     def begin_execution(self, placement: Placement) -> None:
         """Transfer/synthesis/reconfiguration done; start executing."""
@@ -662,13 +649,8 @@ class ResourceManagementSystem:
             raise SchedulingError("placement must be committed first")
         if placement._executing:
             raise SchedulingError("placement already executing")
-        if (
-            placement.candidate.kind not in (PEClass.GPP, PEClass.GPU)
-            and placement.bitstream is not None
-        ):
-            node = self.node(placement.candidate.node_id)
-            rpe = node.rpe(placement.candidate.resource_id)
-            region = rpe.fabric.regions[self._region_index(rpe, placement.region_id)]
+        if placement.bitstream is not None:
+            rpe, region = placement.candidate.pe, placement.region
             rpe.fabric.finish_reconfiguration(region)
             rpe.begin_task(region, placement.task.task_id)
         placement._executing = True
@@ -677,19 +659,15 @@ class ResourceManagementSystem:
         """Release resources; resident configurations stay for reuse."""
         if not placement._executing:
             raise SchedulingError("placement is not executing")
-        node = self.node(placement.candidate.node_id)
-        kind = placement.candidate.kind
-        if kind is PEClass.GPP:
-            node.gpp(placement.candidate.resource_id).release()
-        elif kind is PEClass.GPU:
-            node.gpu(placement.candidate.resource_id).release()
+        candidate = placement.candidate
+        if candidate.node_id not in self._nodes:
+            raise SchedulingError(f"node {candidate.node_id} is not registered")
+        if placement.region is None:
+            candidate.pe.release()
         else:
-            rpe = node.rpe(placement.candidate.resource_id)
-            region = rpe.fabric.regions[self._region_index(rpe, placement.region_id)]
-            rpe.finish_task(region)
+            candidate.pe.finish_task(placement.region)
         placement._executing = False
         placement._committed = False
-        self._sample_fabric(placement)
 
     def abort_placement(
         self, placement: Placement, *, clear_configuration: bool = False
@@ -717,28 +695,21 @@ class ResourceManagementSystem:
             placement._executing = False
             placement._committed = False
             return False
-        node = self.node(placement.candidate.node_id)
-        kind = placement.candidate.kind
-        if kind is PEClass.GPP:
-            node.gpp(placement.candidate.resource_id).release()
-        elif kind is PEClass.GPU:
-            node.gpu(placement.candidate.resource_id).release()
+        pe, region = placement.candidate.pe, placement.region
+        if region is None:
+            pe.release()
+        elif region.state is RegionState.CONFIGURING:
+            # Aborted mid-load: a partial configuration is unusable.
+            pe.fabric.finish_reconfiguration(region)
+            pe.fabric.clear(region)
+            pe.hosted_softcores.pop(region.region_id, None)
         else:
-            rpe = node.rpe(placement.candidate.resource_id)
-            region = rpe.fabric.regions[self._region_index(rpe, placement.region_id)]
-            if region.state is RegionState.CONFIGURING:
-                # Aborted mid-load: a partial configuration is unusable.
-                rpe.fabric.finish_reconfiguration(region)
-                rpe.fabric.clear(region)
-                rpe.hosted_softcores.pop(region.region_id, None)
-            else:
-                rpe.finish_task(region)
-                if clear_configuration:
-                    rpe.fabric.clear(region)
-                    rpe.hosted_softcores.pop(region.region_id, None)
+            pe.finish_task(region)
+            if clear_configuration:
+                pe.fabric.clear(region)
+                pe.hosted_softcores.pop(region.region_id, None)
         placement._executing = False
         placement._committed = False
-        self._sample_fabric(placement)
         return True
 
     def run_placement(self, placement: Placement) -> float:
@@ -751,10 +722,3 @@ class ResourceManagementSystem:
         self.begin_execution(placement)
         self.finish_execution(placement)
         return placement.total_time_s
-
-    @staticmethod
-    def _region_index(rpe, region_id: int | None) -> int:
-        for index, region in enumerate(rpe.fabric.regions):
-            if region.region_id == region_id:
-                return index
-        raise SchedulingError(f"RPE {rpe.resource_id} has no region {region_id}")

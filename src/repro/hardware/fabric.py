@@ -136,11 +136,6 @@ class Fabric:
         """Slices in regions that are free or hold an idle configuration."""
         return sum(r.slices for r in self.regions if r.is_available)
 
-    @property
-    def free_slices(self) -> int:
-        """Slices in completely unconfigured regions."""
-        return sum(r.slices for r in self.regions if r.state is RegionState.FREE)
-
     def resident_configurations(self) -> list[Configuration]:
         """All configurations currently on the fabric (Eq. 1 state)."""
         return [r.configuration for r in self.regions if r.configuration is not None]

@@ -34,21 +34,18 @@ class BestFitAreaScheduler(Scheduler):
         required = task_required_slices(task)
 
         def rpe_waste(candidate: Candidate) -> float:
-            rpe = rms.node(candidate.node_id).rpe(candidate.resource_id)
-            region = rpe.fabric.find_placeable(max(required, 1))
+            region = candidate.pe.fabric.find_placeable(max(required, 1))
             if region is None:
                 return float("inf")
             return region.slices - required
 
         def speed(candidate: Candidate) -> float:
-            node = rms.node(candidate.node_id)
             if candidate.kind is PEClass.GPP:
-                return node.gpp(candidate.resource_id).spec.mips
+                return candidate.pe.spec.mips
             if candidate.kind is PEClass.GPU:
-                return node.gpu(candidate.resource_id).spec.peak_gflops
+                return candidate.pe.spec.peak_gflops
             # Hosted soft core: use its delivered MIPS.
-            rpe = node.rpe(candidate.resource_id)
-            for caps in rpe.softcore_capabilities():
+            for caps in candidate.pe.softcore_capabilities():
                 if caps.get("region_id") == candidate.region_id:
                     return float(caps["mips"])  # type: ignore[arg-type]
             return 0.0

@@ -44,14 +44,13 @@ class EnergyAwareScheduler(Scheduler):
 
     def _candidate_energy_j(self, task: Task, candidate: Candidate, rms) -> float:
         placement = rms._price(task, candidate)
-        node = rms.node(candidate.node_id)
         if candidate.kind is PEClass.GPP:
-            spec = node.gpp(candidate.resource_id).spec
+            spec = candidate.pe.spec
             return energy_per_task_j(gpp_power(spec, load=1.0), placement.exec_time_s)
         if candidate.kind is PEClass.GPU:
-            spec = node.gpu(candidate.resource_id).spec
+            spec = candidate.pe.spec
             return energy_per_task_j(gpu_power(spec, load=1.0), placement.exec_time_s)
-        rpe = node.rpe(candidate.resource_id)
+        rpe = candidate.pe
         if candidate.kind is PEClass.SOFTCORE:
             spec = task.exec_req.artifacts.softcore
             if candidate.region_id is not None:

@@ -73,7 +73,9 @@ from repro.sim.metrics import MetricsCollector, SimulationReport
 from repro.sim.pending import PendingQueue
 from repro.sim.resilience import ResilienceSpec
 from repro.sim.slo import SLOMonitor, SLOSpec
-from repro.sim.telemetry import TelemetryFold, TelemetryRegistry
+from repro.sim.telemetry import (
+    RPE_CONFIGURED_SLICES, TelemetryFold, TelemetryRegistry,
+)
 from repro.sim.tracing import Tracer
 
 
@@ -340,10 +342,7 @@ class DReAMSim:
                 ).set(0)
             for rpe in node.rpes:
                 registry.gauge(
-                    "rpe_configured_slices",
-                    "fabric slices currently allocated to configurations",
-                    node=node.node_id,
-                    rpe=rpe.resource_id,
+                    *RPE_CONFIGURED_SLICES[:2], node=node.node_id, rpe=rpe.resource_id
                 ).set(0)
 
     def _t_util_gauge(self, node_id: int):
@@ -399,33 +398,21 @@ class DReAMSim:
         for observe in self._observers:
             observe(t, kind, key, payload)
 
-    def _region_slices(self, placement: Placement) -> tuple[int, int]:
-        """(region slices, device capacity) of a committed placement."""
-        rpe = self.rms.node(placement.candidate.node_id).rpe(
-            placement.candidate.resource_id
-        )
-        for region in rpe.fabric.regions:
-            if region.region_id == placement.region_id:
-                return region.slices, rpe.fabric.total_slices
-        raise SchedulingError(  # pragma: no cover - defensive
-            f"placement region {placement.region_id} vanished"
-        )
-
     def _emit_slice(self, kind: str, entry: _Entry) -> None:
         """``slice-alloc`` / ``slice-free`` for the fabric region of
         *entry*'s placement (nothing for GPP-class placements)."""
         placement = entry.placement
-        if not self._listening or placement is None or placement.region_id is None:
+        if not self._listening or placement is None or placement.region is None:
             return
-        slices, capacity = self._region_slices(placement)
+        candidate = placement.candidate
         self._emit(
             kind,
             entry.key,
-            node=placement.candidate.node_id,
-            resource=placement.candidate.resource_id,
-            region=placement.region_id,
-            slices=slices,
-            capacity=capacity,
+            node=candidate.node_id,
+            resource=candidate.resource_id,
+            region=placement.region.region_id,
+            slices=placement.region.slices,
+            capacity=candidate.pe.fabric.total_slices,
         )
 
     # ------------------------------------------------------------------
@@ -626,8 +613,11 @@ class DReAMSim:
     def schedule_node_leave(self, time: float, node_id: int) -> None:
         def requeue(entry: _Entry) -> None:
             # A graceful departure is not evidence against the node: no
-            # fault, no retry budget, no checkpoint credit.
+            # fault, no retry budget, no checkpoint credit.  Nor is the
+            # placement aborted: the node leaves with its fabric as is.
             _cancel_all(entry.events)
+            if self._fold is not None and entry.placement.region is not None:
+                self._fold.keep_region(entry.key)
             self._emit_slice("slice-free", entry)
             self._emit("requeue", entry.key, node=node_id)
             self._release(entry, entry.placement)
@@ -1354,9 +1344,8 @@ class DReAMSim:
         saved = self._checkpoint_credit(entry, placement)
         wasted = max(0.0, self.engine.now - entry.dispatched_at - saved)
         slice_seconds = 0.0
-        if placement.region_id is not None:
-            slices, _ = self._region_slices(placement)
-            slice_seconds = wasted * slices
+        if placement.region is not None:
+            slice_seconds = wasted * placement.region.slices
         return {"wasted": wasted, "wasted_slice_s": slice_seconds, "saved": saved}
 
     def _tear_down(
@@ -1378,11 +1367,9 @@ class DReAMSim:
         if not self.pending:
             return
         kind = placement.candidate.kind
-        if placement.region_id is not None:
-            rpe = self.rms.node(placement.candidate.node_id).rpe(
-                placement.candidate.resource_id
-            )
-            hosted = placement.region_id in rpe.hosted_softcores
+        region = placement.region
+        if region is not None:
+            hosted = region.region_id in placement.candidate.pe.hosted_softcores
             kind = PEClass.SOFTCORE if hosted else PEClass.RPE
         self.pending.release(kind)
 
@@ -1446,7 +1433,7 @@ class DReAMSim:
         spec = self.resilience.checkpoint if self.resilience is not None else None
         if (
             spec is None
-            or placement.region_id is None
+            or placement.region is None
             or placement.exec_time_s <= spec.interval_s
         ):
             return 0.0
@@ -1869,7 +1856,7 @@ class DReAMSim:
         # Transient SEU hazard while a fabric-hosted task executes: one
         # draw per start decides whether (and when) the circuit is
         # corrupted before it can finish.
-        if self.faults is not None and placement.region_id is not None:
+        if self.faults is not None and placement.region is not None:
             seu_at = self.faults.seu_delay_s(placement.exec_time_s)
             if seu_at is not None:
                 entry.events.append(

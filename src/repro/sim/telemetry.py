@@ -41,7 +41,7 @@ single attribute check (the PR 3 zero-cost-when-disabled idiom).
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -110,11 +110,6 @@ class _Sampled(Instrument):
                 self.points[-1] = (now, value)
                 return
         self.points.append((now, value))
-
-    def value_at(self, t: float) -> float:
-        """Step-wise lookup: the newest sample at or before *t*."""
-        index = bisect_right(self.points, (t, float("inf"))) - 1
-        return self.points[index][1] if index >= 0 else 0.0
 
 
 class Counter(_Sampled):
@@ -373,8 +368,14 @@ CHECKPOINT_OVERHEAD = Series(
 #: Observed at ``dispatch`` / ``complete``, from the key's ``submit``.
 TASK_WAIT = Series("task_wait_seconds", "arrival -> dispatch latency")
 TASK_TURNAROUND = Series("task_turnaround_seconds", "arrival -> completion latency")
-#: The two event-driven gauges: the stage of each ``brownout`` event,
-#: and the state (CONTROL_PLANE_STATE_VALUES) each control-plane event sets.
+#: The configured fabric area of each RPE, labelled by ``node`` and
+#: ``rpe``: each ``slice-alloc`` adds its region's ``slices`` and each
+#: ``slice-free`` subtracts them.
+RPE_CONFIGURED_SLICES = Series(
+    "rpe_configured_slices", "fabric slices currently allocated to configurations"
+)
+#: The stage of each ``brownout`` event, and the state
+#: (CONTROL_PLANE_STATE_VALUES) each control-plane event sets.
 BROWNOUT_STAGE = Series(
     "sim_brownout_stage", "current brownout degradation stage (0 = healthy)"
 )
@@ -382,8 +383,8 @@ CONTROL_PLANE_STATE = Series("control_plane_state", "0 = up, 1 = gray, 2 = down"
 CONTROL_PLANE_EVENTS = {
     "rms-crash": 2.0, "rms-gray": 1.0, "rms-restore": 0.0, "failover-complete": 0.0
 }
-#: The kinds the fold reads besides submit, dispatch and complete; the
-#: rest (start, slice-alloc, ...) pass by.
+#: The kinds the fold reads besides submit, dispatch, complete,
+#: slice-alloc and slice-free; the rest (start, reconfigure, ...) pass by.
 FOLDED_KINDS = frozenset(EVENT_COUNTERS).union(
     CONTROL_PLANE_EVENTS, ("task-failed", "discard", "brownout")
 )
@@ -393,8 +394,9 @@ class TelemetryFold:
     """Folds the simulator's event stream into a registry, as
     ``EVENT_COUNTERS`` and the other ``Series`` constants say.
     Instruments are created at their first event and cached per (name,
-    label value).  ``brownout`` / ``control_plane`` seed their
-    gauge at 0 for layers armed from the start."""
+    label value), a fabric gauge per (node, RPE).  ``brownout`` /
+    ``control_plane`` seed their gauge at 0 for layers armed from the
+    start."""
 
     def __init__(self, registry: TelemetryRegistry, *, brownout: bool = False,
                  control_plane: bool = False):
@@ -402,6 +404,9 @@ class TelemetryFold:
         self._cache: dict[object, Instrument] = {}
         #: Task key -> submit time, dropped at the key's terminal event.
         self._submitted: dict[object, float] = {}
+        #: Task keys whose next ``slice-free`` leaves the fabric gauge as
+        #: it is (:meth:`keep_region`).
+        self._kept: set[object] = set()
         if brownout:
             self._get(registry.gauge, BROWNOUT_STAGE).set(0)
         if control_plane:
@@ -415,6 +420,22 @@ class TelemetryFold:
             instrument = self._cache[key] = factory(series.name, series.help, **labels)
         return instrument
 
+    def keep_region(self, key: object) -> None:
+        """The next ``slice-free`` of *key* releases nothing: a graceful
+        leave requeues the task, but the departing node keeps its fabric
+        as it was, so its gauge keeps the region's slices."""
+        self._kept.add(key)
+
+    def _fabric(self, payload: dict) -> Gauge:
+        """The configured-slices gauge of the RPE a fabric event names."""
+        rpe = payload["node"], payload["resource"]
+        gauge = self._cache.get(rpe)
+        if gauge is None:
+            gauge = self._cache[rpe] = self.registry.gauge(
+                *RPE_CONFIGURED_SLICES[:2], node=rpe[0], rpe=rpe[1]
+            )
+        return gauge
+
     def observe(self, t: float, kind: str, key: object, payload: dict) -> None:
         """Fold one event at sim time *t* into the instruments its kind
         drives."""
@@ -427,6 +448,13 @@ class TelemetryFold:
         elif kind == "complete":
             turnaround = t - self._submitted.pop(key)
             self._get(registry.histogram, TASK_TURNAROUND).observe(turnaround)
+        elif kind == "slice-alloc":
+            self._fabric(payload).inc(payload["slices"])
+        elif kind == "slice-free":
+            if key in self._kept:
+                self._kept.remove(key)
+            else:
+                self._fabric(payload).dec(payload["slices"])
         elif kind in FOLDED_KINDS:
             counter = EVENT_COUNTERS.get(kind)
             if counter is not None:

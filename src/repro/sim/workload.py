@@ -348,12 +348,6 @@ class ConfigurationPool:
             for i in range(size)
         ]
 
-    def entry(self, function: str) -> PoolEntry:
-        for e in self.entries:
-            if e.function == function:
-                return e
-        raise KeyError(f"pool has no function {function!r}")
-
     def populate_repository(
         self, repository: BitstreamRepository, devices: list[FPGADevice]
     ) -> int:

@@ -307,7 +307,7 @@ class TestQuoteMemo:
             def choose(self, task, candidates, rms):
                 # An RPE candidate for a task with no hardware artifact.
                 rpe = rms.node(0).rpes[0]
-                return Candidate(0, "Node_0", PEClass.RPE, rpe.resource_id, 0)
+                return Candidate(0, "Node_0", PEClass.RPE, rpe.resource_id, 0, rpe)
 
         rms = build_wide_rms(Unpriceable())
         with pytest.raises(SchedulingError, match="unpriceable"):
@@ -445,7 +445,7 @@ class TestRoundMemo:
         class Unpriceable:
             def choose(self, task, candidates, rms):
                 rpe = rms.node(0).rpes[0]
-                return Candidate(0, "Node_0", PEClass.RPE, rpe.resource_id, 0)
+                return Candidate(0, "Node_0", PEClass.RPE, rpe.resource_id, 0, rpe)
 
         rms = build_wide_rms(Unpriceable())
         rms.open_round()

@@ -128,12 +128,6 @@ class TestQueries:
         fabric.occupy(region)
         assert fabric.available_slices == total - region.slices
 
-    def test_free_slices_excludes_configured(self, fabric, device):
-        region = fabric.regions[0]
-        fabric.begin_reconfiguration(region, bitstream_for(device))
-        fabric.finish_reconfiguration(region)
-        assert fabric.free_slices == fabric.total_slices - region.slices
-
     def test_find_placeable_prefers_smallest_fit(self, device):
         fabric = Fabric(
             device,

@@ -97,7 +97,6 @@ class FabricMachine(RuleBasedStateMachine):
             r.slices for r in self.fabric.regions if r.state is RegionState.FREE
         )
         assert self.fabric.available_slices == available
-        assert self.fabric.free_slices == free
         assert free <= available <= self.fabric.total_slices
 
     @invariant()

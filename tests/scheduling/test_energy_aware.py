@@ -39,7 +39,7 @@ def test_prefers_efficient_gpp_for_software():
         workload_mi=20_000.0,
     )
     placement = rms.plan_placement(task)
-    assert rms.node(0).gpp(placement.candidate.resource_id).spec.cpu_model == "Atom"
+    assert placement.candidate.pe.spec.cpu_model == "Atom"
 
 
 def test_deadline_weight_flips_to_fast_cpu():
@@ -52,7 +52,7 @@ def test_deadline_weight_flips_to_fast_cpu():
         workload_mi=20_000.0,
     )
     placement = rms.plan_placement(task)
-    assert rms.node(0).gpp(placement.candidate.resource_id).spec.cpu_model == "Xeon-big"
+    assert placement.candidate.pe.spec.cpu_model == "Xeon-big"
 
 
 def test_places_hardware_tasks():

@@ -156,15 +156,6 @@ class TestHybridCost:
         assert second.reused_configuration
         assert second.candidate.node_id == first.candidate.node_id
 
-    def test_area_weight_validation(self):
-        with pytest.raises(ValueError):
-            HybridCostScheduler(area_weight=-1)
-
-    def test_area_weight_breaks_time_ties(self):
-        rms = build_rms(HybridCostScheduler(area_weight=10.0))
-        placement = rms.plan_placement(hw_task(slices=5_000))
-        assert placement.candidate.node_id == 1  # tight fit preferred
-
 
 class TestUnpriceable:
     """A candidate the RMS cannot price (SchedulingError or

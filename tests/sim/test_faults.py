@@ -271,9 +271,7 @@ class TestNodeCrash:
             (entry,) = sim.active.values()
             placement = entry.placement
             assert placement.reconfig_time_s > 0
-            node = sim.rms.node(placement.candidate.node_id)
-            rpe = node.rpe(placement.candidate.resource_id)
-            states = {r.state for r in rpe.fabric.regions}
+            states = {r.state for r in placement.candidate.pe.fabric.regions}
             assert RegionState.CONFIGURING in states
 
         # The XC5VLX155 bitstream load takes ~a few ms; probe and crash

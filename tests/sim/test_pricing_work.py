@@ -140,14 +140,21 @@ def test_wide_grid_builds_each_candidate_once_and_prices_by_class(pricing):
 
 @pytest.fixture
 def lookups(monkeypatch):
-    """Counts full pricings (``_components``), ``rms.node`` calls,
-    ``Node.rpe/gpp/gpu`` lookups and fabric region walks, plus the
-    plans and the RPEs their matching visits."""
+    """Counts full pricings (``_components``), pins (``_resolve``),
+    ``rms.node`` calls, ``Node._find`` scans and fabric region walks,
+    plus the plans and the RPEs their matching visits."""
     counts = Counter()
     count_calls(monkeypatch, counts, ResourceManagementSystem, "_components", "pricings")
+    count_calls(monkeypatch, counts, ResourceManagementSystem, "_resolve", "pins")
     count_calls(monkeypatch, counts, ResourceManagementSystem, "node", "nodes")
-    for name in ("rpe", "gpp", "gpu"):
-        count_calls(monkeypatch, counts, Node, name, "pes")
+    # A staticmethod: the wrapper must stay one, or it binds the node.
+    real_find = Node._find
+
+    def find(*args):
+        counts["finds"] += 1
+        return real_find(*args)
+
+    monkeypatch.setattr(Node, "_find", staticmethod(find))
     for name in ("find_resident", "find_placeable", "admit"):
         count_calls(monkeypatch, counts, Fabric, name, "walks")
     real_plan = ResourceManagementSystem.plan_placement
@@ -170,11 +177,14 @@ def test_wide_grid_prices_each_class_and_site_once_per_plan(lookups):
     # One full pricing per price class a plan sees: 598 on this spec
     # (4,847, one per candidate, when every candidate was priced).
     assert lookups["pricings"] <= 3 * plans
-    # A candidate's node and PE are resolved once and pinned; the rest
-    # is the placement lifecycle: 559 of each on this spec (5,339 when
-    # every pricing looked both up).
-    assert lookups["nodes"] <= 3 * plans
-    assert lookups["pes"] <= 3 * plans
+    # A candidate carries its PE and a placement its region, so nothing
+    # on the run path looks a node up per pin, or scans a node's PE
+    # lists: 559 ``rms.node`` calls and as many ``Node._find`` scans on
+    # this spec when the pin and the placement lifecycle resolved the
+    # candidate's ids (5,339 when every pricing did).
+    assert lookups["pins"] > 0
+    assert lookups["nodes"] <= lookups["pins"]
+    assert lookups["finds"] == 0
     # Matching walks each RPE it visits once, and pricing walks only
     # the chosen candidate's fabric: 3,795 on this spec (10,234 when
     # matching walked each fabric twice and pricing once per candidate).

@@ -99,19 +99,6 @@ class TestInstruments:
         g.set(2.0)  # clock still 0.0: replaces, never duplicates
         assert g.points == [(0.0, 2.0)]
 
-    def test_value_at_bisects(self):
-        reg = TelemetryRegistry()
-        t = [0.0]
-        reg.set_clock(lambda: t[0])
-        g = reg.gauge("depth", help="d")
-        g.set(1.0)
-        t[0] = 5.0
-        g.set(7.0)
-        assert g.value_at(-1.0) == 0.0
-        assert g.value_at(0.0) == 1.0
-        assert g.value_at(4.9) == 1.0
-        assert g.value_at(5.0) == 7.0
-
     def test_histogram_buckets_le_convention(self):
         reg = TelemetryRegistry()
         h = reg.histogram("wait", help="w", buckets=(1.0, 5.0))
@@ -310,6 +297,7 @@ FOLDED = {
         "sim_failovers_total": [{}],
         "sim_orphans_total": [{}],
         "control_plane_state": [{}],
+        "rpe_configured_slices": [{"node": "0", "rpe": "1"}, {"node": "1", "rpe": "1"}],
         "task_wait_seconds": [{}],
         "task_turnaround_seconds": [{}],
     },
@@ -318,6 +306,7 @@ FOLDED = {
         "sim_sheds_total": [{"reason": "brownout"}, {"reason": "queue-full"}],
         "sim_degrades_total": [{}],
         "sim_brownout_stage": [{}],
+        "rpe_configured_slices": [{"node": "0", "rpe": "1"}, {"node": "1", "rpe": "1"}],
         "task_wait_seconds": [{}],
         "task_turnaround_seconds": [{}],
     },
@@ -347,8 +336,10 @@ class TestTelemetryPins:
         crc, dump = _telemetry_crc(self.SPECS[scenario].with_(engine=engine))
         records = dump["series"] + dump["histograms"]
         for name, label_sets in FOLDED[scenario].items():
-            # The two gauges carry a t=0 seed sample; they must move after it.
-            seeded = int(name in ("sim_brownout_stage", "control_plane_state"))
+            # The gauges carry a t=0 seed sample; they must move after it.
+            seeded = int(name in (
+                "sim_brownout_stage", "control_plane_state", "rpe_configured_slices",
+            ))
             moved = [
                 record["labels"]
                 for record in records

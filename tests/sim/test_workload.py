@@ -179,12 +179,6 @@ class TestConfigurationPool:
         pool = ConfigurationPool(50, area_range=(1_000, 2_000), seed=0)
         assert all(1_000 <= e.required_slices <= 2_000 for e in pool.entries)
 
-    def test_entry_lookup(self):
-        pool = ConfigurationPool(3, seed=0)
-        assert pool.entry("hwfunc_001").function == "hwfunc_001"
-        with pytest.raises(KeyError):
-            pool.entry("nope")
-
     def test_populate_repository_skips_oversized(self):
         pool = ConfigurationPool(10, area_range=(5_000, 40_000), seed=2)
         repo = BitstreamRepository()
@@ -260,8 +254,9 @@ class TestSyntheticWorkload:
 
     def test_hw_task_estimates_reflect_speedup(self):
         wl = self.make(gpp_fraction=0.0)
+        entries = {e.function: e for e in wl.pool.entries}
         for _, task in wl.generate():
-            entry = wl.pool.entry(task.function)
+            entry = entries[task.function]
             ref_time = task.effective_workload_mi / wl.spec.reference_mips
             assert task.t_estimated == pytest.approx(ref_time / entry.speedup_vs_gpp)
 
