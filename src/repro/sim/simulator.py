@@ -332,6 +332,7 @@ class DReAMSim:
         self._t_queue_gauge.set(0)
         self._t_active_gauge.set(0)
         self._t_backoff_gauge.set(0)
+        fabric = RPE_CONFIGURED_SLICES
         for node in self.rms.nodes:
             self._t_util_gauge(node.node_id).set(0)
             if self.health is not None:
@@ -342,7 +343,7 @@ class DReAMSim:
                 ).set(0)
             for rpe in node.rpes:
                 registry.gauge(
-                    *RPE_CONFIGURED_SLICES[:2], node=node.node_id, rpe=rpe.resource_id
+                    fabric.name, fabric.help, node=node.node_id, rpe=rpe.resource_id
                 ).set(0)
 
     def _t_util_gauge(self, node_id: int):

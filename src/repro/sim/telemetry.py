@@ -431,8 +431,9 @@ class TelemetryFold:
         rpe = payload["node"], payload["resource"]
         gauge = self._cache.get(rpe)
         if gauge is None:
+            series = RPE_CONFIGURED_SLICES
             gauge = self._cache[rpe] = self.registry.gauge(
-                *RPE_CONFIGURED_SLICES[:2], node=rpe[0], rpe=rpe[1]
+                series.name, series.help, node=rpe[0], rpe=rpe[1]
             )
         return gauge
 
